@@ -318,8 +318,10 @@ def picard_iterate(
 
     verdict = "max_iter"
     iterations = config.max_iter
+    rhs = rhs0
     for k in range(1, config.max_iter + 1):
-        rhs = _rhs_eval(spec, u)
+        if k > 1:
+            rhs = _rhs_eval(spec, u)
         if not np.all(np.isfinite(rhs)):
             verdict, iterations = "diverged", k
             break

@@ -15,7 +15,7 @@ The per-node exterior mass
     kappa_i = sum of w_z over offsets leaving the interior + tail(R)
 
 turns exterior-zero boundary conditions into a pure diagonal term, so all
-operators reduce to dense interior sums sharing one table.  Identities such as
+operators reduce to interior sums sharing one table.  Identities such as
 the energy identity and the Gagliardo decomposition then hold to machine
 precision by construction, because every module reads the same weights.
 
@@ -56,6 +56,8 @@ __all__ = [
 
 CACHE_MAGIC = b"FLKT"
 CACHE_VERSION = 1
+# rows of the pair matrix handled per block; a 64 x I float64 block stays in cache
+PAIR_BLOCK_ROWS = 64
 
 
 def sphere_area(d: int) -> float:
@@ -239,13 +241,21 @@ class KernelTable:
         return origin_cell_moment(self.domain.h, self.domain.dimension, p - self.domain.dimension - self.sigma)
 
     def pair_matrix(self) -> np.ndarray:
-        """Dense interior-to-interior weight matrix w(z_i - z_j), zero diagonal."""
+        """Dense interior-to-interior weight matrix w(z_i - z_j), zero diagonal.
+
+        Entries are gathered from the flat weight array at linear offsets
+        center + lin_i - lin_j, one block of rows at a time.
+        """
         if self._pair is None:
-            ij = self.domain.interior_index
-            M = self.lattice_radius
-            d = ij[:, None, :] - ij[None, :, :]
-            idx = tuple(d[..., k] + M for k in range(self.domain.dimension))
-            P = self.weights[idx]
+            shape = self.weights.shape
+            W = self.weights.reshape(-1)
+            lin = np.ravel_multi_index(self.domain.interior_index.T, shape)
+            center = np.ravel_multi_index((self.lattice_radius,) * len(shape), shape)
+            n = len(lin)
+            P = np.empty((n, n))
+            for i0 in range(0, n, PAIR_BLOCK_ROWS):
+                i1 = min(i0 + PAIR_BLOCK_ROWS, n)
+                np.take(W, (center + lin[i0:i1, None]) - lin[None, :], out=P[i0:i1])
             np.fill_diagonal(P, 0.0)
             self._pair = P
         return self._pair

@@ -19,6 +19,11 @@ holds to machine precision, not just asymptotically.
 The squared gradient  D_s^2(u) = (a/2) int |u(x)-u(y)|^2 |x-y|^-(N+2s) dy  and
 its q-th power generalization B_s^q use the same tables; their origin cell is
 absolutely integrable and approximated by |grad_h u|^{2 or q} * I0(2 or q).
+
+The signed operators and D_s^2 apply the dense matrix P; the p-power pair sums
+behind B_s^q and the Gagliardo sums visit each symmetric pair of P once.  The
+Riesz gradient never forms P: its weights depend only on the node offset, so
+it is an FFT correlation with the stored weight lattice.
 """
 
 from __future__ import annotations
@@ -26,10 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sp_fft
 
 from .errors import ParameterError
 from .grids import GridDomain, GridFunction
 from .kernels import (
+    PAIR_BLOCK_ROWS,
     KernelTable,
     cell_kernel_integrals,
     get_table,
@@ -49,8 +56,6 @@ __all__ = [
     "OperatorHandle",
     "make_operator",
 ]
-
-_PAIR_CHUNK = 2048
 
 
 def central_gradient(u: GridFunction) -> np.ndarray:
@@ -143,14 +148,26 @@ def apply_frac_power(
 
 
 def pair_power_sum(table: KernelTable, ui: np.ndarray, p: float) -> np.ndarray:
-    """sum_j |u_i - u_j|^p w_ij over interior j, chunked over rows."""
+    """sum_j |u_i - u_j|^p w_ij over interior j.
+
+    P is exactly symmetric, so each unordered pair is evaluated once: row
+    blocks sweep the upper triangle and add their row sums to the block's nodes
+    and their column sums to the partner nodes.
+    """
     P = table.pair_matrix()
     n = len(ui)
-    out = np.empty(n)
-    for i0 in range(0, n, _PAIR_CHUNK):
-        i1 = min(i0 + _PAIR_CHUNK, n)
-        diff = np.abs(ui[i0:i1, None] - ui[None, :]) ** p
-        out[i0:i1] = (diff * P[i0:i1]).sum(axis=1)
+    out = np.zeros(n)
+    below = np.tri(PAIR_BLOCK_ROWS, k=-1, dtype=bool)
+    for i0 in range(0, n, PAIR_BLOCK_ROWS):
+        i1 = min(i0 + PAIR_BLOCK_ROWS, n)
+        diff = ui[i0:i1, None] - ui[None, i0:]
+        np.abs(diff, out=diff)
+        diff **= p
+        diff *= P[i0:i1, i0:]
+        # the diagonal block holds its pairs twice; keep the upper copy
+        diff[:, : i1 - i0][below[: i1 - i0, : i1 - i0]] = 0.0
+        out[i0:i1] += diff.sum(axis=1)
+        out[i0:] += diff.sum(axis=0)
     return out
 
 
@@ -215,24 +232,35 @@ def apply_riesz_gradient(
 
     Component k at node i is  sum_j (u_i - u_j) ((x_i - x_j)_k/|x_i - x_j|) w_ij
     with the zero exterior contribution folded in and the analytic far tail
-    dropped by odd symmetry (kernel order sigma = s).
+    dropped by odd symmetry (kernel order sigma = s).  The u_i term vanishes by
+    the same symmetry, leaving  sum_j K_k(z_j - z_i) u_j  with the odd kernel
+    K_k(z) = z_k/|z| w_z.  That is a lattice correlation of the exterior-zero
+    grid function with K_k cropped to offsets |z_k| <= n-1, evaluated by FFT.
     """
     if not 0.0 < s < 1.0:
         raise ParameterError(f"s must lie in (0,1), got {s}")
     table = _resolve(u, s, table, cutoff_radius)
     dom = u.domain
-    ij = dom.interior_index
-    ui = u.interior
-    P = table.pair_matrix()
-    n = len(ui)
-    out = np.zeros((n, dom.dimension))
-    for i0 in range(0, n, _PAIR_CHUNK):
-        i1 = min(i0 + _PAIR_CHUNK, n)
-        d = ij[None, :, :] - ij[i0:i1, None, :]
-        r = np.sqrt((d.astype(float) ** 2).sum(axis=-1))
-        np.maximum(r, 1e-300, out=r)
-        for k in range(dom.dimension):
-            out[i0:i1, k] = ((d[..., k] / r) * P[i0:i1]) @ ui
+    N = dom.dimension
+    n = dom.nodes_per_axis
+    M = table.lattice_radius
+    # the cutoff is at least the bbox diameter plus one cell, so M > n
+    assert M >= n - 1, f"lattice radius {M} does not cover grid offsets up to {n - 1}"
+    W = table.weights[(slice(M - n + 1, M + n),) * N]
+    z = np.indices(W.shape, dtype=float) - (n - 1)
+    r = np.sqrt((z**2).sum(axis=0))
+    np.maximum(r, 1e-300, out=r)
+    # circular length 2n-1 keeps the wrapped terms off the cropped window
+    shape = [sp_fft.next_fast_len(2 * n - 1, real=True)] * N
+    axes = tuple(range(N))
+    U = sp_fft.rfftn(u.values, shape, axes=axes)
+    window = (slice(n - 1, 2 * n - 1),) * N
+    out = np.empty((dom.interior_count, N))
+    for k in range(N):
+        # correlation with K_k is convolution with its mirror image
+        K = (z[k] / r * W)[(slice(None, None, -1),) * N]
+        full = sp_fft.irfftn(sp_fft.rfftn(K, shape, axes=axes) * U, shape, axes=axes)
+        out[:, k] = full[window][dom.interior_mask]
     return out
 
 

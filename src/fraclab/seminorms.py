@@ -210,12 +210,22 @@ def hardy_constant(N: int, s: float, p: float, tol: float = 1e-6) -> HardyResult
     g = p - ps
     phi_err = [0.0]
 
-    def F(sigma: float) -> float:
+    def phi(sigma: float) -> float:
         v, e = _phi_quad(N, beta, sigma)
         phi_err[0] = max(phi_err[0], e / max(abs(v), 1e-300))
-        return sigma ** (ps - 1.0) * abs(1.0 - sigma**k) ** p * v
+        return v
 
-    v1, e1 = quad(lambda tau: F(math.exp(-tau)) * math.exp(-tau), math.log(2.0), math.inf, limit=300)
+    def F(sigma: float) -> float:
+        return sigma ** (ps - 1.0) * abs(1.0 - sigma**k) ** p * phi(sigma)
+
+    # sigma = e^-tau; the powers of sigma are folded into exponentials so that
+    # an underflowed sigma cannot meet a negative power when ps < 1
+    v1, e1 = quad(
+        lambda tau: math.exp(-ps * tau) * abs(1.0 - math.exp(-k * tau)) ** p * phi(math.exp(-tau)),
+        math.log(2.0),
+        math.inf,
+        limit=300,
+    )
 
     w_switch = _U_SWITCH**g
     endpoint = k**p * _phi_coeff(N, beta) * w_switch / g

@@ -97,6 +97,22 @@ def test_sweep_schema(tmp_path):
     assert "converged" in lines[2]
 
 
+HARDY_CFG = """
+[run]
+triples = 2:0.45:2.0,3:0.3:2.0
+mc_samples = 20000
+"""
+
+
+def test_hardy_small_ps_exit0(tmp_path):
+    cfg = _write(tmp_path, "hardy.ini", HARDY_CFG)
+    out = tmp_path / "out"
+    assert run("hardy", cfg, out) == 0
+    lines = (out / "hardy.csv").read_text().splitlines()
+    assert lines[1] == "N,s,p,lambda_quad,error_estimate,lambda_mc,mc_stderr,rel_diff"
+    assert len(lines) == 2 + 2
+
+
 EXP_CFG = """
 [run]
 propositions = P3.1,L-LPPS

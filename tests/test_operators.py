@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from fraclab import (
+    Annulus,
+    Ball,
     ParameterError,
     apply_B_sq,
     apply_D_s2,
@@ -11,6 +13,7 @@ from fraclab import (
     apply_frac_power,
     apply_riesz_gradient,
     assemble,
+    build_domain,
     central_gradient,
     get_table,
     make_operator,
@@ -18,6 +21,8 @@ from fraclab import (
     sample,
     solve_poisson,
 )
+from fraclab.kernels import PAIR_BLOCK_ROWS
+from fraclab.operators import pair_power_sum
 
 S = 0.6
 
@@ -206,3 +211,63 @@ def test_table_domain_mismatch(dom1d, dom2d, bump1d):
     tab2 = get_table(dom2d, 2 * S)
     with pytest.raises(ParameterError):
         apply_frac_laplacian(bump1d, S, table=tab2)
+
+
+def _dense_riesz_gradient(u, table):
+    # the direct pair sum sum_j (z_j - z_i)_k/|z_j - z_i| w_ij u_j over interior j
+    dom = u.domain
+    ij = dom.interior_index
+    P = table.pair_matrix()
+    d = ij[None, :, :] - ij[:, None, :]
+    r = np.sqrt((d.astype(float) ** 2).sum(axis=-1))
+    np.maximum(r, 1e-300, out=r)
+    return np.stack([((d[..., k] / r) * P) @ u.interior for k in range(dom.dimension)], axis=1)
+
+
+@pytest.mark.parametrize(
+    "shape, n, offset, tight_cutoff",
+    [
+        (Ball(center=(0.0,), radius=1.0), 90, False, False),
+        (Ball(center=(0.0, 0.0), radius=1.0), 30, False, False),
+        (Ball(center=(0.0, 0.0, 0.0), radius=1.0), 11, False, True),
+        (Annulus(0.35, 1.0, (0.0, 0.0)), 28, False, False),
+        (Ball(center=(0.0, 0.0), radius=1.0), 27, True, False),
+        (Ball(center=(0.0, 0.0), radius=1.0), 26, False, True),
+        (Ball(center=(0.0,), radius=1.0), 41, True, True),
+    ],
+)
+def test_riesz_gradient_matches_dense_sum(shape, n, offset, tight_cutoff):
+    dom = build_domain(shape, n, margin_cells=2, origin_offset=offset)
+    cutoff = dom.bbox_diameter + dom.h if tight_cutoff else None
+    u = sample(
+        lambda *x: np.exp(-sum((xk - 0.2 * (k + 1)) ** 2 for k, xk in enumerate(x))) + 0.3 * x[0],
+        dom,
+    )
+    table = get_table(dom, S, cutoff)
+    g = apply_riesz_gradient(u, S, table=table)
+    ref = _dense_riesz_gradient(u, table)
+    assert g.shape == ref.shape
+    assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_pair_power_sum_matches_full_rows(dom2d, p):
+    assert dom2d.interior_count % PAIR_BLOCK_ROWS != 0
+    u = sample(lambda x, y: np.cos(1.3 * x) * (1.0 - x**2 - y**2) + 0.2 * y, dom2d)
+    table = get_table(dom2d, 0.6 * p / 2.0)
+    ui = u.interior
+    ref = (np.abs(ui[:, None] - ui[None, :]) ** p * table.pair_matrix()).sum(axis=1)
+    got = pair_power_sum(table, ui, p)
+    assert np.abs(got - ref).max() <= 1e-13 * ref.max()
+
+
+@pytest.mark.parametrize("N, n", [(1, 60), (2, 24), (3, 9)])
+def test_pair_matrix_equals_offset_indexing(N, n):
+    dom = build_domain(Annulus(0.3, 1.0, (0.0,) * N), n, margin_cells=2)
+    table = get_table(dom, 0.9, dom.bbox_diameter + dom.h)
+    ij = dom.interior_index
+    d = ij[:, None, :] - ij[None, :, :]
+    M = table.lattice_radius
+    expected = table.weights[tuple(d[..., k] + M for k in range(N))]
+    np.fill_diagonal(expected, 0.0)
+    assert np.array_equal(table.pair_matrix(), expected)

@@ -131,6 +131,17 @@ def test_hardy_constant_vs_mc():
     assert err < 1e-2 * res.value
 
 
+@pytest.mark.parametrize("N, s, p", [(2, 0.45, 2.0), (3, 0.3, 2.0), (2, 0.3, 3.0)])
+def test_hardy_constant_below_ps_one(N, s, p):
+    # ps < 1: sigma = e^-tau underflows far out on the tau panel
+    res = hardy_constant(N, s, p)
+    assert res.error_estimate <= 1e-6
+    mc, err = hardy_constant_mc(N, s, p, samples=500_000)
+    assert abs(res.value - mc) <= 4.0 * err
+    if p == 2.0:
+        assert res.value == pytest.approx(_sharp_constant_p2(N, s), rel=1e-8)
+
+
 def test_hardy_constant_validation():
     with pytest.raises(ParameterError):
         hardy_constant(1, 0.6, 2.0)
