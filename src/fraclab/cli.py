@@ -1,15 +1,16 @@
 """Batch front door: INI configs in, deterministic CSV tables out.
 
 Usage:
-    fraclab <subcommand> --config <path> [--out <dir>] [--threads <n>]
+    fraclab <subcommand> --config <path> [--out <dir>]
 
 Subcommands: solve, iterate, sweep, hardy, exponents, certify, probe, limits.
 Every CSV starts with a comment line carrying the sha256 of the fully
 resolved configuration, so re-running a config reproduces its outputs
 bit for bit.  Exit codes: 0 success, 2 validation error, 3 numerical failure.
 
-Kernel tables are cached on disk when FRACLAB_CACHE_DIR is set; stale or
-corrupted cache files are rebuilt with a warning.
+Kernel tables are cached on disk when FRACLAB_CACHE_DIR is set, one file per
+(domain, order, cutoff radius); stale or corrupted cache files are rebuilt with
+a warning.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .fixedpoint import IterationConfig, ProblemSpec, picard_iterate
 from .grids import Annulus, Ball, Box, GridDomain, GridFunction, build_domain, sample
-from .kernels import CacheMismatch, get_table, load_kernel_table, save_kernel_table
+from .kernels import CacheMismatch, get_table, load_kernel_table, resolve_cutoff, save_kernel_table
 from .nonexistence import bump_family, certify as certify_family, lambda_star_star
 from .operators import apply_D_s2, apply_frac_laplacian, central_gradient
 from .poisson import assemble, solve_poisson
@@ -298,7 +299,8 @@ def _warm_table_cache(domain: GridDomain, sigma: float, cutoff_radius: float | N
     cache_dir = os.environ.get("FRACLAB_CACHE_DIR")
     if not cache_dir:
         return
-    key = f"{domain.shape_hash()[:16]}_{sigma:.6g}_{domain.nodes_per_axis}.flkt"
+    R = resolve_cutoff(domain, cutoff_radius)
+    key = f"{domain.shape_hash()[:16]}_{sigma!r}_{R!r}_{domain.nodes_per_axis}.flkt"
     path = Path(cache_dir) / key
     memo_key = (round(float(sigma), 14), cutoff_radius, False)
     if path.exists():
@@ -632,11 +634,9 @@ _DRIVERS = {
 }
 
 
-def run(subcommand: str, config_path, out_dir=".", threads: int = 1) -> int:
+def run(subcommand: str, config_path, out_dir=".") -> int:
     """Execute one subcommand; returns the process exit code."""
     try:
-        if threads < 1:
-            raise ConfigurationError(f"--threads must be >= 1, got {threads}")
         cfg = ExperimentConfig.load(subcommand, config_path)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -655,9 +655,8 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="path to an INI config file")
     parser.add_argument("--out", default=".", help="output directory for CSV files")
-    parser.add_argument("--threads", type=int, default=1, help="advisory worker count")
     args = parser.parse_args(argv)
-    return run(args.subcommand, args.config, args.out, args.threads)
+    return run(args.subcommand, args.config, args.out)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,9 @@ accumulated for lattice offsets with |z| h <= R, plus an analytic far-field
 tail  omega_{N-1} R^-sigma / sigma  for the mass beyond the cutoff.  Cell
 averaging (exact antiderivatives in 1D, tensor-midpoint subdivision in 2D/3D)
 keeps every weight positive and symmetric, which is what gives the assembled
-operators their M-matrix structure and discrete maximum principle.
+operators their M-matrix structure and discrete maximum principle.  A cell
+integral depends only on the sorted absolute offset, so each sorted offset
+0 <= z_1 <= ... <= z_N is integrated once and mirrored into the lattice.
 
 The per-node exterior mass
 
@@ -27,15 +29,24 @@ The normalization constant
 is provided both in closed form and via direct quadrature of the defining
 integral (spherical reduction, log-substitution near 0, pi-length panels with
 an analytic remainder), the latter serving as an independent oracle.
+
+Tables persist in a binary cache (save_kernel_table / load_kernel_table)
+whose header carries the key fields and a sha256 of the weights and kappa;
+a file that fails any check raises CacheMismatch.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
+import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .errors import ConfigurationError, ParameterError
 from .grids import GridDomain
@@ -52,10 +63,13 @@ __all__ = [
     "CacheMismatch",
     "origin_cell_moment",
     "cell_kernel_integrals",
+    "cell_lattice",
+    "lattice_gather",
+    "resolve_cutoff",
 ]
 
 CACHE_MAGIC = b"FLKT"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 # rows of the pair matrix handled per block; a 64 x I float64 block stays in cache
 PAIR_BLOCK_ROWS = 64
 
@@ -76,18 +90,29 @@ def normalization_constant(N: int, s: float) -> float:
     )
 
 
-def _sphere_slice(r: np.ndarray, N: int, n_theta: int) -> np.ndarray:
-    """psi_N(r) = integral over S^{N-1} of (1 - cos(r w_1)) dsigma(w)."""
+def _sphere_slice(r: np.ndarray, N: int) -> np.ndarray:
+    """psi_N(r) = integral over S^{N-1} of (1 - cos(r w_1)) dsigma(w), by an angular rule.
+
+    Used on the log panel r < pi, where the closed form below loses digits to
+    the cancellation in 1 - Gamma(N/2) (2/r)^{N/2-1} J_{N/2-1}(r).
+    """
+    n_theta = 96
     if N == 1:
         return 2.0 * (1.0 - np.cos(r))
     if N == 2:
         th = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
         vals = 1.0 - np.cos(r[:, None] * np.cos(th)[None, :])
         return (2.0 * math.pi / n_theta) * vals.sum(axis=1)
-    t, wt = np.polynomial.legendre.leggauss(min(n_theta, 4000))
+    t, wt = np.polynomial.legendre.leggauss(n_theta)
     wfac = wt * (1.0 - t**2) ** ((N - 3) / 2.0)
     vals = 1.0 - np.cos(r[:, None] * t[None, :])
     return sphere_area(N - 2) * (vals * wfac[None, :]).sum(axis=1)
+
+
+def _sphere_slice_closed(r: np.ndarray, N: int) -> np.ndarray:
+    """psi_N(r) = |S^{N-1}| (1 - Gamma(N/2) (2/r)^{N/2-1} J_{N/2-1}(r)), for r >= pi."""
+    nu = N / 2.0 - 1.0
+    return sphere_area(N - 1) * (1.0 - math.gamma(N / 2.0) * (2.0 / r) ** nu * special.jv(nu, r))
 
 
 def normalization_constant_quadrature(
@@ -103,7 +128,8 @@ def normalization_constant_quadrature(
     psi_N(r) r^{-1-2s}, handled with a small-r Taylor patch, a log-substituted
     panel on (r_min, pi), pi-length Gauss panels to r_max and the exact
     |S^{N-1}| remainder beyond (the oscillatory remainder is dropped; it is
-    O(r_max^{-2s-(N-1)/2})).
+    O(r_max^{-2s-(N-1)/2})).  The log panel integrates psi_N over the sphere;
+    the pi-length panels use its Bessel closed form, all panels at once.
     """
     if not 0.0 < s < 1.0:
         raise ParameterError(f"s must lie in (0,1), got {s}")
@@ -115,16 +141,15 @@ def normalization_constant_quadrature(
     u = (u0 + u1) / 2.0 + (u1 - u0) / 2.0 * x
     r = np.exp(u)
     total += (u1 - u0) / 2.0 * float(
-        (w * _sphere_slice(r, N, 96) * np.exp(-2.0 * s * u)).sum()
+        (w * _sphere_slice(r, N) * np.exp(-2.0 * s * u)).sum()
     )
 
     xg, wg = np.polynomial.legendre.leggauss(panel_order)
     edges = np.arange(math.pi, r_max + math.pi, math.pi)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        r = mid + half * xg
-        n_theta = max(96, int(4 * b) + 32)
-        total += half * float((wg * _sphere_slice(r, N, n_theta) * r ** (-1 - 2 * s)).sum())
+    mid = (edges[:-1, None] + edges[1:, None]) / 2.0
+    half = (edges[1:, None] - edges[:-1, None]) / 2.0
+    r = mid + half * xg
+    total += float((half * wg * _sphere_slice_closed(r, N) * r ** (-1 - 2 * s)).sum())
 
     total += SN * r_max ** (-2.0 * s) / (2.0 * s)
     return 1.0 / total
@@ -148,7 +173,9 @@ def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.
     """Integrals of |y|^exponent over cells centered at offsets*h (no origin cell).
 
     1D uses exact antiderivatives; higher dimensions use tensor-midpoint
-    subdivision graded by the max-norm distance of the cell.
+    subdivision graded by the max-norm distance of the cell.  The integral
+    depends only on the sorted absolute offsets, and callers that need a whole
+    lattice pass each sorted offset once (see cell_lattice).
     """
     offsets = np.asarray(offsets, dtype=int)
     if offsets.ndim == 1:
@@ -166,14 +193,12 @@ def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.
             return np.log(hi / lo)
         return (hi**e1 - lo**e1) / e1
 
-    # canonicalize by sorted absolute offsets so mirrored cells share one value
     canon = np.sort(np.abs(offsets), axis=1)
-    uniq, inverse = np.unique(canon, axis=0, return_inverse=True)
-    rinf = uniq.max(axis=1)
-    vals = np.zeros(len(uniq))
-    for nsub in np.unique(_subdiv_for(rinf)):
-        sel = _subdiv_for(rinf) == nsub
-        zg = uniq[sel].astype(float)
+    subdiv = _subdiv_for(canon[:, -1])
+    vals = np.empty(len(canon))
+    for nsub in np.unique(subdiv):
+        sel = subdiv == nsub
+        zg = canon[sel].astype(float)
         off1 = (np.arange(nsub) + 0.5) / nsub - 0.5
         grids = np.meshgrid(*([off1] * ndim), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
@@ -184,7 +209,57 @@ def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.
             r2 = (y**2).sum(axis=-1)
             out[i : i + chunk] = (r2 ** (exponent / 2.0)).sum(axis=1) * (h / nsub) ** ndim
         vals[sel] = out
-    return vals[inverse]
+    return vals
+
+
+def _sorted_offsets(N: int, K: int) -> np.ndarray:
+    """Rows 0 <= z_1 <= ... <= z_N <= K in lexicographic order; the first is the origin."""
+    z = np.arange(K + 1)[:, None]
+    for _ in range(N - 1):
+        last = z[:, -1]
+        counts = K + 1 - last
+        starts = np.cumsum(counts) - counts
+        step = np.arange(counts.sum()) - np.repeat(starts, counts)
+        z = np.column_stack([np.repeat(z, counts, axis=0), np.repeat(last, counts) + step])
+    return z
+
+
+def cell_lattice(N: int, K: int, exponent: float, h: float, ball: bool) -> np.ndarray:
+    """Cell integrals of |y|^exponent on the offset lattice |z_k| <= K, shape (2K+1,)*N.
+
+    Mirrored cells share one value, so cell_kernel_integrals runs once per
+    sorted offset 0 <= z_1 <= ... <= z_N and the values are copied to every
+    permutation and sign.  ball=True keeps only offsets with |z| <= K (zero
+    beyond); the center entry is 0.
+    """
+    z = _sorted_offsets(N, K)[1:]
+    if ball:
+        z = z[(z * z).sum(axis=1) <= K * K]
+    vals = cell_kernel_integrals(z, exponent, h)
+    orthant = np.zeros((K + 1,) * N)
+    for perm in itertools.permutations(range(N)):
+        orthant[tuple(z[:, k] for k in perm)] = vals
+    mirror = np.abs(np.arange(-K, K + 1))
+    return orthant[np.ix_(*[mirror] * N)]
+
+
+def lattice_gather(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Dense matrix with entries weights[center + index_i - index_j].
+
+    weights is an offset lattice of odd side length with the zero offset at
+    its center; entries are gathered from the flat array at linear offsets
+    center + lin_i - lin_j, one block of rows at a time.
+    """
+    shape = weights.shape
+    W = weights.reshape(-1)
+    lin = np.ravel_multi_index(index.T, shape)
+    center = np.ravel_multi_index(tuple(k // 2 for k in shape), shape)
+    n = len(lin)
+    out = np.empty((n, n))
+    for i0 in range(0, n, PAIR_BLOCK_ROWS):
+        i1 = min(i0 + PAIR_BLOCK_ROWS, n)
+        np.take(W, (center + lin[i0:i1, None]) - lin[None, :], out=out[i0:i1])
+    return out
 
 
 def origin_cell_moment(h: float, N: int, power: float) -> float:
@@ -241,27 +316,48 @@ class KernelTable:
         return origin_cell_moment(self.domain.h, self.domain.dimension, p - self.domain.dimension - self.sigma)
 
     def pair_matrix(self) -> np.ndarray:
-        """Dense interior-to-interior weight matrix w(z_i - z_j), zero diagonal.
-
-        Entries are gathered from the flat weight array at linear offsets
-        center + lin_i - lin_j, one block of rows at a time.
-        """
+        """Dense interior-to-interior weight matrix w(z_i - z_j), zero diagonal."""
         if self._pair is None:
-            shape = self.weights.shape
-            W = self.weights.reshape(-1)
-            lin = np.ravel_multi_index(self.domain.interior_index.T, shape)
-            center = np.ravel_multi_index((self.lattice_radius,) * len(shape), shape)
-            n = len(lin)
-            P = np.empty((n, n))
-            for i0 in range(0, n, PAIR_BLOCK_ROWS):
-                i1 = min(i0 + PAIR_BLOCK_ROWS, n)
-                np.take(W, (center + lin[i0:i1, None]) - lin[None, :], out=P[i0:i1])
+            P = lattice_gather(self.weights, self.domain.interior_index)
             np.fill_diagonal(P, 0.0)
             self._pair = P
         return self._pair
 
     def row_sums(self) -> np.ndarray:
         return self.pair_matrix().sum(axis=1)
+
+
+def resolve_cutoff(domain: GridDomain, cutoff_radius: float | None = None) -> float:
+    """Cutoff radius R of the table; the default is four bounding-box diameters."""
+    return 4.0 * domain.bbox_diameter if cutoff_radius is None else float(cutoff_radius)
+
+
+def _make_table(
+    domain: GridDomain, sigma: float, R: float, M: int, W: np.ndarray, kappa: np.ndarray | None = None
+) -> KernelTable:
+    """Complete a weight lattice with the tail, normalization and exterior mass.
+
+    kappa is computed from the pair row sums unless given (a cache load); it
+    must be positive either way.
+    """
+    N = domain.dimension
+    total = float(W.sum())
+    table = KernelTable(
+        domain=domain,
+        sigma=float(sigma),
+        cutoff_radius=R,
+        lattice_radius=M,
+        weights=W,
+        total_weight=total,
+        tail=sphere_area(N - 1) * ((M + 0.5) * domain.h) ** (-sigma) / sigma,
+        norm_const=normalization_constant(N, sigma / 2.0) if sigma < 2.0 else None,
+        kappa=np.empty(0),
+        shape_hash=domain.shape_hash(),
+    )
+    table.kappa = total + table.tail - table.row_sums() if kappa is None else kappa
+    if not np.all(table.kappa > 0):
+        raise ConfigurationError("exterior mass kappa must be positive on a bounded domain")
+    return table
 
 
 def build_kernel_table(
@@ -280,43 +376,14 @@ def build_kernel_table(
     if not 0.0 < sigma < (hi_cap if allow_high_order else 2.0):
         cap = "N+2" if allow_high_order else "2"
         raise ParameterError(f"kernel order sigma must lie in (0,{cap}), got {sigma}")
-    R = 4.0 * domain.bbox_diameter if cutoff_radius is None else float(cutoff_radius)
+    R = resolve_cutoff(domain, cutoff_radius)
     if R < domain.bbox_diameter + domain.h:
         raise ConfigurationError(
             f"cutoff radius {R:.4g} smaller than bounding-box diameter + one cell"
         )
-    h = domain.h
-    M = int(math.floor(R / h))
-
-    axes = [np.arange(-M, M + 1)] * N
-    mesh = np.meshgrid(*axes, indexing="ij")
-    zz = np.stack([m.ravel() for m in mesh], axis=1)
-    r = np.linalg.norm(zz, axis=1)
-    inside = (r <= M) & (r > 0)
-    W = np.zeros((2 * M + 1,) * N)
-    vals = cell_kernel_integrals(zz[inside], -(N + sigma), h)
-    W[tuple(zz[inside, k] + M for k in range(N))] = vals
-
-    total = float(W.sum())
-    tail = sphere_area(N - 1) * ((M + 0.5) * h) ** (-sigma) / sigma
-    norm = normalization_constant(N, sigma / 2.0) if sigma < 2.0 else None
-
-    table = KernelTable(
-        domain=domain,
-        sigma=float(sigma),
-        cutoff_radius=R,
-        lattice_radius=M,
-        weights=W,
-        total_weight=total,
-        tail=tail,
-        norm_const=norm,
-        kappa=np.empty(0),
-        shape_hash=domain.shape_hash(),
-    )
-    table.kappa = total + tail - table.row_sums()
-    if not np.all(table.kappa > 0):
-        raise ConfigurationError("exterior mass kappa must be positive on a bounded domain")
-    return table
+    M = int(math.floor(R / domain.h))
+    W = cell_lattice(N, M, -(N + sigma), domain.h, ball=True)
+    return _make_table(domain, sigma, R, M, W)
 
 
 def get_table(
@@ -343,11 +410,22 @@ class CacheMismatch(ValueError):
     """Cache file is corrupted, has a wrong version, or keys a different table."""
 
 
-_HEADER = struct.Struct("<4sIIIdddII64s")
+_HEADER = struct.Struct("<4sIIIdddII64s32s")
+
+
+def _payload_digest(W: np.ndarray, kappa: np.ndarray) -> bytes:
+    """sha256 of the little-endian payload bytes (both arrays are contiguous)."""
+    digest = hashlib.sha256(W)
+    digest.update(kappa)
+    return digest.digest()
 
 
 def save_kernel_table(table: KernelTable, path) -> None:
-    """Write the table in the binary cache format (bit-exact round trip)."""
+    """Write the table in the binary cache format (bit-exact round trip).
+
+    The file is written under a temporary name in the same directory and then
+    renamed, so a reader never sees a partly written table.
+    """
     W = np.ascontiguousarray(table.weights, dtype="<f8")
     kap = np.ascontiguousarray(table.kappa, dtype="<f8")
     header = _HEADER.pack(
@@ -361,22 +439,30 @@ def save_kernel_table(table: KernelTable, path) -> None:
         table.lattice_radius,
         len(kap),
         table.shape_hash.encode(),
+        _payload_digest(W, kap),
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(W.tobytes())
-        fh.write(kap.tobytes())
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header)
+            fh.write(W.tobytes())
+            fh.write(kap.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_kernel_table(path, domain: GridDomain, sigma: float, cutoff_radius: float | None = None) -> KernelTable:
-    """Load a cached table; raises CacheMismatch unless all key fields agree."""
-    R = 4.0 * domain.bbox_diameter if cutoff_radius is None else float(cutoff_radius)
+    """Load a cached table; raises CacheMismatch unless all key fields and the payload digest agree."""
+    R = resolve_cutoff(domain, cutoff_radius)
     try:
         with open(path, "rb") as fh:
             raw = fh.read(_HEADER.size)
             if len(raw) != _HEADER.size:
                 raise CacheMismatch("truncated header")
-            (magic, version, N, n_axis, sig, h, Rfile, M, n_int, shash) = _HEADER.unpack(raw)
+            (magic, version, N, n_axis, sig, h, Rfile, M, n_int, shash, digest) = _HEADER.unpack(raw)
             if magic != CACHE_MAGIC:
                 raise CacheMismatch("bad magic")
             if version != CACHE_VERSION:
@@ -399,19 +485,10 @@ def load_kernel_table(path, domain: GridDomain, sigma: float, cutoff_radius: flo
                 raise CacheMismatch("truncated payload")
     except OSError as exc:
         raise CacheMismatch(f"unreadable cache file: {exc}") from exc
+    if _payload_digest(W, kap) != digest:
+        raise CacheMismatch("payload sha256 does not match the header")
 
-    W = W.reshape((2 * M + 1,) * N).copy()
-    tail = sphere_area(N - 1) * ((M + 0.5) * h) ** (-sigma) / sigma
-    norm = normalization_constant(N, sigma / 2.0) if sigma < 2.0 else None
-    return KernelTable(
-        domain=domain,
-        sigma=float(sigma),
-        cutoff_radius=R,
-        lattice_radius=M,
-        weights=W,
-        total_weight=float(W.sum()),
-        tail=tail,
-        norm_const=norm,
-        kappa=kap.copy(),
-        shape_hash=domain.shape_hash(),
-    )
+    try:
+        return _make_table(domain, sigma, R, M, W.reshape((2 * M + 1,) * N).copy(), kap.copy())
+    except ConfigurationError as exc:
+        raise CacheMismatch(str(exc)) from exc

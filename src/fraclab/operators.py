@@ -38,8 +38,9 @@ from .grids import GridDomain, GridFunction
 from .kernels import (
     PAIR_BLOCK_ROWS,
     KernelTable,
-    cell_kernel_integrals,
+    cell_lattice,
     get_table,
+    lattice_gather,
     normalization_constant,
     origin_cell_moment,
 )
@@ -270,7 +271,9 @@ def riesz_potential(
 ) -> GridFunction:
     """Riesz potential J_lam(g)(x_i) = sum_j g_j * int_{cell j} |x_i - y|^-lam dy.
 
-    The coincident cell is included; it is integrable since lam < N.
+    The coincident cell is included; it is integrable since lam < N.  The
+    dense matrix is gathered from the cell-integral lattice on offsets
+    |z_k| <= n-1 and memoized on the domain.
     """
     dom = g.domain
     if not 0.0 < lam < dom.dimension:
@@ -278,14 +281,10 @@ def riesz_potential(
     key = ("riesz", round(float(lam), 14))
     V = dom._tables.get(key)
     if V is None:
-        ij = dom.interior_index
-        d = ij[:, None, :] - ij[None, :, :]
-        flat = d.reshape(-1, dom.dimension)
-        nonzero = np.any(flat != 0, axis=1)
-        vals = np.zeros(len(flat))
-        vals[nonzero] = cell_kernel_integrals(flat[nonzero], -lam, dom.h)
-        vals[~nonzero] = origin_cell_moment(dom.h, dom.dimension, -lam)
-        V = vals.reshape(len(ij), len(ij))
+        N, K = dom.dimension, dom.nodes_per_axis - 1
+        W = cell_lattice(N, K, -lam, dom.h, ball=False)
+        W[(K,) * N] = origin_cell_moment(dom.h, N, -lam)
+        V = lattice_gather(W, dom.interior_index)
         dom._tables[key] = V
     return dom.from_interior(V @ g.interior)
 

@@ -204,6 +204,27 @@ def test_cache_kernel_roundtrip_and_rebuild(tmp_path, capsys):
             os.environ["FRACLAB_CACHE_DIR"] = env_before
 
 
+def test_cache_files_keyed_on_cutoff(tmp_path, capsys, monkeypatch):
+    # configs that differ only in cutoff_factor keep one cache file each
+    cachedir = tmp_path / "cache"
+    monkeypatch.setenv("FRACLAB_CACHE_DIR", str(cachedir))
+    text = SOLVE_CFG.replace("levels = 40,80,160", "levels = 40,60")
+    cfgs = [
+        _write(tmp_path, "a.ini", text),
+        _write(tmp_path, "b.ini", text.replace("radius = 1.0", "radius = 1.0\ncutoff_factor = 6.0")),
+    ]
+    for cfg in cfgs:
+        assert run("solve", cfg, tmp_path / cfg.stem) == 0
+    files = sorted(cachedir.glob("*.flkt"))
+    assert len(files) == 4
+    stamps = [(f.stat().st_ino, f.stat().st_mtime_ns) for f in files]
+    capsys.readouterr()
+    for cfg in cfgs:
+        assert run("solve", cfg, tmp_path / cfg.stem) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert [(f.stat().st_ino, f.stat().st_mtime_ns) for f in files] == stamps
+
+
 def test_console_entry_point(tmp_path):
     cfg = _write(tmp_path, "exp.ini", EXP_CFG)
     proc = subprocess.run(

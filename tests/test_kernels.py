@@ -16,7 +16,7 @@ from fraclab import (
     save_kernel_table,
     sphere_area,
 )
-from fraclab.kernels import CacheMismatch
+from fraclab.kernels import CacheMismatch, cell_kernel_integrals
 
 
 def test_normalization_half_1d():
@@ -147,3 +147,155 @@ def test_cache_version_mismatch(tmp_path, dom1d):
     path.write_bytes(bytes(raw))
     with pytest.raises(CacheMismatch, match="version"):
         load_kernel_table(path, dom1d, 1.2)
+
+
+def test_cache_flipped_payload_byte_detected(tmp_path, dom1d):
+    tab = get_table(dom1d, 1.2)
+    path = tmp_path / "table.flkt"
+    save_kernel_table(tab, path)
+    # the rename leaves no temporary file behind
+    assert [p.name for p in tmp_path.iterdir()] == ["table.flkt"]
+    raw = bytearray(path.read_bytes())
+    raw[-8 * dom1d.interior_count - 1] ^= 0x10  # top byte of the last weight
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CacheMismatch, match="sha256"):
+        load_kernel_table(path, dom1d, 1.2)
+
+
+def test_cache_nonpositive_kappa_rejected(tmp_path, dom1d):
+    tab = build_kernel_table(dom1d, 1.2)
+    tab.kappa = -tab.kappa  # a well-formed file whose payload is not a valid table
+    path = tmp_path / "table.flkt"
+    save_kernel_table(tab, path)
+    with pytest.raises(CacheMismatch, match="kappa"):
+        load_kernel_table(path, dom1d, 1.2)
+
+
+# ---------------------------------------------------------------------------
+# the previous algorithms, kept as references for the sorted-offset table build
+# and the closed-form normalization panels
+# ---------------------------------------------------------------------------
+
+_REF_SUBDIV = ((32, 1), (16, 3), (8, 8), (4, 24), (2, np.inf))
+
+
+def _ref_subdiv_for(rinf):
+    out = np.full(rinf.shape, 2, dtype=int)
+    for nsub, up in reversed(_REF_SUBDIV):
+        out[rinf <= up] = nsub
+    return out
+
+
+def _ref_cell_kernel_integrals(offsets, exponent, h):
+    offsets = np.asarray(offsets, dtype=int)
+    ndim = offsets.shape[1]
+    if ndim == 1:
+        z = np.abs(offsets[:, 0]).astype(float)
+        lo, hi = (z - 0.5) * h, (z + 0.5) * h
+        e1 = exponent + 1.0
+        return (hi**e1 - lo**e1) / e1
+    canon = np.sort(np.abs(offsets), axis=1)
+    uniq, inverse = np.unique(canon, axis=0, return_inverse=True)
+    rinf = uniq.max(axis=1)
+    vals = np.zeros(len(uniq))
+    for nsub in np.unique(_ref_subdiv_for(rinf)):
+        sel = _ref_subdiv_for(rinf) == nsub
+        zg = uniq[sel].astype(float)
+        off1 = (np.arange(nsub) + 0.5) / nsub - 0.5
+        grids = np.meshgrid(*([off1] * ndim), indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=1)
+        out = np.zeros(len(zg))
+        chunk = max(1, int(4e6 // max(len(pts), 1)))
+        for i in range(0, len(zg), chunk):
+            y = (zg[i : i + chunk, None, :] + pts[None, :, :]) * h
+            r2 = (y**2).sum(axis=-1)
+            out[i : i + chunk] = (r2 ** (exponent / 2.0)).sum(axis=1) * (h / nsub) ** ndim
+        vals[sel] = out
+    return vals[inverse.reshape(-1)]
+
+
+def _ref_table(domain, sigma, R):
+    """Weights, total weight and kappa built from every lattice row, deduplicated by np.unique."""
+    N, h = domain.dimension, domain.h
+    M = int(math.floor(R / h))
+    mesh = np.meshgrid(*([np.arange(-M, M + 1)] * N), indexing="ij")
+    zz = np.stack([m.ravel() for m in mesh], axis=1)
+    r = np.linalg.norm(zz, axis=1)
+    inside = (r <= M) & (r > 0)
+    W = np.zeros((2 * M + 1,) * N)
+    W[tuple(zz[inside, k] + M for k in range(N))] = _ref_cell_kernel_integrals(zz[inside], -(N + sigma), h)
+    total = float(W.sum())
+    tail = sphere_area(N - 1) * ((M + 0.5) * h) ** (-sigma) / sigma
+    idx = domain.interior_index
+    P = W[tuple((idx[:, None, k] - idx[None, :, k]) + M for k in range(N))]
+    np.fill_diagonal(P, 0.0)
+    return W, total, total + tail - P.sum(axis=1)
+
+
+@pytest.mark.parametrize(
+    "N,n,sigma,cutoff_factor,high",
+    [
+        (1, 60, 1.2, None, False),
+        (1, 60, 2.5, 1.6, True),
+        (2, 24, 1.3, None, False),
+        (2, 20, 3.1, 1.5, True),
+        (3, 6, 0.8, None, False),
+        (3, 8, 4.2, 1.7, True),
+    ],
+)
+def test_table_matches_full_lattice_build(N, n, sigma, cutoff_factor, high):
+    dom = build_domain(Ball(center=(0.0,) * N, radius=1.0), n, margin_cells=2)
+    R = None if cutoff_factor is None else cutoff_factor * dom.bbox_diameter
+    tab = build_kernel_table(dom, sigma, R, allow_high_order=high)
+    W, total, kappa = _ref_table(dom, sigma, tab.cutoff_radius)
+    assert np.array_equal(tab.weights, W)
+    assert tab.total_weight == total
+    assert np.array_equal(tab.kappa, kappa)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_cell_integrals_match_deduplicated_reference(N):
+    rng = np.random.default_rng(N)
+    offsets = rng.integers(-30, 31, size=(400, N))
+    offsets = offsets[np.any(offsets != 0, axis=1)]
+    offsets = np.concatenate([offsets, -offsets[:, ::-1]])  # mirrored duplicates
+    got = cell_kernel_integrals(offsets, -(N + 1.1), 0.05)
+    assert np.array_equal(got, _ref_cell_kernel_integrals(offsets, -(N + 1.1), 0.05))
+
+
+def _ref_normalization_quadrature(N, s, r_min=1e-6, r_max=400.0, panel_order=32):
+    def sphere_slice(r, n_theta):
+        if N == 1:
+            return 2.0 * (1.0 - np.cos(r))
+        if N == 2:
+            th = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
+            vals = 1.0 - np.cos(r[:, None] * np.cos(th)[None, :])
+            return (2.0 * math.pi / n_theta) * vals.sum(axis=1)
+        t, wt = np.polynomial.legendre.leggauss(min(n_theta, 4000))
+        wfac = wt * (1.0 - t**2) ** ((N - 3) / 2.0)
+        vals = 1.0 - np.cos(r[:, None] * t[None, :])
+        return sphere_area(N - 2) * (vals * wfac[None, :]).sum(axis=1)
+
+    SN = sphere_area(N - 1)
+    total = SN / (2.0 * N) * r_min ** (2.0 - 2 * s) / (2.0 - 2 * s)
+    x, w = np.polynomial.legendre.leggauss(64)
+    u0, u1 = math.log(r_min), math.log(math.pi)
+    u = (u0 + u1) / 2.0 + (u1 - u0) / 2.0 * x
+    total += (u1 - u0) / 2.0 * float((w * sphere_slice(np.exp(u), 96) * np.exp(-2.0 * s * u)).sum())
+    xg, wg = np.polynomial.legendre.leggauss(panel_order)
+    edges = np.arange(math.pi, r_max + math.pi, math.pi)
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        r = mid + half * xg
+        n_theta = max(96, int(4 * b) + 32)
+        total += half * float((wg * sphere_slice(r, n_theta) * r ** (-1 - 2 * s)).sum())
+    total += SN * r_max ** (-2.0 * s) / (2.0 * s)
+    return 1.0 / total
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.914])
+def test_normalization_quadrature_matches_angular_panels(N, s):
+    got = normalization_constant_quadrature(N, s, r_max=40.0)
+    assert got == pytest.approx(_ref_normalization_quadrature(N, s, r_max=40.0), rel=1e-12)
+

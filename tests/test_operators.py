@@ -271,3 +271,25 @@ def test_pair_matrix_equals_offset_indexing(N, n):
     expected = table.weights[tuple(d[..., k] + M for k in range(N))]
     np.fill_diagonal(expected, 0.0)
     assert np.array_equal(table.pair_matrix(), expected)
+
+
+@pytest.mark.parametrize(
+    "N,n,lam,origin_offset",
+    [(2, 20, 1.3, False), (2, 17, 0.4, True), (3, 8, 2.2, False), (3, 7, 0.9, True)],
+)
+def test_riesz_potential_matrix_matches_offset_rows(N, n, lam, origin_offset):
+    # reference: one cell integral per interior pair offset, as an I^2 x N array
+    from fraclab.kernels import cell_kernel_integrals, origin_cell_moment
+
+    dom = build_domain(Ball(center=(0.0,) * N, radius=1.0), n, margin_cells=2, origin_offset=origin_offset)
+    ij = dom.interior_index
+    flat = (ij[:, None, :] - ij[None, :, :]).reshape(-1, N)
+    nonzero = np.any(flat != 0, axis=1)
+    vals = np.zeros(len(flat))
+    vals[nonzero] = cell_kernel_integrals(flat[nonzero], -lam, dom.h)
+    vals[~nonzero] = origin_cell_moment(dom.h, N, -lam)
+    V = vals.reshape(len(ij), len(ij))
+    g = dom.from_interior(np.cos(3.0 * dom.interior_coords).prod(axis=1))
+    got = riesz_potential(g, lam)
+    assert np.array_equal(dom._tables[("riesz", round(lam, 14))], V)
+    assert np.array_equal(got.interior, V @ g.interior)
