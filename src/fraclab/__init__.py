@@ -38,14 +38,12 @@ from .kernels import (
     sphere_area,
 )
 from .operators import (
-    OperatorHandle,
     apply_B_sq,
     apply_D_s2,
     apply_frac_laplacian,
     apply_frac_power,
     apply_riesz_gradient,
     central_gradient,
-    make_operator,
     riesz_potential,
 )
 from .seminorms import (

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import gc
 import hashlib
 import math
 import os
@@ -37,7 +38,14 @@ from .errors import (
 )
 from .fixedpoint import IterationConfig, ProblemSpec, picard_iterate
 from .grids import Annulus, Ball, Box, GridDomain, GridFunction, build_domain, sample
-from .kernels import CacheMismatch, get_table, load_kernel_table, resolve_cutoff, save_kernel_table
+from .kernels import (
+    CacheMismatch,
+    get_table,
+    load_kernel_table,
+    resolve_cutoff,
+    save_kernel_table,
+    table_key,
+)
 from .nonexistence import bump_family, certify as certify_family, lambda_star_star
 from .operators import apply_D_s2, apply_frac_laplacian, central_gradient
 from .poisson import assemble, solve_poisson
@@ -302,11 +310,10 @@ def _warm_table_cache(domain: GridDomain, sigma: float, cutoff_radius: float | N
     R = resolve_cutoff(domain, cutoff_radius)
     key = f"{domain.shape_hash()[:16]}_{sigma!r}_{R!r}_{domain.nodes_per_axis}.flkt"
     path = Path(cache_dir) / key
-    memo_key = (round(float(sigma), 14), cutoff_radius, False)
     if path.exists():
         try:
             table = load_kernel_table(path, domain, sigma, cutoff_radius)
-            domain._tables[memo_key] = table
+            domain._tables[table_key(domain, sigma, cutoff_radius)] = table
             return
         except CacheMismatch as exc:
             print(f"warning: rebuilding kernel cache {path} ({exc})", file=sys.stderr)
@@ -648,6 +655,11 @@ def run(subcommand: str, config_path, out_dir=".") -> int:
     except (ConsistencyError, QuadratureError, FraclabError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        # a domain memoizes its kernel tables and each table points back at its
+        # domain, so the I x I pair matrices of a finished subcommand are freed
+        # only by the cycle collector; free them before the caller's next run
+        gc.collect()
 
 
 def main(argv=None) -> int:

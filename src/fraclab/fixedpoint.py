@@ -10,7 +10,11 @@ for five right-hand-side families built from the nonlocal operators:
     B_sq_alpha:        mu * (B_s^q u)^alpha      + lambda f
 
 Convergence is declared on the relative successive difference; divergence on
-non-finite iterates or a sup-norm runaway.  The closed-form root of
+non-finite iterates or a sup-norm runaway.  The loop keeps only what the
+verdict needs, the iterates and their successive differences; the history
+norms (sup, energy and the L^r norm of (-Delta)^{s/2} u) are computed from the
+stored iterates the first time a report's history is read.  Every operator
+uses the cutoff radius of the solver's kernel table.  The closed-form root of
 
     g(t) = a^p (b t + c*)^p - t,   c* = (p-1)/p * (1/(p a^p b))^{1/(p-1)}
 
@@ -23,7 +27,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +61,8 @@ __all__ = [
 RHS_KINDS = ("D_s2", "u_times_D_s2", "abs_frac_power_q", "riesz_grad_q", "B_sq_alpha")
 SCHEMES = ("P_lambda", "P_tilde", "Q_lambda")
 OMEGA_EXPONENT_VARIANTS = ("lambda_star", "l_equation")
+# power r of the frac_half_norm history column ||(-Delta)^{s/2} u||_r
+FRAC_HALF_NORM_R = 2.0
 
 
 @dataclass(frozen=True)
@@ -108,7 +115,6 @@ class IterationConfig:
     tolerance: float = 1e-9
     max_iter: int = 200
     divergence_norm: float | None = None  # None: 1e6 * ||S(lambda f)||_inf
-    frac_half_norm_r: float = 2.0
 
     def __post_init__(self):
         if self.tolerance <= 0.0:
@@ -119,15 +125,41 @@ class IterationConfig:
 
 @dataclass
 class IterationReport:
+    """Verdict of a Picard run, with the iterates it produced.
+
+    history maps sup_norm, energy_norm, frac_half_norm and successive_diff to
+    one value per iterate; the norms are computed when history is first read.
+    """
+
     verdict: str  # converged | diverged | max_iter
     iterations: int
-    history: dict[str, list[float]]
     final_residual: float | None
     u_final: GridFunction
     divergence_norm_used: float
+    iterates: list[GridFunction] = field(repr=False)
+    successive_diffs: list[float]
+    spec: ProblemSpec = field(repr=False)
+    solver: FactorizedSolver = field(repr=False)
     ball_member: bool | None = None
     ball_seminorm: float | None = None
     ball_radius: float | None = None
+
+    @cached_property
+    def history(self) -> dict[str, list[float]]:
+        op = self.solver.operator
+        hN = op.domain.h**op.domain.dimension
+        r = FRAC_HALF_NORM_R
+
+        def frac_half_norm(u: GridFunction) -> float:
+            w = np.abs(apply_frac_power(u, self.spec.s, cutoff_radius=op.table.cutoff_radius).interior)
+            return float((w**r).sum() * hN) ** (1.0 / r)
+
+        return {
+            "sup_norm": [float(np.abs(u.interior).max()) for u in self.iterates],
+            "energy_norm": [math.sqrt(max(op.energy(u), 0.0)) for u in self.iterates],
+            "frac_half_norm": [frac_half_norm(u) for u in self.iterates],
+            "successive_diff": list(self.successive_diffs),
+        }
 
 
 @dataclass(frozen=True)
@@ -235,19 +267,20 @@ def threshold_from_constants(constants: ThresholdConstants, scheme: str) -> Thre
     )
 
 
-def _rhs_eval(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
+def _rhs_eval(spec: ProblemSpec, u: GridFunction, cutoff_radius: float | None = None) -> np.ndarray:
     mu = spec.mu.interior
     base = spec.lam * spec.f.interior
+    R = cutoff_radius
     if spec.rhs_kind == "D_s2":
-        return mu * apply_D_s2(u, spec.s).interior + base
+        return mu * apply_D_s2(u, spec.s, cutoff_radius=R).interior + base
     if spec.rhs_kind == "u_times_D_s2":
-        return mu * u.interior * apply_D_s2(u, spec.s).interior + base
+        return mu * u.interior * apply_D_s2(u, spec.s, cutoff_radius=R).interior + base
     if spec.rhs_kind == "abs_frac_power_q":
-        return mu * np.abs(apply_frac_power(u, spec.t).interior) ** spec.q + base
+        return mu * np.abs(apply_frac_power(u, spec.t, cutoff_radius=R).interior) ** spec.q + base
     if spec.rhs_kind == "riesz_grad_q":
-        g = apply_riesz_gradient(u, spec.s)
+        g = apply_riesz_gradient(u, spec.s, cutoff_radius=R)
         return mu * ((g**2).sum(axis=1)) ** (spec.q / 2.0) + base
-    b = apply_B_sq(u, spec.s, spec.q).interior
+    b = apply_B_sq(u, spec.s, spec.q, cutoff_radius=R).interior
     return mu * b**spec.alpha + base
 
 
@@ -287,7 +320,7 @@ def picard_iterate(
         )
     _warn_integrability_window(spec)
     dom = spec.domain
-    hN = dom.h**dom.dimension
+    R = solver.operator.table.cutoff_radius
 
     base = solver.solve_vector(spec.lam * spec.f.interior)
     base_sup = float(np.abs(base).max()) if base.size else 0.0
@@ -297,23 +330,22 @@ def picard_iterate(
         else 1e6 * max(base_sup, 1e-300)
     )
 
-    history: dict[str, list[float]] = {
-        "sup_norm": [],
-        "energy_norm": [],
-        "frac_half_norm": [],
-        "successive_diff": [],
-    }
+    iterates: list[GridFunction] = []
+    diffs: list[float] = []
     u = dom.zeros()
 
-    rhs0 = _rhs_eval(spec, u)
+    rhs0 = _rhs_eval(spec, u, R)
     if not np.any(rhs0):
         return IterationReport(
             verdict="converged",
             iterations=0,
-            history=history,
             final_residual=0.0,
             u_final=u,
             divergence_norm_used=div_norm,
+            iterates=iterates,
+            successive_diffs=diffs,
+            spec=spec,
+            solver=solver,
         )
 
     verdict = "max_iter"
@@ -321,7 +353,7 @@ def picard_iterate(
     rhs = rhs0
     for k in range(1, config.max_iter + 1):
         if k > 1:
-            rhs = _rhs_eval(spec, u)
+            rhs = _rhs_eval(spec, u, R)
         if not np.all(np.isfinite(rhs)):
             verdict, iterations = "diverged", k
             break
@@ -332,16 +364,8 @@ def picard_iterate(
         u_new = dom.from_interior(v)
         sup = float(np.abs(v).max())
         diff = float(np.abs(v - u.interior).max()) / max(sup, 1e-300)
-        history["sup_norm"].append(sup)
-        history["energy_norm"].append(math.sqrt(max(solver.operator.energy(u_new), 0.0)))
-        history["frac_half_norm"].append(
-            float(
-                (np.abs(apply_frac_power(u_new, spec.s).interior) ** config.frac_half_norm_r).sum()
-                * hN
-            )
-            ** (1.0 / config.frac_half_norm_r)
-        )
-        history["successive_diff"].append(diff)
+        iterates.append(u_new)
+        diffs.append(diff)
         u = u_new
         if sup > div_norm:
             verdict, iterations = "diverged", k
@@ -352,7 +376,7 @@ def picard_iterate(
 
     final_residual = None
     if verdict == "converged":
-        rhs = _rhs_eval(spec, u)
+        rhs = _rhs_eval(spec, u, R)
         num = float(np.linalg.norm(solver.operator.matrix @ u.interior - rhs))
         den = float(np.linalg.norm(rhs))
         final_residual = num / max(den, 1e-300)
@@ -360,10 +384,13 @@ def picard_iterate(
     report = IterationReport(
         verdict=verdict,
         iterations=iterations,
-        history=history,
         final_residual=final_residual,
         u_final=u,
         divergence_norm_used=div_norm,
+        iterates=iterates,
+        successive_diffs=diffs,
+        spec=spec,
+        solver=solver,
     )
     if ball_check is not None:
         eps, r, radius = ball_check
@@ -409,6 +436,6 @@ def manufacture_forcing(spec: ProblemSpec, u_star: GridFunction, solver: Factori
     nonlinear part of the right-hand side from the stiffness action.
     """
     zero_f = replace(spec, f=spec.domain.zeros())
-    nonlinear = _rhs_eval(zero_f, u_star)
+    nonlinear = _rhs_eval(zero_f, u_star, solver.operator.table.cutoff_radius)
     f_vec = (solver.operator.matrix @ u_star.interior - nonlinear) / spec.lam
     return spec.domain.from_interior(f_vec)

@@ -66,6 +66,7 @@ __all__ = [
     "cell_lattice",
     "lattice_gather",
     "resolve_cutoff",
+    "table_key",
 ]
 
 CACHE_MAGIC = b"FLKT"
@@ -393,12 +394,26 @@ def get_table(
     allow_high_order: bool = False,
 ) -> KernelTable:
     """Memoized table lookup on the domain (tables are immutable once built)."""
-    key = (round(float(sigma), 14), cutoff_radius, allow_high_order)
+    key = table_key(domain, sigma, cutoff_radius, allow_high_order)
     tab = domain._tables.get(key)
     if tab is None:
-        tab = build_kernel_table(domain, sigma, cutoff_radius, allow_high_order)
+        tab = build_kernel_table(domain, sigma, key[1], allow_high_order)
         domain._tables[key] = tab
     return tab
+
+
+def table_key(
+    domain: GridDomain,
+    sigma: float,
+    cutoff_radius: float | None = None,
+    allow_high_order: bool = False,
+) -> tuple:
+    """Memo key of a table on its domain.
+
+    The key holds the resolved cutoff, so None and the default radius passed
+    explicitly name the same table.
+    """
+    return (round(float(sigma), 14), resolve_cutoff(domain, cutoff_radius), allow_high_order)
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,11 @@ it is an FFT correlation with the stored weight lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft as sp_fft
 
 from .errors import ParameterError
-from .grids import GridDomain, GridFunction
+from .grids import GridFunction
 from .kernels import (
     PAIR_BLOCK_ROWS,
     KernelTable,
@@ -54,8 +52,6 @@ __all__ = [
     "apply_riesz_gradient",
     "riesz_potential",
     "pair_power_sum",
-    "OperatorHandle",
-    "make_operator",
 ]
 
 
@@ -287,52 +283,3 @@ def riesz_potential(
         V = lattice_gather(W, dom.interior_index)
         dom._tables[key] = V
     return dom.from_interior(V @ g.interior)
-
-
-_KINDS = ("frac_laplacian", "frac_power_half", "D_s2", "B_sq", "riesz_gradient", "riesz_potential")
-
-
-@dataclass(frozen=True)
-class OperatorHandle:
-    """Validated handle binding an operator kind to a domain and parameters."""
-
-    kind: str
-    domain: GridDomain
-    s: float | None = None
-    t: float | None = None
-    q: float | None = None
-    lam: float | None = None
-
-    def apply(self, u: GridFunction):
-        if self.kind == "frac_laplacian":
-            return apply_frac_laplacian(u, self.s)
-        if self.kind == "frac_power_half":
-            return apply_frac_power(u, self.t)
-        if self.kind == "D_s2":
-            return apply_D_s2(u, self.s)
-        if self.kind == "B_sq":
-            return apply_B_sq(u, self.s, self.q)
-        if self.kind == "riesz_gradient":
-            return apply_riesz_gradient(u, self.s)
-        return riesz_potential(u, self.lam)
-
-
-def make_operator(kind: str, domain: GridDomain, **params) -> OperatorHandle:
-    if kind not in _KINDS:
-        raise ParameterError(f"unknown operator kind {kind!r}; choose from {_KINDS}")
-    s = params.pop("s", None)
-    t = params.pop("t", None)
-    q = params.pop("q", None)
-    lam = params.pop("lam", None)
-    if params:
-        raise ParameterError(f"unknown operator parameters {sorted(params)}")
-    if kind in ("frac_laplacian", "D_s2", "B_sq", "riesz_gradient"):
-        if s is None or not 0.0 < s < 1.0:
-            raise ParameterError(f"{kind} requires s in (0,1), got {s}")
-    if kind == "frac_power_half" and (t is None or not 0.0 < t < 1.0):
-        raise ParameterError(f"frac_power_half requires t in (0,1), got {t}")
-    if kind == "B_sq" and (q is None or q <= 1.0):
-        raise ParameterError(f"B_sq requires q > 1, got {q}")
-    if kind == "riesz_potential" and (lam is None or not 0.0 < lam < domain.dimension):
-        raise ParameterError(f"riesz_potential requires lambda in (0,N), got {lam}")
-    return OperatorHandle(kind=kind, domain=domain, s=s, t=t, q=q, lam=lam)

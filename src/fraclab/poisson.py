@@ -6,6 +6,12 @@ is symmetric by weight symmetry and an M-matrix (positive diagonal,
 nonpositive off-diagonal, strictly dominant thanks to kappa_i > 0), hence
 positive definite; one Cholesky factorization serves every right-hand side of
 a Picard run.
+
+The dense path holds three I x I arrays at its peak: the pair matrix P cached
+on the kernel table, the stiffness matrix A, and the Cholesky factor.
+Assembly builds A in one allocation and runs its M-matrix checks on A itself.
+The factor is scanned for non-finite values once, when it is formed; each
+solve then checks only its right-hand side, in O(I).
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ def assemble(
     a = table.norm_const
     P = table.pair_matrix()
     n = domain.interior_count
-    A = -P.copy()
+    A = np.negative(P)
     idx = np.arange(n)
     A[idx, idx] = table.total_weight + table.tail
 
@@ -88,11 +94,14 @@ def assemble(
             A[idx, idx] += c
     A *= a
 
-    diag = np.diag(A)
-    off = A - np.diag(diag)
+    diag = A.diagonal().copy()
     if not np.all(diag > 0):
         raise ConsistencyError("stiffness diagonal must be positive")
-    if off.max() > 1e-14 * diag.max():
+    # mask the diagonal so the maximum runs over the off-diagonal entries only
+    np.fill_diagonal(A, -np.inf)
+    off_max = A.max()
+    np.fill_diagonal(A, diag)
+    if off_max > 1e-14 * diag.max():
         raise ConsistencyError("stiffness off-diagonal entries must be nonpositive")
     row_excess = A.sum(axis=1)
     if not np.all(row_excess > 0):
@@ -112,7 +121,15 @@ class FactorizedSolver:
             raise ConsistencyError(f"stiffness factorization failed: {exc}") from exc
 
     def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._chol, np.asarray(rhs, dtype=float))
+        """Solve A v = rhs; a non-finite right-hand side is a ParameterError.
+
+        cho_factor has already scanned A for non-finite values, so the I x I
+        factor is not scanned again on every solve.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        if not np.all(np.isfinite(rhs)):
+            raise ParameterError("right-hand side has non-finite entries")
+        return cho_solve(self._chol, rhs, check_finite=False)
 
 
 def solve_poisson(solver: FactorizedSolver, h: GridFunction) -> GridFunction:

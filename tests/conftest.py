@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fraclab import Ball, build_domain, sample
+from fraclab import Ball, build_domain, kernels, sample
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +31,18 @@ def bump2d(dom2d):
     return sample(
         lambda x, y: np.maximum(1.0 - (x**2 + y**2) / 0.8**2, 0.0) ** 2, dom2d
     )
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """(sigma, cutoff radius) of every kernel table built during the test."""
+    builds = []
+    build = kernels.build_kernel_table
+
+    def counted(*args, **kwargs):
+        table = build(*args, **kwargs)
+        builds.append((table.sigma, table.cutoff_radius))
+        return table
+
+    monkeypatch.setattr(kernels, "build_kernel_table", counted)
+    return builds

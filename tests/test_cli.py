@@ -1,8 +1,10 @@
 import os
 import subprocess
 import sys
+import weakref
 
-from fraclab import Ball, build_domain
+from fraclab import Ball, StiffnessOperator, build_domain, fixedpoint
+from fraclab import cli
 from fraclab.cli import ExperimentConfig, cache_kernel, run
 
 
@@ -95,6 +97,58 @@ def test_sweep_schema(tmp_path):
     assert lines[1] == "lambda,verdict,iterations,final_residual"
     assert len(lines) == 2 + 2
     assert "converged" in lines[2]
+
+
+def _sweep_domain_bbox():
+    return build_domain(Ball(center=(0.0,), radius=1.0), 80, margin_cells=8).bbox_diameter
+
+
+def test_sweep_reads_no_history(tmp_path, monkeypatch, table_builds):
+    # sweep writes no history column, so it computes none and needs only the solver's table
+    monkeypatch.delenv("FRACLAB_CACHE_DIR", raising=False)
+    calls = {"frac_power": 0, "energy": 0}
+    frac_power, energy = fixedpoint.apply_frac_power, StiffnessOperator.energy
+
+    def counted_frac_power(*args, **kwargs):
+        calls["frac_power"] += 1
+        return frac_power(*args, **kwargs)
+
+    def counted_energy(*args, **kwargs):
+        calls["energy"] += 1
+        return energy(*args, **kwargs)
+
+    monkeypatch.setattr(fixedpoint, "apply_frac_power", counted_frac_power)
+    monkeypatch.setattr(StiffnessOperator, "energy", counted_energy)
+    assert run("sweep", _write(tmp_path, "sweep.ini", SWEEP_CFG), tmp_path / "out") == 0
+    assert calls == {"frac_power": 0, "energy": 0}
+    assert table_builds == [(1.2, 4.0 * _sweep_domain_bbox())]
+
+
+def test_iterate_uses_solver_cutoff(tmp_path, monkeypatch, table_builds):
+    # the right-hand side and the history use the configured cutoff, not the default
+    monkeypatch.delenv("FRACLAB_CACHE_DIR", raising=False)
+    text = SWEEP_CFG.replace("lambda_sweep = 0.05,0.1", "").replace(
+        "margin_cells = 8", "margin_cells = 8\ncutoff_factor = 6.0"
+    )
+    assert run("iterate", _write(tmp_path, "it.ini", text), tmp_path / "out") == 0
+    R = 6.0 * _sweep_domain_bbox()
+    assert sorted(table_builds) == [(0.6, R), (1.2, R)]
+
+
+def test_run_frees_its_domains(tmp_path, monkeypatch):
+    # a domain and its memoized kernel tables form a reference cycle; the pair
+    # matrices must not outlive the run until some later collection
+    built = []
+    build = cli._build_domain
+
+    def tracked(dcfg):
+        dom = build(dcfg)
+        built.append(weakref.ref(dom))
+        return dom
+
+    monkeypatch.setattr(cli, "_build_domain", tracked)
+    assert run("sweep", _write(tmp_path, "sweep.ini", SWEEP_CFG), tmp_path / "out") == 0
+    assert built and all(ref() is None for ref in built)
 
 
 HARDY_CFG = """

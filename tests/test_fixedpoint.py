@@ -10,6 +10,7 @@ from fraclab import (
     IterationConfig,
     ParameterError,
     ProblemSpec,
+    apply_frac_power,
     assemble,
     ball_membership,
     build_domain,
@@ -239,6 +240,62 @@ def test_picard_all_rhs_kinds_converge_small_lambda(small):
         rep = picard_iterate(spec, IterationConfig(tolerance=1e-10, max_iter=150), solver)
         assert rep.verdict == "converged", kw
         assert rep.final_residual <= 1e-8
+
+
+def _eager_history(spec, config, solver):
+    """History as the Picard loop first recorded it, every norm on every pass."""
+    from fraclab.fixedpoint import _rhs_eval
+
+    dom = spec.domain
+    hN = dom.h**dom.dimension
+    base = solver.solve_vector(spec.lam * spec.f.interior)
+    div_norm = 1e6 * max(float(np.abs(base).max()), 1e-300)
+    history = {"sup_norm": [], "energy_norm": [], "frac_half_norm": [], "successive_diff": []}
+    u = dom.zeros()
+    if not np.any(_rhs_eval(spec, u)):
+        return history
+    for _ in range(config.max_iter):
+        rhs = _rhs_eval(spec, u)
+        if not np.all(np.isfinite(rhs)):
+            break
+        v = solver.solve_vector(rhs)
+        if not np.all(np.isfinite(v)):
+            break
+        u_new = dom.from_interior(v)
+        sup = float(np.abs(v).max())
+        diff = float(np.abs(v - u.interior).max()) / max(sup, 1e-300)
+        history["sup_norm"].append(sup)
+        history["energy_norm"].append(math.sqrt(max(solver.operator.energy(u_new), 0.0)))
+        w = np.abs(apply_frac_power(u_new, spec.s).interior)
+        history["frac_half_norm"].append(float((w**2.0).sum() * hN) ** (1.0 / 2.0))
+        history["successive_diff"].append(diff)
+        u = u_new
+        if sup > div_norm or diff <= config.tolerance:
+            break
+    return history
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(rhs_kind="D_s2", lam=0.5),
+        dict(rhs_kind="D_s2", lam=5.0),  # diverges
+        dict(rhs_kind="u_times_D_s2", lam=0.5),
+        dict(rhs_kind="abs_frac_power_q", lam=0.5, t=0.5, q=1.5),
+        dict(rhs_kind="riesz_grad_q", lam=0.5, q=1.5),  # stops at max_iter
+        dict(rhs_kind="B_sq_alpha", lam=0.5, q=2.0, alpha=1.5),
+    ],
+    ids=lambda kw: f"{kw['rhs_kind']}-{kw['lam']}",
+)
+def test_history_on_read_matches_eager_loop(dom1d_small, kw):
+    solver = assemble(dom1d_small, S).factorize()
+    mu = sample(lambda x: np.full_like(x, 0.5), dom1d_small)
+    f = sample(lambda x: np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 2, dom1d_small)
+    spec = ProblemSpec(s=S, mu=mu, f=f, **kw)
+    cfg = IterationConfig(tolerance=1e-10, max_iter=40)
+    rep = picard_iterate(spec, cfg, solver)
+    assert len(rep.iterates) > 1
+    assert rep.history == _eager_history(spec, cfg, solver)
 
 
 def test_integrability_window_warning(small):

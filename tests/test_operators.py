@@ -16,7 +16,6 @@ from fraclab import (
     build_domain,
     central_gradient,
     get_table,
-    make_operator,
     riesz_potential,
     sample,
     solve_poisson,
@@ -195,16 +194,6 @@ def test_riesz_gradient_potential_bound(dom1d_small):
     bound = J / (dom.dimension - (1.0 - S))
     # the continuum inequality allows a modest discretization slack
     assert np.all(g <= bound * 1.05 + 1e-12)
-
-
-def test_operator_handle_dispatch(dom1d, bump1d):
-    h = make_operator("frac_laplacian", dom1d, s=S)
-    direct = apply_frac_laplacian(bump1d, S).interior
-    assert np.array_equal(h.apply(bump1d).interior, direct)
-    with pytest.raises(ParameterError):
-        make_operator("frac_laplacian", dom1d, s=1.2)
-    with pytest.raises(ParameterError):
-        make_operator("unknown_kind", dom1d, s=0.5)
 
 
 def test_table_domain_mismatch(dom1d, dom2d, bump1d):

@@ -1,10 +1,15 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from fraclab import (
     Ball,
+    ConsistencyError,
+    ParameterError,
     apply_frac_laplacian,
     assemble,
     build_domain,
@@ -141,3 +146,117 @@ def test_continuity_alternating_sign(solver1d, dom1d, bump1d):
     for p in rep.p_values:
         vals = [g[p] for g in rep.seminorm_gaps]
         assert vals[-1] < vals[0]
+
+
+def _reference_assemble(domain, s, table):
+    """Stiffness assembly as first written, with I x I temporaries for the checks."""
+    a = table.norm_const
+    P = table.pair_matrix()
+    n = domain.interior_count
+    A = -P.copy()
+    idx = np.arange(n)
+    A[idx, idx] = table.total_weight + table.tail
+    c = table.origin_moment(2.0) / (8.0 * domain.h**2)
+    pos = np.full((domain.nodes_per_axis,) * domain.dimension, -1, dtype=int)
+    pos[domain.interior_mask] = idx
+    ij = domain.interior_index
+    for k in range(domain.dimension):
+        for sign in (1, -1):
+            nb = ij.copy()
+            nb[:, k] += 2 * sign
+            valid = (nb[:, k] >= 0) & (nb[:, k] < domain.nodes_per_axis)
+            j = np.full(n, -1, dtype=int)
+            j[valid] = pos[tuple(nb[valid].T)]
+            hit = j >= 0
+            A[idx[hit], j[hit]] -= c
+            A[idx, idx] += c
+    A *= a
+    diag = np.diag(A)
+    off = A - np.diag(diag)
+    if not np.all(diag > 0):
+        raise ConsistencyError("stiffness diagonal must be positive")
+    if off.max() > 1e-14 * diag.max():
+        raise ConsistencyError("stiffness off-diagonal entries must be nonpositive")
+    row_excess = A.sum(axis=1)
+    if not np.all(row_excess > 0):
+        raise ConsistencyError("stiffness rows must be strictly diagonally dominant")
+    return A
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_assemble_bit_identical_to_reference(dim, dom1d, dom2d):
+    if dim == 3:
+        dom = build_domain(Ball(center=(0.0, 0.0, 0.0), radius=1.0), 10, margin_cells=1)
+    else:
+        dom = dom1d if dim == 1 else dom2d
+    A = assemble(dom, S).matrix
+    ref = _reference_assemble(dom, S, get_table(dom, 2.0 * S))
+    assert A.tobytes() == ref.tobytes()
+
+
+def _doctored(table, how):
+    W = table.weights.copy()
+    M, N = table.lattice_radius, table.domain.dimension
+    near = (M + 1,) + (M,) * (N - 1)
+    if how == "negative_weight":
+        W[near] = -W[near]
+    elif how == "tiny_negative_weight":  # inside the 1e-14 off-diagonal tolerance
+        W[near] = -1e-16 * table.total_weight
+    elif how == "nan_weight":
+        W[near] = np.nan
+    elif how == "half_total":
+        return replace(table, total_weight=0.5 * table.total_weight, _pair=None)
+    elif how == "negative_total":
+        return replace(table, total_weight=-2.0 * (table.total_weight + table.tail), _pair=None)
+    return replace(table, weights=W, _pair=None)
+
+
+@pytest.mark.parametrize(
+    "how, message",
+    [
+        ("negative_weight", "off-diagonal"),
+        ("tiny_negative_weight", None),
+        ("nan_weight", "diagonally dominant"),
+        ("half_total", "diagonally dominant"),
+        ("negative_total", "diagonal must be positive"),
+    ],
+)
+def test_assemble_rejects_what_reference_rejects(dom1d_small, how, message):
+    table = _doctored(get_table(dom1d_small, 2.0 * S), how)
+    if message is None:
+        A = assemble(dom1d_small, S, table=table).matrix
+        assert A.tobytes() == _reference_assemble(dom1d_small, S, table).tobytes()
+        return
+    with pytest.raises(ConsistencyError, match=message) as ref:
+        _reference_assemble(dom1d_small, S, table)
+    with pytest.raises(ConsistencyError) as new:
+        assemble(dom1d_small, S, table=table)
+    assert str(new.value) == str(ref.value)
+
+
+def test_assemble_allocates_only_the_stiffness_matrix(dom2d):
+    table = get_table(dom2d, 2.0 * S)
+    table.pair_matrix()
+    tracemalloc.start()
+    try:
+        assemble(dom2d, S, table=table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * dom2d.interior_count**2
+
+
+def test_solve_vector_matches_checked_cho_solve(solver1d, dom1d):
+    rhs = np.random.default_rng(5).standard_normal(dom1d.interior_count)
+    ref = cho_solve(cho_factor(solver1d.operator.matrix, lower=True), rhs)
+    assert solver1d.solve_vector(rhs).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_rhs_is_parameter_error(solver1d, dom1d, bad):
+    rhs = np.ones(dom1d.interior_count)
+    rhs[3] = bad
+    with pytest.raises(ParameterError):
+        solver1d.solve_vector(rhs)
+    with pytest.raises(ParameterError):
+        solve_poisson(solver1d, dom1d.from_interior(rhs))
