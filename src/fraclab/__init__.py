@@ -22,7 +22,6 @@ from .grids import (
     GridDomain,
     GridFunction,
     build_domain,
-    domain_from_box,
     integrate,
     lp_norm,
     sample,

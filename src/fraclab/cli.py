@@ -8,9 +8,9 @@ Every CSV starts with a comment line carrying the sha256 of the fully
 resolved configuration, so re-running a config reproduces its outputs
 bit for bit.  Exit codes: 0 success, 2 validation error, 3 numerical failure.
 
-Kernel tables are cached on disk when FRACLAB_CACHE_DIR is set, one file per
-(domain, order, cutoff radius); stale or corrupted cache files are rebuilt with
-a warning.
+The domain's cutoff_factor sets the kernel cutoff radius in bounding-box
+diameters.  Kernel tables come from kernels.get_table, which also keeps them
+in FRACLAB_CACHE_DIR when that is set.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import csv
 import gc
 import hashlib
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -38,21 +37,13 @@ from .errors import (
 )
 from .fixedpoint import IterationConfig, ProblemSpec, picard_iterate
 from .grids import Annulus, Ball, Box, GridDomain, GridFunction, build_domain, sample
-from .kernels import (
-    CacheMismatch,
-    get_table,
-    load_kernel_table,
-    resolve_cutoff,
-    save_kernel_table,
-    table_key,
-)
 from .nonexistence import bump_family, certify as certify_family, lambda_star_star
 from .operators import apply_D_s2, apply_frac_laplacian, central_gradient
 from .poisson import assemble, solve_poisson
 from .regularity import PROPOSITIONS, exponent_range, regularity_probe
 from .seminorms import hardy_constant, hardy_constant_mc
 
-__all__ = ["main", "run", "cache_kernel", "ExperimentConfig"]
+__all__ = ["main", "run", "ExperimentConfig"]
 
 SUBCOMMANDS = ("solve", "iterate", "sweep", "hardy", "exponents", "certify", "probe", "limits")
 
@@ -271,11 +262,8 @@ def _build_domain(dcfg: dict) -> GridDomain:
     )
 
 
-def _cutoff(domain: GridDomain, dcfg: dict) -> float | None:
-    factor = dcfg.get("cutoff_factor", 4.0)
-    if factor == 4.0:
-        return None  # library default
-    return factor * domain.bbox_diameter
+def _cutoff(domain: GridDomain, dcfg: dict) -> float:
+    return dcfg["cutoff_factor"] * domain.bbox_diameter
 
 
 def _field(spec: str, domain: GridDomain) -> GridFunction:
@@ -294,35 +282,6 @@ def _field(spec: str, domain: GridDomain) -> GridFunction:
         r2 = (domain.interior_coords**2).sum(axis=1)
         return domain.from_interior(np.maximum(1.0 - r2 / rho**2, 0.0) ** 2)
     raise ConfigurationError(f"unknown field spec {spec!r}; use const:<v>|power:<beta>|bump:<rho>")
-
-
-def cache_kernel(domain: GridDomain, sigma: float, cutoff_radius: float | None, path) -> str:
-    """Build (or fetch) the kernel table and persist it at path; returns the path."""
-    table = get_table(domain, sigma, cutoff_radius)
-    save_kernel_table(table, path)
-    return str(path)
-
-
-def _warm_table_cache(domain: GridDomain, sigma: float, cutoff_radius: float | None) -> None:
-    cache_dir = os.environ.get("FRACLAB_CACHE_DIR")
-    if not cache_dir:
-        return
-    R = resolve_cutoff(domain, cutoff_radius)
-    key = f"{domain.shape_hash()[:16]}_{sigma!r}_{R!r}_{domain.nodes_per_axis}.flkt"
-    path = Path(cache_dir) / key
-    if path.exists():
-        try:
-            table = load_kernel_table(path, domain, sigma, cutoff_radius)
-            domain._tables[table_key(domain, sigma, cutoff_radius)] = table
-            return
-        except CacheMismatch as exc:
-            print(f"warning: rebuilding kernel cache {path} ({exc})", file=sys.stderr)
-    table = get_table(domain, sigma, cutoff_radius)
-    try:
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        save_kernel_table(table, path)
-    except OSError as exc:
-        print(f"warning: could not write kernel cache {path} ({exc})", file=sys.stderr)
 
 
 def _fmt(x, precision: int) -> str:
@@ -390,7 +349,6 @@ def _run_solve(cfg: ExperimentConfig, out: Path) -> None:
     for n in levels:
         dcfg["nodes_per_axis"] = n
         dom = _build_domain(dcfg)
-        _warm_table_cache(dom, 2.0 * s, _cutoff(dom, dcfg))
         solver = assemble(dom, s, cutoff_radius=_cutoff(dom, dcfg)).factorize()
         f = _field(cfg["problem"]["f"], dom)
         sols.append((n, dom, solve_poisson(solver, f)))
@@ -416,7 +374,6 @@ def _run_solve(cfg: ExperimentConfig, out: Path) -> None:
 def _run_iterate(cfg: ExperimentConfig, out: Path) -> None:
     dom = _build_domain(cfg["domain"])
     spec = _problem_from_config(cfg, dom)
-    _warm_table_cache(dom, 2.0 * spec.s, _cutoff(dom, cfg["domain"]))
     solver = assemble(dom, spec.s, cutoff_radius=_cutoff(dom, cfg["domain"])).factorize()
     it = IterationConfig(
         tolerance=cfg["run"]["tolerance"],
@@ -453,7 +410,6 @@ def _run_iterate(cfg: ExperimentConfig, out: Path) -> None:
 def _run_sweep(cfg: ExperimentConfig, out: Path) -> None:
     dom = _build_domain(cfg["domain"])
     s = cfg["problem"]["s"]
-    _warm_table_cache(dom, 2.0 * s, _cutoff(dom, cfg["domain"]))
     solver = assemble(dom, s, cutoff_radius=_cutoff(dom, cfg["domain"])).factorize()
     it = IterationConfig(tolerance=cfg["run"]["tolerance"], max_iter=cfg["run"]["max_iter"])
     rows = []
@@ -536,6 +492,10 @@ def _run_exponents(cfg: ExperimentConfig, out: Path) -> None:
 
 
 def _run_certify(cfg: ExperimentConfig, out: Path) -> None:
+    if cfg["domain"]["cutoff_factor"] != 4.0:
+        # the certificates use the default cutoff; the key stays in the schema
+        # so that the resolved-config hash of existing certify configs holds
+        raise ConfigurationError("certify uses the default kernel cutoff; [domain] cutoff_factor must be 4.0")
     dom = _build_domain(cfg["domain"])
     s = cfg["problem"]["s"]
     mu1 = cfg["problem"]["mu1"]

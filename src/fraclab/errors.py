@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the shared (0,1) range check."""
 
 
 class FraclabError(Exception):
@@ -33,3 +33,9 @@ class QuadratureError(FraclabError, RuntimeError):
 
     The achieved error estimate is reported in the message.
     """
+
+
+def check_unit_interval(name: str, value: float) -> None:
+    """Raise ParameterError unless 0 < value < 1 (fractional orders s, t and eps)."""
+    if not 0.0 < value < 1.0:
+        raise ParameterError(f"{name} must lie in (0,1), got {value}")

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_unit_interval
 from .grids import GridFunction
 from .operators import (
     apply_B_sq,
@@ -82,8 +82,7 @@ class ProblemSpec:
     def __post_init__(self):
         if self.rhs_kind not in RHS_KINDS:
             raise ParameterError(f"rhs_kind must be one of {RHS_KINDS}, got {self.rhs_kind!r}")
-        if not 0.0 < self.s < 1.0:
-            raise ParameterError(f"s must lie in (0,1), got {self.s}")
+        check_unit_interval("s", self.s)
         if self.lam <= 0.0:
             raise ParameterError(f"lambda must be positive, got {self.lam}")
         if self.mu.domain is not self.f.domain:

@@ -29,7 +29,6 @@ __all__ = [
     "GridDomain",
     "GridFunction",
     "build_domain",
-    "domain_from_box",
     "sample",
     "integrate",
     "lp_norm",
@@ -268,11 +267,6 @@ def build_domain(
         lo = lo + h / 2.0
         hi = hi + h / 2.0
     return GridDomain(shape, lo, hi, n)
-
-
-def domain_from_box(shape: Shape, lo, hi, nodes_per_axis: int) -> GridDomain:
-    """Build a domain with an explicitly given bounding box."""
-    return GridDomain(shape, lo, hi, nodes_per_axis)
 
 
 def sample(expr, domain: GridDomain) -> GridFunction:

@@ -30,9 +30,13 @@ is provided both in closed form and via direct quadrature of the defining
 integral (spherical reduction, log-substitution near 0, pi-length panels with
 an analytic remainder), the latter serving as an independent oracle.
 
-Tables persist in a binary cache (save_kernel_table / load_kernel_table)
-whose header carries the key fields and a sha256 of the weights and kappa;
-a file that fails any check raises CacheMismatch.
+get_table is the one way the operators reach a table.  It memoizes each
+(order, cutoff radius) on the domain and, when FRACLAB_CACHE_DIR is set,
+keeps every table it serves in that directory, one file per domain, order
+and cutoff radius.  The files use a binary format (save_kernel_table /
+load_kernel_table) whose header carries the key fields and a sha256 of the
+weights and kappa; a file that fails any check raises CacheMismatch, and
+get_table then rebuilds it with a warning.
 """
 
 from __future__ import annotations
@@ -42,13 +46,15 @@ import itertools
 import math
 import os
 import struct
+import sys
 import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy import special
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, check_unit_interval
 from .grids import GridDomain
 
 __all__ = [
@@ -66,7 +72,6 @@ __all__ = [
     "cell_lattice",
     "lattice_gather",
     "resolve_cutoff",
-    "table_key",
 ]
 
 CACHE_MAGIC = b"FLKT"
@@ -84,8 +89,7 @@ def normalization_constant(N: int, s: float) -> float:
     """a_{N,s} = -2^{2s} Gamma(N/2+s) / (pi^{N/2} Gamma(-s)); positive on (0,1)."""
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"s must lie in (0,1), got {s}")
+    check_unit_interval("s", s)
     return -(2.0 ** (2 * s)) * math.gamma(N / 2.0 + s) / (
         math.pi ** (N / 2.0) * math.gamma(-s)
     )
@@ -132,8 +136,7 @@ def normalization_constant_quadrature(
     O(r_max^{-2s-(N-1)/2})).  The log panel integrates psi_N over the sphere;
     the pi-length panels use its Bessel closed form, all panels at once.
     """
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"s must lie in (0,1), got {s}")
+    check_unit_interval("s", s)
     SN = sphere_area(N - 1)
     total = SN / (2.0 * N) * r_min ** (2.0 - 2 * s) / (2.0 - 2 * s)
 
@@ -324,9 +327,6 @@ class KernelTable:
             self._pair = P
         return self._pair
 
-    def row_sums(self) -> np.ndarray:
-        return self.pair_matrix().sum(axis=1)
-
 
 def resolve_cutoff(domain: GridDomain, cutoff_radius: float | None = None) -> float:
     """Cutoff radius R of the table; the default is four bounding-box diameters."""
@@ -355,10 +355,16 @@ def _make_table(
         kappa=np.empty(0),
         shape_hash=domain.shape_hash(),
     )
-    table.kappa = total + table.tail - table.row_sums() if kappa is None else kappa
+    table.kappa = total + table.tail - table.pair_matrix().sum(axis=1) if kappa is None else kappa
     if not np.all(table.kappa > 0):
         raise ConfigurationError("exterior mass kappa must be positive on a bounded domain")
     return table
+
+
+def _check_order(N: int, sigma: float, allow_high_order: bool) -> None:
+    if not 0.0 < sigma < (N + 2.0 if allow_high_order else 2.0):
+        cap = "N+2" if allow_high_order else "2"
+        raise ParameterError(f"kernel order sigma must lie in (0,{cap}), got {sigma}")
 
 
 def build_kernel_table(
@@ -373,10 +379,7 @@ def build_kernel_table(
     allow_high_order=True to reach orders up to N+2 (no normalization then).
     """
     N = domain.dimension
-    hi_cap = N + 2.0
-    if not 0.0 < sigma < (hi_cap if allow_high_order else 2.0):
-        cap = "N+2" if allow_high_order else "2"
-        raise ParameterError(f"kernel order sigma must lie in (0,{cap}), got {sigma}")
+    _check_order(N, sigma, allow_high_order)
     R = resolve_cutoff(domain, cutoff_radius)
     if R < domain.bbox_diameter + domain.h:
         raise ConfigurationError(
@@ -393,27 +396,42 @@ def get_table(
     cutoff_radius: float | None = None,
     allow_high_order: bool = False,
 ) -> KernelTable:
-    """Memoized table lookup on the domain (tables are immutable once built)."""
-    key = table_key(domain, sigma, cutoff_radius, allow_high_order)
-    tab = domain._tables.get(key)
-    if tab is None:
-        tab = build_kernel_table(domain, sigma, key[1], allow_high_order)
-        domain._tables[key] = tab
-    return tab
+    """The table of order sigma on domain: memoized, then disk-cached, then built.
 
-
-def table_key(
-    domain: GridDomain,
-    sigma: float,
-    cutoff_radius: float | None = None,
-    allow_high_order: bool = False,
-) -> tuple:
-    """Memo key of a table on its domain.
-
-    The key holds the resolved cutoff, so None and the default radius passed
-    explicitly name the same table.
+    Tables are immutable once built, so each (order, cutoff radius) is built
+    once per domain; None and the default radius passed explicitly name the
+    same table.  When FRACLAB_CACHE_DIR is set, a table missing from the memo
+    is loaded from that directory, or built and saved there; a cache file that
+    fails its checks is rebuilt with a warning.  The order is checked before
+    the cache is read, so a high-order file never serves a call that did not
+    allow high orders.
     """
-    return (round(float(sigma), 14), resolve_cutoff(domain, cutoff_radius), allow_high_order)
+    _check_order(domain.dimension, sigma, allow_high_order)
+    R = resolve_cutoff(domain, cutoff_radius)
+    key = (round(float(sigma), 14), R)
+    table = domain._tables.get(key)
+    if table is not None:
+        return table
+    cache_dir = os.environ.get("FRACLAB_CACHE_DIR")
+    path = None
+    if cache_dir:
+        name = f"{domain.shape_hash()[:16]}_{float(sigma)!r}_{R!r}_{domain.nodes_per_axis}.flkt"
+        path = Path(cache_dir) / name
+    if path is not None and path.exists():
+        try:
+            table = load_kernel_table(path, domain, sigma, R)
+        except CacheMismatch as exc:
+            print(f"warning: rebuilding kernel cache {path} ({exc})", file=sys.stderr)
+    if table is None:
+        table = build_kernel_table(domain, sigma, R, allow_high_order)
+        if path is not None:
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                save_kernel_table(table, path)
+            except OSError as exc:
+                print(f"warning: could not write kernel cache {path} ({exc})", file=sys.stderr)
+    domain._tables[key] = table
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +479,8 @@ def save_kernel_table(table: KernelTable, path) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            fh.write(W.tobytes())
-            fh.write(kap.tobytes())
+            fh.write(memoryview(W).cast("B"))
+            fh.write(memoryview(kap).cast("B"))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -488,15 +506,15 @@ def load_kernel_table(path, domain: GridDomain, sigma: float, cutoff_radius: flo
                 and sig == float(sigma)
                 and h == domain.h
                 and Rfile == R
+                and M == math.floor(R / h)
                 and n_int == domain.interior_count
                 and shash.decode() == domain.shape_hash()
             )
             if not key_ok:
                 raise CacheMismatch("key fields do not match this domain/order")
-            n_w = (2 * M + 1) ** N
-            W = np.frombuffer(fh.read(n_w * 8), dtype="<f8")
-            kap = np.frombuffer(fh.read(n_int * 8), dtype="<f8")
-            if W.size != n_w or kap.size != n_int:
+            W = np.empty((2 * M + 1,) * N, dtype="<f8")
+            kap = np.empty(n_int, dtype="<f8")
+            if fh.readinto(W) != W.nbytes or fh.readinto(kap) != kap.nbytes:
                 raise CacheMismatch("truncated payload")
     except OSError as exc:
         raise CacheMismatch(f"unreadable cache file: {exc}") from exc
@@ -504,6 +522,6 @@ def load_kernel_table(path, domain: GridDomain, sigma: float, cutoff_radius: flo
         raise CacheMismatch("payload sha256 does not match the header")
 
     try:
-        return _make_table(domain, sigma, R, M, W.reshape((2 * M + 1,) * N).copy(), kap.copy())
+        return _make_table(domain, sigma, R, M, W, kap)
     except ConfigurationError as exc:
         raise CacheMismatch(str(exc)) from exc

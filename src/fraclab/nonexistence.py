@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_unit_interval
 from .grids import Ball, GridDomain, GridFunction, build_domain, integrate, sample
 from .seminorms import gagliardo_double_sum, hardy_ratio
 
@@ -132,8 +132,7 @@ def optimality_obstruction(
     Hardy-critical 2s and the quotient decays like r^((N-eps)/m - 2s).
     Returns [(r, quotient)] in the given radius order.
     """
-    if not 0.0 < eps < 1.0:
-        raise ParameterError(f"eps must lie in (0,1), got {eps}")
+    check_unit_interval("eps", eps)
     beta = (N - eps) / m
     if beta <= 2.0 * s:
         raise ParameterError(

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft as sp_fft
 
-from .errors import ParameterError
+from .errors import ParameterError, check_unit_interval
 from .grids import GridFunction
 from .kernels import (
     PAIR_BLOCK_ROWS,
@@ -125,8 +125,7 @@ def apply_frac_laplacian(
     cutoff_radius: float | None = None,
 ) -> GridFunction:
     """(-Delta)^s u in symmetrized second-difference form (kernel order 2s)."""
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"s must lie in (0,1), got {s}")
+    check_unit_interval("s", s)
     table = _resolve(u, 2.0 * s, table, cutoff_radius)
     return _signed_apply(u, 2.0 * s, table.norm_const, table)
 
@@ -138,8 +137,7 @@ def apply_frac_power(
     cutoff_radius: float | None = None,
 ) -> GridFunction:
     """(-Delta)^{t/2} u: same structure with kernel order t and constant a_{N,t/2}."""
-    if not 0.0 < t < 1.0:
-        raise ParameterError(f"t must lie in (0,1), got {t}")
+    check_unit_interval("t", t)
     table = _resolve(u, t, table, cutoff_radius)
     return _signed_apply(u, t, table.norm_const, table)
 
@@ -175,8 +173,7 @@ def apply_D_s2(
     cutoff_radius: float | None = None,
 ) -> GridFunction:
     """Nonlocal gradient square D_s^2(u); nonnegative at every node."""
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"s must lie in (0,1), got {s}")
+    check_unit_interval("s", s)
     table = _resolve(u, 2.0 * s, table, cutoff_radius)
     ui = u.interior
     P = table.pair_matrix()
@@ -198,8 +195,7 @@ def apply_B_sq(
 
     Uses the kernel of order s*q (exponent N + s*q), so s*q < 2 is required.
     """
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"s must lie in (0,1), got {s}")
+    check_unit_interval("s", s)
     if q <= 1.0:
         raise ParameterError(f"q must exceed 1, got {q}")
     sigma = s * q
@@ -234,8 +230,7 @@ def apply_riesz_gradient(
     K_k(z) = z_k/|z| w_z.  That is a lattice correlation of the exterior-zero
     grid function with K_k cropped to offsets |z_k| <= n-1, evaluated by FFT.
     """
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"s must lie in (0,1), got {s}")
+    check_unit_interval("s", s)
     table = _resolve(u, s, table, cutoff_radius)
     dom = u.domain
     N = dom.dimension

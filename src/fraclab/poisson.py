@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import ConsistencyError, ParameterError
+from .errors import ConsistencyError, ParameterError, check_unit_interval
 from .grids import GridDomain, GridFunction, lp_norm
 from .kernels import KernelTable, get_table
 from .seminorms import gagliardo_double_sum
@@ -66,8 +66,7 @@ def assemble(
     cutoff_radius: float | None = None,
 ) -> StiffnessOperator:
     """Assemble the interior stiffness matrix and verify its M-matrix structure."""
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"s must lie in (0,1), got {s}")
+    check_unit_interval("s", s)
     if table is None:
         table = get_table(domain, 2.0 * s, cutoff_radius)
     a = table.norm_const

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import HypothesisViolation, ParameterError
+from .errors import HypothesisViolation, ParameterError, check_unit_interval
 from .grids import Ball, GridDomain, GridFunction, build_domain
 from .operators import apply_frac_power
 from .poisson import assemble, solve_poisson
@@ -306,8 +306,7 @@ def regularity_probe(
     """
     if beta >= N and beta > 0:
         raise ParameterError(f"beta must be < N for integrable data, got beta={beta}")
-    if not 0.0 < t < 1.0:
-        raise ParameterError(f"t must lie in (0,1), got {t}")
+    check_unit_interval("t", t)
     if p < 1.0:
         raise ParameterError(f"p must be >= 1, got {p}")
     node_counts = tuple(int(n) for n in node_counts)
@@ -361,8 +360,7 @@ def counterexample_data(N: int, s: float, m: float, eps: float, domain: GridDoma
     Requires eps in (0,1), the origin inside the domain shape, and no node at
     the origin; the returned samples are finite everywhere.
     """
-    if not 0.0 < eps < 1.0:
-        raise ParameterError(f"eps must lie in (0,1), got {eps}")
+    check_unit_interval("eps", eps)
     if m < 1.0:
         raise ParameterError(f"m must be >= 1, got {m}")
     if domain.dimension != N:

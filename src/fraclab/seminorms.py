@@ -37,7 +37,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import betaln, hyp2f1
 
-from .errors import ParameterError, QuadratureError
+from .errors import ParameterError, QuadratureError, check_unit_interval
 from .grids import GridFunction, lp_norm
 from .kernels import KernelTable, get_table, sphere_area
 from .operators import central_gradient, pair_power_sum
@@ -69,8 +69,7 @@ class SeminormSpec:
     region: str = "d_omega"
 
     def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ParameterError(f"s must lie in (0,1), got {self.s}")
+        check_unit_interval("s", self.s)
         if self.p < 1.0:
             raise ParameterError(f"p must be >= 1, got {self.p}")
         if self.region not in REGIONS:
@@ -142,8 +141,7 @@ def gagliardo_double_sum(
 def sobolev_check(u: GridFunction, s: float, p: float) -> SobolevCheckResult:
     """Empirical Sobolev quotient ||u||_{p_s*} / [u]_{s,p} with p_s* = Np/(N-sp)."""
     N = u.domain.dimension
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"s must lie in (0,1), got {s}")
+    check_unit_interval("s", s)
     if p < 1.0:
         raise ParameterError(f"p must be >= 1, got {p}")
     if s * p >= N:
@@ -199,8 +197,7 @@ def hardy_constant(N: int, s: float, p: float, tol: float = 1e-6) -> HardyResult
     """
     if N < 2:
         raise ParameterError(f"hardy_constant requires N >= 2, got {N}")
-    if not 0.0 < s < 1.0:
-        raise ParameterError(f"s must lie in (0,1), got {s}")
+    check_unit_interval("s", s)
     if p <= 1.0:
         raise ParameterError(f"p must exceed 1, got {p}")
 

@@ -33,6 +33,12 @@ def bump2d(dom2d):
     )
 
 
+@pytest.fixture(autouse=True)
+def no_kernel_cache(monkeypatch):
+    """Every test starts without a kernel cache directory; cache tests set their own."""
+    monkeypatch.delenv("FRACLAB_CACHE_DIR", raising=False)
+
+
 @pytest.fixture
 def table_builds(monkeypatch):
     """(sigma, cutoff radius) of every kernel table built during the test."""

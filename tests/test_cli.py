@@ -1,11 +1,12 @@
-import os
 import subprocess
 import sys
 import weakref
 
+import pytest
+
 from fraclab import Ball, StiffnessOperator, build_domain, fixedpoint
 from fraclab import cli
-from fraclab.cli import ExperimentConfig, cache_kernel, run
+from fraclab.cli import ExperimentConfig, run
 
 
 def _write(tmp_path, name, text):
@@ -105,7 +106,6 @@ def _sweep_domain_bbox():
 
 def test_sweep_reads_no_history(tmp_path, monkeypatch, table_builds):
     # sweep writes no history column, so it computes none and needs only the solver's table
-    monkeypatch.delenv("FRACLAB_CACHE_DIR", raising=False)
     calls = {"frac_power": 0, "energy": 0}
     frac_power, energy = fixedpoint.apply_frac_power, StiffnessOperator.energy
 
@@ -126,7 +126,6 @@ def test_sweep_reads_no_history(tmp_path, monkeypatch, table_builds):
 
 def test_iterate_uses_solver_cutoff(tmp_path, monkeypatch, table_builds):
     # the right-hand side and the history use the configured cutoff, not the default
-    monkeypatch.delenv("FRACLAB_CACHE_DIR", raising=False)
     text = SWEEP_CFG.replace("lambda_sweep = 0.05,0.1", "").replace(
         "margin_cells = 8", "margin_cells = 8\ncutoff_factor = 6.0"
     )
@@ -228,34 +227,23 @@ levels = 32,128,512
     assert "bounded" in text
 
 
-def test_cache_kernel_roundtrip_and_rebuild(tmp_path, capsys):
-    dom = build_domain(Ball(center=(0.0,), radius=1.0), 40, margin_cells=4)
-    path = tmp_path / "k.flkt"
-    cache_kernel(dom, 1.2, None, path)
-    assert path.exists()
+def test_cache_kernel_roundtrip_and_rebuild(tmp_path, capsys, monkeypatch):
     # corrupted file: the cached-run path rebuilds with a warning and succeeds
     cachedir = tmp_path / "cache"
     cachedir.mkdir()
     cfg = _write(tmp_path, "solve.ini", SOLVE_CFG)
-    env_before = os.environ.get("FRACLAB_CACHE_DIR")
-    os.environ["FRACLAB_CACHE_DIR"] = str(cachedir)
-    try:
-        assert run("solve", cfg, tmp_path / "o1") == 0
-        cached = sorted(cachedir.glob("*.flkt"))
-        assert cached
-        blob = bytearray(cached[0].read_bytes())
-        blob[:4] = b"ZZZZ"
-        cached[0].write_bytes(bytes(blob))
-        assert run("solve", cfg, tmp_path / "o2") == 0
-        assert "rebuilding kernel cache" in capsys.readouterr().err
-        assert (tmp_path / "o1" / "solve.csv").read_bytes() == (
-            tmp_path / "o2" / "solve.csv"
-        ).read_bytes()
-    finally:
-        if env_before is None:
-            os.environ.pop("FRACLAB_CACHE_DIR", None)
-        else:
-            os.environ["FRACLAB_CACHE_DIR"] = env_before
+    monkeypatch.setenv("FRACLAB_CACHE_DIR", str(cachedir))
+    assert run("solve", cfg, tmp_path / "o1") == 0
+    cached = sorted(cachedir.glob("*.flkt"))
+    assert cached
+    blob = bytearray(cached[0].read_bytes())
+    blob[:4] = b"ZZZZ"
+    cached[0].write_bytes(bytes(blob))
+    assert run("solve", cfg, tmp_path / "o2") == 0
+    assert "rebuilding kernel cache" in capsys.readouterr().err
+    assert (tmp_path / "o1" / "solve.csv").read_bytes() == (
+        tmp_path / "o2" / "solve.csv"
+    ).read_bytes()
 
 
 def test_cache_files_keyed_on_cutoff(tmp_path, capsys, monkeypatch):
@@ -277,6 +265,50 @@ def test_cache_files_keyed_on_cutoff(tmp_path, capsys, monkeypatch):
         assert run("solve", cfg, tmp_path / cfg.stem) == 0
     assert "warning" not in capsys.readouterr().err
     assert [(f.stat().st_ino, f.stat().st_mtime_ns) for f in files] == stamps
+
+
+@pytest.mark.parametrize(
+    "rhs,extra,sigma",
+    [("riesz_grad_q", "q = 1.5", 0.6), ("B_sq_alpha", "q = 1.5\nalpha = 1.2", 0.6 * 1.5)],
+    ids=["riesz_grad_q", "B_sq_alpha"],
+)
+def test_sweep_tables_cached_across_runs(tmp_path, monkeypatch, table_builds, rhs, extra, sigma):
+    # every table a sweep reads is cached, not only the solver's order-2s table
+    monkeypatch.setenv("FRACLAB_CACHE_DIR", str(tmp_path / "cache"))
+    text = SWEEP_CFG.replace("rhs_kind = D_s2", f"rhs_kind = {rhs}\n{extra}").replace(
+        "max_iter = 80", "max_iter = 10"
+    )
+    cfg = _write(tmp_path, "sweep.ini", text)
+    assert run("sweep", cfg, tmp_path / "o1") == 0
+    R = 4.0 * _sweep_domain_bbox()
+    assert sorted(table_builds) == sorted([(1.2, R), (sigma, R)])
+    table_builds.clear()
+    assert run("sweep", cfg, tmp_path / "o2") == 0
+    assert table_builds == []
+    assert (tmp_path / "o1" / "sweep.csv").read_bytes() == (tmp_path / "o2" / "sweep.csv").read_bytes()
+
+
+CERTIFY_CFG = """
+[domain]
+dimension = 1
+nodes_per_axis = 40
+margin_cells = 4
+
+[problem]
+s = 0.6
+
+[run]
+lambda_values = 1.0
+"""
+
+
+def test_certify_rejects_cutoff_factor(tmp_path, capsys):
+    # certify builds its tables at the default cutoff, so another factor is refused
+    text = CERTIFY_CFG.replace("margin_cells = 4", "margin_cells = 4\ncutoff_factor = 6.0")
+    cfg = _write(tmp_path, "c.ini", text)
+    assert run("certify", cfg, tmp_path / "out") == 2
+    assert "cutoff_factor" in capsys.readouterr().err
+    assert run("certify", _write(tmp_path, "d.ini", CERTIFY_CFG), tmp_path / "out") == 0
 
 
 def test_console_entry_point(tmp_path):

@@ -10,9 +10,9 @@ from fraclab import (
     Ball,
     Box,
     ConfigurationError,
+    GridDomain,
     ParameterError,
     build_domain,
-    domain_from_box,
     integrate,
     lp_norm,
     sample,
@@ -20,7 +20,7 @@ from fraclab import (
 
 
 def test_ball_1d_nine_nodes_seven_interior():
-    dom = domain_from_box(Ball(center=(0.0,), radius=1.0), [-1.25], [1.25], 9)
+    dom = GridDomain(Ball(center=(0.0,), radius=1.0), [-1.25], [1.25], 9)
     assert dom.interior_count == 7
 
 
@@ -35,13 +35,13 @@ def test_box_2d_interior_count_is_separable():
 def test_tiny_ball_empty_interior_raises():
     # 6 cells of width ~0.42: no node center falls inside the tiny ball
     with pytest.raises(ConfigurationError):
-        domain_from_box(Ball(center=(0.0,), radius=0.01), [-1.25], [1.25], 6)
+        GridDomain(Ball(center=(0.0,), radius=0.01), [-1.25], [1.25], 6)
 
 
 def test_margin_enforced():
     # interior node on the outer layer must be rejected
     with pytest.raises(ConfigurationError):
-        domain_from_box(Ball(center=(0.0,), radius=2.0), [-1.0], [1.0], 9)
+        GridDomain(Ball(center=(0.0,), radius=2.0), [-1.0], [1.0], 9)
 
 
 def test_mask_idempotent(dom2d):
@@ -72,7 +72,7 @@ def test_sample_odd_symmetry(dom1d):
 
 
 def test_sample_singular_raises():
-    dom = domain_from_box(Ball(center=(0.0,), radius=1.0), [-1.25], [1.25], 9)
+    dom = GridDomain(Ball(center=(0.0,), radius=1.0), [-1.25], [1.25], 9)
     # node at the origin exists on this odd grid
     assert np.any(np.abs(dom.interior_coords) < 1e-14)
     with np.errstate(divide="ignore"):
@@ -105,7 +105,7 @@ def test_integrate_hat_refinement():
 def test_integrate_parabola_second_order():
     errs = []
     for n in (50, 100, 200):
-        dom = domain_from_box(Ball(center=(0.0,), radius=1.0), [-1.31], [1.43], n)
+        dom = GridDomain(Ball(center=(0.0,), radius=1.0), [-1.31], [1.43], n)
         u = sample(lambda x: 1.0 - x**2, dom)
         errs.append(abs(integrate(u) - 4.0 / 3.0))
     assert errs[0] / errs[2] > 3.0  # at least ~first order under two halvings

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from fraclab import (
     save_kernel_table,
     sphere_area,
 )
+from fraclab import kernels
 from fraclab.kernels import CacheMismatch, cell_kernel_integrals
 
 
@@ -114,6 +116,75 @@ def test_cache_roundtrip_bitexact(tmp_path, dom1d):
     path2 = tmp_path / "table2.flkt"
     save_kernel_table(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _reference_file_bytes(table):
+    """The cache file as the version-2 writer lays it out: header, weights, kappa."""
+    W = np.ascontiguousarray(table.weights, dtype="<f8")
+    kap = np.ascontiguousarray(table.kappa, dtype="<f8")
+    header = kernels._HEADER.pack(
+        kernels.CACHE_MAGIC,
+        kernels.CACHE_VERSION,
+        table.domain.dimension,
+        table.domain.nodes_per_axis,
+        table.sigma,
+        table.domain.h,
+        table.cutoff_radius,
+        table.lattice_radius,
+        len(kap),
+        table.shape_hash.encode(),
+        hashlib.sha256(W.tobytes() + kap.tobytes()).digest(),
+    )
+    return header + W.tobytes() + kap.tobytes()
+
+
+def test_cache_file_layout_and_writable_load(tmp_path, dom2d):
+    tab = get_table(dom2d, 1.2)
+    path = tmp_path / "table.flkt"
+    save_kernel_table(tab, path)
+    assert path.read_bytes() == _reference_file_bytes(tab)
+    loaded = load_kernel_table(path, dom2d, 1.2)
+    assert loaded.weights.shape == tab.weights.shape
+    assert np.array_equal(loaded.weights, tab.weights)
+    assert np.array_equal(loaded.kappa, tab.kappa)
+    assert loaded.weights.flags.writeable and loaded.kappa.flags.writeable
+
+
+def _small_domain():
+    return build_domain(Ball(center=(0.0,), radius=1.0), 40, margin_cells=4)
+
+
+def test_get_table_loads_from_cache_dir(tmp_path, monkeypatch, table_builds):
+    cachedir = tmp_path / "cache"
+    monkeypatch.setenv("FRACLAB_CACHE_DIR", str(cachedir))
+    built = get_table(_small_domain(), 1.2)
+    assert len(table_builds) == 1
+    # an equal domain in the same process loads the file, and the default
+    # cutoff passed explicitly names the same file
+    dom = _small_domain()
+    loaded = get_table(dom, 1.2, 4.0 * dom.bbox_diameter)
+    assert len(table_builds) == 1
+    assert len(list(cachedir.iterdir())) == 1
+    assert loaded.weights.tobytes() == built.weights.tobytes()
+    assert loaded.kappa.tobytes() == built.kappa.tobytes()
+    assert get_table(dom, 1.2) is loaded
+
+
+def test_cached_high_order_file_needs_allow_high_order(tmp_path, monkeypatch):
+    monkeypatch.setenv("FRACLAB_CACHE_DIR", str(tmp_path))
+    get_table(_small_domain(), 2.4, allow_high_order=True)
+    assert len(list(tmp_path.glob("*.flkt"))) == 1
+    with pytest.raises(ParameterError):
+        get_table(_small_domain(), 2.4)
+
+
+def test_unwritable_cache_dir_warns(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("FRACLAB_CACHE_DIR", str(blocker / "cache"))
+    tab = get_table(_small_domain(), 1.2)
+    assert np.all(tab.kappa > 0)
+    assert "could not write kernel cache" in capsys.readouterr().err
 
 
 def test_cache_key_mismatch(tmp_path, dom1d):

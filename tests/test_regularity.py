@@ -177,8 +177,8 @@ def test_counterexample_data_near_integrability_edge():
 
 
 def test_counterexample_data_origin_node_rejected():
-    from fraclab import domain_from_box
+    from fraclab import GridDomain
 
-    dom = domain_from_box(Ball(center=(0.0,), radius=1.0), [-1.25], [1.25], 9)
+    dom = GridDomain(Ball(center=(0.0,), radius=1.0), [-1.25], [1.25], 9)
     with pytest.raises(ParameterError):
         counterexample_data(1, 0.6, 1.0, 0.3, dom)

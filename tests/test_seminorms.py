@@ -166,9 +166,9 @@ def test_hardy_ratio_above_sharp_constant(dom2d):
 
 
 def test_hardy_ratio_requires_offset_grid():
-    from fraclab import domain_from_box
+    from fraclab import GridDomain
 
-    dom = domain_from_box(Ball(center=(0.0,), radius=1.0), [-1.25], [1.25], 9)
+    dom = GridDomain(Ball(center=(0.0,), radius=1.0), [-1.25], [1.25], 9)
     u = sample(lambda x: 1.0 - x**2, dom)
     with pytest.raises(ParameterError):
         hardy_ratio(u, S, 2.0, 1.2)
