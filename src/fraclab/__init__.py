@@ -47,8 +47,8 @@ from .operators import (
 )
 from .seminorms import (
     HardyResult,
-    SeminormSpec,
     SobolevCheckResult,
+    ball_membership,
     gagliardo_double_sum,
     hardy_constant,
     hardy_constant_mc,
@@ -69,7 +69,6 @@ from .fixedpoint import (
     IterationReport,
     ProblemSpec,
     ThresholdConstants,
-    ball_membership,
     lemma_g_root,
     lemma_g_value,
     manufacture_forcing,

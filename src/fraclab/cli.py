@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import gc
 import hashlib
 import math
 import sys
@@ -339,7 +338,7 @@ def _problem_from_config(cfg: ExperimentConfig, domain: GridDomain, lam: float |
 # ---------------------------------------------------------------------------
 
 
-def _run_solve(cfg: ExperimentConfig, out: Path) -> None:
+def _run_solve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     dcfg = dict(cfg["domain"])
     levels = cfg["run"]["levels"]
     if len(levels) < 2:
@@ -362,16 +361,10 @@ def _run_solve(cfg: ExperimentConfig, out: Path) -> None:
         rows.append([n, dom.h, err, ratio])
         prev_err = err
     rows.append([n_f, dom_f.h, 0.0, None])
-    _write_csv(
-        out / "solve.csv",
-        ["level", "h", "l2_error_vs_finest", "ratio"],
-        rows,
-        cfg.resolved_hash(),
-        cfg["output"]["precision"],
-    )
+    return ["level", "h", "l2_error_vs_finest", "ratio"], rows
 
 
-def _run_iterate(cfg: ExperimentConfig, out: Path) -> None:
+def _run_iterate(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     dom = _build_domain(cfg["domain"])
     spec = _problem_from_config(cfg, dom)
     solver = assemble(dom, spec.s, cutoff_radius=_cutoff(dom, cfg["domain"])).factorize()
@@ -398,16 +391,11 @@ def _run_iterate(cfg: ExperimentConfig, out: Path) -> None:
         )
     if not rows:  # converged at iteration 0
         rows.append([0, 0.0, 0.0, 0.0, 0.0, rep.verdict, rep.final_residual])
-    _write_csv(
-        out / "iterate.csv",
-        ["iteration", "sup_norm", "energy_norm", "frac_half_norm", "successive_diff", "verdict", "final_residual"],
-        rows,
-        cfg.resolved_hash(),
-        cfg["output"]["precision"],
-    )
+    header = ["iteration", "sup_norm", "energy_norm", "frac_half_norm", "successive_diff", "verdict", "final_residual"]
+    return header, rows
 
 
-def _run_sweep(cfg: ExperimentConfig, out: Path) -> None:
+def _run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     dom = _build_domain(cfg["domain"])
     s = cfg["problem"]["s"]
     solver = assemble(dom, s, cutoff_radius=_cutoff(dom, cfg["domain"])).factorize()
@@ -417,16 +405,10 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> None:
         spec = _problem_from_config(cfg, dom, lam=lam)
         rep = picard_iterate(spec, it, solver)
         rows.append([lam, rep.verdict, rep.iterations, rep.final_residual])
-    _write_csv(
-        out / "sweep.csv",
-        ["lambda", "verdict", "iterations", "final_residual"],
-        rows,
-        cfg.resolved_hash(),
-        cfg["output"]["precision"],
-    )
+    return ["lambda", "verdict", "iterations", "final_residual"], rows
 
 
-def _run_hardy(cfg: ExperimentConfig, out: Path) -> None:
+def _run_hardy(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     rows = []
     for entry in cfg["run"]["triples"]:
         parts = entry.split(":")
@@ -440,20 +422,14 @@ def _run_hardy(cfg: ExperimentConfig, out: Path) -> None:
         rows.append(
             [N, s, p, res.value, res.error_estimate, mc, mc_err, abs(res.value - mc) / res.value]
         )
-    _write_csv(
-        out / "hardy.csv",
-        ["N", "s", "p", "lambda_quad", "error_estimate", "lambda_mc", "mc_stderr", "rel_diff"],
-        rows,
-        cfg.resolved_hash(),
-        cfg["output"]["precision"],
-    )
+    return ["N", "s", "p", "lambda_quad", "error_estimate", "lambda_mc", "mc_stderr", "rel_diff"], rows
 
 
 def _rat(x: str) -> Fraction:
     return Fraction(x)
 
 
-def _run_exponents(cfg: ExperimentConfig, out: Path) -> None:
+def _run_exponents(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     run = cfg["run"]
     props = run["propositions"]
     if props == ["all"]:
@@ -482,16 +458,10 @@ def _run_exponents(cfg: ExperimentConfig, out: Path) -> None:
                         [prop, "", N, str(s), "" if t is None else str(t), str(m),
                          "", "", "", f"rejected:{exc.condition}"]
                     )
-    _write_csv(
-        out / "exponents.csv",
-        ["proposition", "case", "N", "s", "t", "m", "lower", "upper", "upper_inclusive", "status"],
-        rows,
-        cfg.resolved_hash(),
-        cfg["output"]["precision"],
-    )
+    return ["proposition", "case", "N", "s", "t", "m", "lower", "upper", "upper_inclusive", "status"], rows
 
 
-def _run_certify(cfg: ExperimentConfig, out: Path) -> None:
+def _run_certify(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     if cfg["domain"]["cutoff_factor"] != 4.0:
         # the certificates use the default cutoff; the key stays in the schema
         # so that the resolved-config hash of existing certify configs holds
@@ -526,16 +496,10 @@ def _run_certify(cfg: ExperimentConfig, out: Path) -> None:
     for lam in cfg["run"]["lambda_values"]:
         ok, best = certify_family(lam, f, mu1, s, family)
         rows.append([lam, ok, best.value, best.phi_id])
-    _write_csv(
-        out / "certify.csv",
-        ["lambda", "certified_nonexistence", "min_lambda_star_star", "witness_id"],
-        rows,
-        cfg.resolved_hash(),
-        cfg["output"]["precision"],
-    )
+    return ["lambda", "certified_nonexistence", "min_lambda_star_star", "witness_id"], rows
 
 
-def _run_probe(cfg: ExperimentConfig, out: Path) -> None:
+def _run_probe(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     run = cfg["run"]
     rep = regularity_probe(
         beta=run["beta"],
@@ -551,16 +515,10 @@ def _run_probe(cfg: ExperimentConfig, out: Path) -> None:
     for i, (n, v) in enumerate(zip(rep.node_counts, rep.values)):
         growth = rep.growth_factors[i - 1] if i > 0 else None
         rows.append([n, v, growth, rep.route, rep.classification if i == len(rep.values) - 1 else ""])
-    _write_csv(
-        out / "probe.csv",
-        ["level", "measured", "growth_factor", "route", "classification"],
-        rows,
-        cfg.resolved_hash(),
-        cfg["output"]["precision"],
-    )
+    return ["level", "measured", "growth_factor", "route", "classification"], rows
 
 
-def _run_limits(cfg: ExperimentConfig, out: Path) -> None:
+def _run_limits(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     run = cfg["run"]
     radius = run["radius"]
     n = run["nodes_per_axis"]
@@ -580,15 +538,10 @@ def _run_limits(cfg: ExperimentConfig, out: Path) -> None:
         err_a = float(np.abs(Au - lap_i).max() / np.abs(lap_i).max())
         err_d = float(np.abs(D - g2).max() / np.abs(g2).max())
         rows.append([s, err_a, err_d])
-    _write_csv(
-        out / "limits.csv",
-        ["s", "frac_laplacian_rel_err", "grad_sq_rel_err"],
-        rows,
-        cfg.resolved_hash(),
-        cfg["output"]["precision"],
-    )
+    return ["s", "frac_laplacian_rel_err", "grad_sq_rel_err"], rows
 
 
+# each driver returns the header and rows of its subcommand's CSV
 _DRIVERS = {
     "solve": _run_solve,
     "iterate": _run_iterate,
@@ -607,7 +560,9 @@ def run(subcommand: str, config_path, out_dir=".") -> int:
         cfg = ExperimentConfig.load(subcommand, config_path)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _DRIVERS[subcommand](cfg, out)
+        header, rows = _DRIVERS[subcommand](cfg)
+        precision = cfg["output"]["precision"]
+        _write_csv(out / f"{subcommand}.csv", header, rows, cfg.resolved_hash(), precision)
         return 0
     except (ConfigurationError, ParameterError, HypothesisViolation, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -615,11 +570,6 @@ def run(subcommand: str, config_path, out_dir=".") -> int:
     except (ConsistencyError, QuadratureError, FraclabError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    finally:
-        # a domain memoizes its kernel tables and each table points back at its
-        # domain, so the I x I pair matrices of a finished subcommand are freed
-        # only by the cycle collector; free them before the caller's next run
-        gc.collect()
 
 
 def main(argv=None) -> int:

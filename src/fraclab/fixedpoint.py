@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, check_unit_interval
-from .grids import GridFunction
+from .grids import GridFunction, lp_norm
 from .operators import (
     apply_B_sq,
     apply_D_s2,
@@ -41,7 +41,7 @@ from .operators import (
     apply_riesz_gradient,
 )
 from .poisson import FactorizedSolver
-from .seminorms import _pair_seminorm
+from .seminorms import ball_membership
 
 __all__ = [
     "RHS_KINDS",
@@ -54,7 +54,6 @@ __all__ = [
     "lemma_g_value",
     "threshold_from_constants",
     "picard_iterate",
-    "ball_membership",
     "manufacture_forcing",
 ]
 
@@ -146,17 +145,14 @@ class IterationReport:
     @cached_property
     def history(self) -> dict[str, list[float]]:
         op = self.solver.operator
-        hN = op.domain.h**op.domain.dimension
-        r = FRAC_HALF_NORM_R
-
-        def frac_half_norm(u: GridFunction) -> float:
-            w = np.abs(apply_frac_power(u, self.spec.s, cutoff_radius=op.table.cutoff_radius).interior)
-            return float((w**r).sum() * hN) ** (1.0 / r)
-
+        R = op.table.cutoff_radius
         return {
             "sup_norm": [float(np.abs(u.interior).max()) for u in self.iterates],
             "energy_norm": [math.sqrt(max(op.energy(u), 0.0)) for u in self.iterates],
-            "frac_half_norm": [frac_half_norm(u) for u in self.iterates],
+            "frac_half_norm": [
+                lp_norm(apply_frac_power(u, self.spec.s, cutoff_radius=R), FRAC_HALF_NORM_R)
+                for u in self.iterates
+            ],
             "successive_diff": list(self.successive_diffs),
         }
 
@@ -398,34 +394,6 @@ def picard_iterate(
         report.ball_seminorm = value
         report.ball_radius = radius
     return report
-
-
-def ball_membership(
-    u: GridFunction,
-    s: float,
-    eps: float,
-    r: float,
-    radius: float,
-) -> tuple[bool, float]:
-    """Test the invariant-ball condition [u]^r_{s+eps, r, D_Omega} <= radius^{r/2}.
-
-    Kernel order (s+eps)*r may exceed 2 here (direct pairwise summation with
-    cell-averaged weights); orders up to N+2 are supported.
-    """
-    if eps <= 0.0 or not 0.0 < s + eps < 1.0:
-        raise ParameterError(f"need 0 < s+eps < 1, got s+eps = {s + eps}")
-    if r < 1.0:
-        raise ParameterError(f"r must be >= 1, got {r}")
-    if radius <= 0.0:
-        raise ParameterError(f"radius must be positive, got {radius}")
-    order = (s + eps) * r
-    N = u.domain.dimension
-    if order >= N + 2.0:
-        raise ParameterError(
-            f"kernel order (s+eps)*r = {order} exceeds the supported bound N+2 = {N + 2}"
-        )
-    value = _pair_seminorm(u, r, order, "d_omega", None, None, True)
-    return value <= radius ** (r / 2.0), value
 
 
 def manufacture_forcing(spec: ProblemSpec, u_star: GridFunction, solver: FactorizedSolver) -> GridFunction:

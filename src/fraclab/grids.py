@@ -161,7 +161,6 @@ class GridDomain:
         for arr in (self.lo, self.hi, self.interior_index, self.interior_coords):
             arr.setflags(write=False)
         self.interior_mask.setflags(write=False)
-        self._tables: dict = {}
 
     @property
     def bbox_diameter(self) -> float:

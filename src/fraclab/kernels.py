@@ -30,13 +30,16 @@ is provided both in closed form and via direct quadrature of the defining
 integral (spherical reduction, log-substitution near 0, pi-length panels with
 an analytic remainder), the latter serving as an independent oracle.
 
-get_table is the one way the operators reach a table.  It memoizes each
-(order, cutoff radius) on the domain and, when FRACLAB_CACHE_DIR is set,
+get_table is the one way any code reaches a table.  It memoizes each
+(order, cutoff radius) per domain and, when FRACLAB_CACHE_DIR is set,
 keeps every table it serves in that directory, one file per domain, order
 and cutoff radius.  The files use a binary format (save_kernel_table /
 load_kernel_table) whose header carries the key fields and a sha256 of the
 weights and kappa; a file that fails any check raises CacheMismatch, and
-get_table then rebuilds it with a warning.
+get_table then rebuilds it with a warning.  The memo is keyed weakly by
+domain and a table holds its domain weakly, so a table serves its domain
+without keeping it alive: when the last reference to a domain goes, its
+tables and their pair matrices go with it, by reference counting alone.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import os
 import struct
 import sys
 import tempfile
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -300,10 +304,12 @@ class KernelTable:
 
     weights is a dense offset array of shape (2M+1,)*N with the zero offset at
     the center index and value 0 there; kappa holds the exterior mass of every
-    interior node, already including the analytic tail.
+    interior node, already including the analytic tail.  The table refers to
+    its domain weakly; once the domain is gone, reading domain raises
+    ParameterError.
     """
 
-    domain: GridDomain
+    _domain: weakref.ref = field(repr=False)
     sigma: float
     cutoff_radius: float
     lattice_radius: int
@@ -314,6 +320,13 @@ class KernelTable:
     kappa: np.ndarray
     shape_hash: str
     _pair: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def domain(self) -> GridDomain:
+        domain = self._domain()
+        if domain is None:
+            raise ParameterError("the domain of this kernel table no longer exists")
+        return domain
 
     def origin_moment(self, p: float) -> float:
         """Integral of |z|^{p-N-sigma} over the origin cell (requires p > sigma)."""
@@ -344,7 +357,7 @@ def _make_table(
     N = domain.dimension
     total = float(W.sum())
     table = KernelTable(
-        domain=domain,
+        _domain=weakref.ref(domain),
         sigma=float(sigma),
         cutoff_radius=R,
         lattice_radius=M,
@@ -390,6 +403,10 @@ def build_kernel_table(
     return _make_table(domain, sigma, R, M, W)
 
 
+# the tables of each live domain by (order, cutoff radius); an entry goes when its domain does
+_MEMO: weakref.WeakKeyDictionary[GridDomain, dict] = weakref.WeakKeyDictionary()
+
+
 def get_table(
     domain: GridDomain,
     sigma: float,
@@ -409,7 +426,8 @@ def get_table(
     _check_order(domain.dimension, sigma, allow_high_order)
     R = resolve_cutoff(domain, cutoff_radius)
     key = (round(float(sigma), 14), R)
-    table = domain._tables.get(key)
+    memo = _MEMO.setdefault(domain, {})
+    table = memo.get(key)
     if table is not None:
         return table
     cache_dir = os.environ.get("FRACLAB_CACHE_DIR")
@@ -430,7 +448,7 @@ def get_table(
                 save_kernel_table(table, path)
             except OSError as exc:
                 print(f"warning: could not write kernel cache {path} ({exc})", file=sys.stderr)
-    domain._tables[key] = table
+    memo[key] = table
     return table
 
 

@@ -1,6 +1,7 @@
 """Discrete nonlocal operators sharing one kernel table per (domain, order).
 
-All operators act on exterior-zero grid functions and return the same.  With
+All operators act on exterior-zero grid functions and return the same, and
+each takes its table from kernels.get_table by order and cutoff radius.  With
 P the interior pair-weight matrix, kappa the exterior mass and T = total+tail
 the full-space weight mass, the signed operators take the form
 
@@ -96,21 +97,11 @@ def _stride2_second_difference(u: GridFunction) -> np.ndarray:
     return (acc / (4.0 * dom.h**2))[dom.interior_mask]
 
 
-def _resolve(u: GridFunction, sigma: float, table: KernelTable | None, cutoff_radius):
-    if table is None:
-        table = get_table(u.domain, sigma, cutoff_radius)
-    elif table.domain is not u.domain:
-        raise ParameterError("kernel table belongs to a different domain")
-    elif abs(table.sigma - sigma) > 1e-12:
-        raise ParameterError(f"kernel table has order {table.sigma}, expected {sigma}")
-    return table
-
-
-def _signed_apply(u: GridFunction, sigma: float, norm: float, table: KernelTable) -> GridFunction:
+def _signed_apply(u: GridFunction, table: KernelTable) -> GridFunction:
     ui = u.interior
     P = table.pair_matrix()
     I02 = table.origin_moment(2.0)
-    out = norm * (
+    out = table.norm_const * (
         (table.total_weight + table.tail) * ui
         - P @ ui
         + 0.5 * I02 * _stride2_second_difference(u)
@@ -121,25 +112,21 @@ def _signed_apply(u: GridFunction, sigma: float, norm: float, table: KernelTable
 def apply_frac_laplacian(
     u: GridFunction,
     s: float,
-    table: KernelTable | None = None,
     cutoff_radius: float | None = None,
 ) -> GridFunction:
     """(-Delta)^s u in symmetrized second-difference form (kernel order 2s)."""
     check_unit_interval("s", s)
-    table = _resolve(u, 2.0 * s, table, cutoff_radius)
-    return _signed_apply(u, 2.0 * s, table.norm_const, table)
+    return _signed_apply(u, get_table(u.domain, 2.0 * s, cutoff_radius))
 
 
 def apply_frac_power(
     u: GridFunction,
     t: float,
-    table: KernelTable | None = None,
     cutoff_radius: float | None = None,
 ) -> GridFunction:
     """(-Delta)^{t/2} u: same structure with kernel order t and constant a_{N,t/2}."""
     check_unit_interval("t", t)
-    table = _resolve(u, t, table, cutoff_radius)
-    return _signed_apply(u, t, table.norm_const, table)
+    return _signed_apply(u, get_table(u.domain, t, cutoff_radius))
 
 
 def pair_power_sum(table: KernelTable, ui: np.ndarray, p: float) -> np.ndarray:
@@ -169,12 +156,11 @@ def pair_power_sum(table: KernelTable, ui: np.ndarray, p: float) -> np.ndarray:
 def apply_D_s2(
     u: GridFunction,
     s: float,
-    table: KernelTable | None = None,
     cutoff_radius: float | None = None,
 ) -> GridFunction:
     """Nonlocal gradient square D_s^2(u); nonnegative at every node."""
     check_unit_interval("s", s)
-    table = _resolve(u, 2.0 * s, table, cutoff_radius)
+    table = get_table(u.domain, 2.0 * s, cutoff_radius)
     ui = u.interior
     P = table.pair_matrix()
     grad = central_gradient(u)
@@ -188,7 +174,6 @@ def apply_B_sq(
     u: GridFunction,
     s: float,
     q: float,
-    table: KernelTable | None = None,
     cutoff_radius: float | None = None,
 ) -> GridFunction:
     """q-th root nonlocal gradient B_s^q(u); reduces to sqrt(D_s^2) at q = 2.
@@ -201,7 +186,7 @@ def apply_B_sq(
     sigma = s * q
     if sigma >= 2.0:
         raise ParameterError(f"kernel order s*q = {sigma} is outside (0,2)")
-    table = _resolve(u, sigma, table, cutoff_radius)
+    table = get_table(u.domain, sigma, cutoff_radius)
     ui = u.interior
     norm = normalization_constant(u.domain.dimension, s)
     grad = central_gradient(u)
@@ -218,7 +203,6 @@ def apply_B_sq(
 def apply_riesz_gradient(
     u: GridFunction,
     s: float,
-    table: KernelTable | None = None,
     cutoff_radius: float | None = None,
 ) -> np.ndarray:
     """Riesz fractional gradient: N columns of values at interior nodes.
@@ -231,7 +215,7 @@ def apply_riesz_gradient(
     grid function with K_k cropped to offsets |z_k| <= n-1, evaluated by FFT.
     """
     check_unit_interval("s", s)
-    table = _resolve(u, s, table, cutoff_radius)
+    table = get_table(u.domain, s, cutoff_radius)
     dom = u.domain
     N = dom.dimension
     n = dom.nodes_per_axis
@@ -256,25 +240,17 @@ def apply_riesz_gradient(
     return out
 
 
-def riesz_potential(
-    g: GridFunction,
-    lam: float,
-) -> GridFunction:
+def riesz_potential(g: GridFunction, lam: float) -> GridFunction:
     """Riesz potential J_lam(g)(x_i) = sum_j g_j * int_{cell j} |x_i - y|^-lam dy.
 
     The coincident cell is included; it is integrable since lam < N.  The
     dense matrix is gathered from the cell-integral lattice on offsets
-    |z_k| <= n-1 and memoized on the domain.
+    |z_k| <= n-1 on every call.
     """
     dom = g.domain
     if not 0.0 < lam < dom.dimension:
         raise ParameterError(f"lambda must lie in (0,N)=(0,{dom.dimension}), got {lam}")
-    key = ("riesz", round(float(lam), 14))
-    V = dom._tables.get(key)
-    if V is None:
-        N, K = dom.dimension, dom.nodes_per_axis - 1
-        W = cell_lattice(N, K, -lam, dom.h, ball=False)
-        W[(K,) * N] = origin_cell_moment(dom.h, N, -lam)
-        V = lattice_gather(W, dom.interior_index)
-        dom._tables[key] = V
-    return dom.from_interior(V @ g.interior)
+    N, K = dom.dimension, dom.nodes_per_axis - 1
+    W = cell_lattice(N, K, -lam, dom.h, ball=False)
+    W[(K,) * N] = origin_cell_moment(dom.h, N, -lam)
+    return dom.from_interior(lattice_gather(W, dom.interior_index) @ g.interior)

@@ -8,10 +8,12 @@ positive definite; one Cholesky factorization serves every right-hand side of
 a Picard run.
 
 The dense path holds three I x I arrays at its peak: the pair matrix P cached
-on the kernel table, the stiffness matrix A, and the Cholesky factor.
-Assembly builds A in one allocation and runs its M-matrix checks on A itself.
-The factor is scanned for non-finite values once, when it is formed; each
-solve then checks only its right-hand side, in O(I).
+on the kernel table, the stiffness matrix A, and the Cholesky factor.  The
+table is the one kernels.get_table serves every module for this domain and
+order; it and its P are freed with the domain.  Assembly builds A in one
+allocation and runs its M-matrix checks on A itself.  The factor is scanned
+for non-finite values once, when it is formed; each solve then checks only
+its right-hand side, in O(I).
 """
 
 from __future__ import annotations
@@ -59,16 +61,10 @@ class StiffnessOperator:
         return FactorizedSolver(self)
 
 
-def assemble(
-    domain: GridDomain,
-    s: float,
-    table: KernelTable | None = None,
-    cutoff_radius: float | None = None,
-) -> StiffnessOperator:
+def assemble(domain: GridDomain, s: float, cutoff_radius: float | None = None) -> StiffnessOperator:
     """Assemble the interior stiffness matrix and verify its M-matrix structure."""
     check_unit_interval("s", s)
-    if table is None:
-        table = get_table(domain, 2.0 * s, cutoff_radius)
+    table = get_table(domain, 2.0 * s, cutoff_radius)
     a = table.norm_const
     P = table.pair_matrix()
     n = domain.interior_count

@@ -10,7 +10,9 @@ adds both exterior blocks (each contributing |u_i|^p kappa_i once); for
 exterior-zero functions the full-space value coincides with d_omega.  Because
 the weights, kappa and the origin moment are shared with the operator module,
 the decomposition identity against the nonlocal gradient square and the
-operator energy identity hold to machine precision.
+operator energy identity hold to machine precision.  ball_membership sums
+the same pairs at orders up to N+2 for the invariant-ball check of the
+fixed-point driver.
 
 The sharp Hardy constant is evaluated from its one-dimensional double
 integral
@@ -39,15 +41,15 @@ from scipy.special import betaln, hyp2f1
 
 from .errors import ParameterError, QuadratureError, check_unit_interval
 from .grids import GridFunction, lp_norm
-from .kernels import KernelTable, get_table, sphere_area
+from .kernels import get_table, sphere_area
 from .operators import central_gradient, pair_power_sum
 
 __all__ = [
     "REGIONS",
-    "SeminormSpec",
     "HardyResult",
     "SobolevCheckResult",
     "gagliardo_double_sum",
+    "ball_membership",
     "sobolev_check",
     "hardy_constant",
     "hardy_constant_mc",
@@ -58,22 +60,6 @@ __all__ = [
 REGIONS = ("omega_omega", "d_omega", "full_space")
 
 _U_SWITCH = 1e-8  # 1 - sigma below which the endpoint asymptotics take over
-
-
-@dataclass(frozen=True)
-class SeminormSpec:
-    """Parameters of a Gagliardo seminorm: order s, power p, pair region."""
-
-    s: float
-    p: float
-    region: str = "d_omega"
-
-    def __post_init__(self):
-        check_unit_interval("s", self.s)
-        if self.p < 1.0:
-            raise ParameterError(f"p must be >= 1, got {self.p}")
-        if self.region not in REGIONS:
-            raise ParameterError(f"region must be one of {REGIONS}, got {self.region!r}")
 
 
 @dataclass(frozen=True)
@@ -94,17 +80,10 @@ class SobolevCheckResult:
 
 
 def _pair_seminorm(
-    u: GridFunction,
-    p: float,
-    order: float,
-    region: str,
-    table: KernelTable | None,
-    cutoff_radius,
-    allow_high_order: bool,
+    u: GridFunction, p: float, order: float, region: str, cutoff_radius, allow_high_order: bool
 ) -> float:
     dom = u.domain
-    if table is None:
-        table = get_table(dom, order, cutoff_radius, allow_high_order)
+    table = get_table(dom, order, cutoff_radius, allow_high_order)
     ui = u.interior
     pairs = float(pair_power_sum(table, ui, p).sum())
     grad = central_gradient(u)
@@ -121,21 +100,52 @@ def gagliardo_double_sum(
     p: float,
     s: float,
     region: str = "d_omega",
-    table: KernelTable | None = None,
     cutoff_radius: float | None = None,
 ) -> float:
     """Discrete Gagliardo p-power sum of order s over the given pair region.
 
-    Requires kernel order s*p < 2; higher orders are rejected (the ball
-    membership check in the fixed-point driver use its own direct summation).
+    Requires kernel order s*p < 2; higher orders are rejected (the invariant-
+    ball check, ball_membership, sums them directly).
     """
-    spec = SeminormSpec(s=s, p=p, region=region)
+    check_unit_interval("s", s)
+    if p < 1.0:
+        raise ParameterError(f"p must be >= 1, got {p}")
+    if region not in REGIONS:
+        raise ParameterError(f"region must be one of {REGIONS}, got {region!r}")
     order = s * p
     if order >= 2.0:
         raise ParameterError(
             f"kernel order s*p = {order} is outside the supported range (0,2)"
         )
-    return _pair_seminorm(u, p, order, spec.region, table, cutoff_radius, False)
+    return _pair_seminorm(u, p, order, region, cutoff_radius, False)
+
+
+def ball_membership(
+    u: GridFunction,
+    s: float,
+    eps: float,
+    r: float,
+    radius: float,
+) -> tuple[bool, float]:
+    """Test the invariant-ball condition [u]^r_{s+eps, r, D_Omega} <= radius^{r/2}.
+
+    Kernel order (s+eps)*r may exceed 2 here (direct pairwise summation with
+    cell-averaged weights); orders up to N+2 are supported.
+    """
+    if eps <= 0.0 or not 0.0 < s + eps < 1.0:
+        raise ParameterError(f"need 0 < s+eps < 1, got s+eps = {s + eps}")
+    if r < 1.0:
+        raise ParameterError(f"r must be >= 1, got {r}")
+    if radius <= 0.0:
+        raise ParameterError(f"radius must be positive, got {radius}")
+    order = (s + eps) * r
+    N = u.domain.dimension
+    if order >= N + 2.0:
+        raise ParameterError(
+            f"kernel order (s+eps)*r = {order} exceeds the supported bound N+2 = {N + 2}"
+        )
+    value = _pair_seminorm(u, r, order, "d_omega", None, True)
+    return value <= radius ** (r / 2.0), value
 
 
 def sobolev_check(u: GridFunction, s: float, p: float) -> SobolevCheckResult:
@@ -298,13 +308,7 @@ def hardy_constant_mc(
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
-def hardy_ratio(
-    phi: GridFunction,
-    s: float,
-    p: float,
-    weight_exponent: float,
-    table: KernelTable | None = None,
-) -> float:
+def hardy_ratio(phi: GridFunction, s: float, p: float, weight_exponent: float) -> float:
     """Quotient [phi]^p_{s,p,D_Omega} / int |phi|^p |x|^-weight_exponent dx.
 
     Requires an origin-offset grid (no node at 0) and a nonzero denominator.
@@ -313,7 +317,7 @@ def hardy_ratio(
     radii = np.linalg.norm(dom.interior_coords, axis=1)
     if radii.min() < 1e-12 * dom.h:
         raise ParameterError("grid has a node at the origin; use origin_offset=True")
-    num = gagliardo_double_sum(phi, p, s, "d_omega", table=table)
+    num = gagliardo_double_sum(phi, p, s, "d_omega")
     den = float(
         (np.abs(phi.interior) ** p * radii ** (-weight_exponent)).sum()
         * dom.h**dom.dimension

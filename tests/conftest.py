@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,11 @@ def table_builds(monkeypatch):
 
     monkeypatch.setattr(kernels, "build_kernel_table", counted)
     return builds
+
+
+@pytest.fixture
+def no_gc():
+    """Run the test with the cycle collector off, so only reference counting frees objects."""
+    gc.disable()
+    yield
+    gc.enable()

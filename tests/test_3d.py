@@ -32,9 +32,10 @@ def test_3d_solve_and_energy_identity(setup3d):
     dom, tab = setup3d
     s = 0.6
     u = sample(lambda x, y, z: np.maximum(1 - (x * x + y * y + z * z) / 0.64, 0) ** 2, dom)
-    op = assemble(dom, s, table=tab)
+    R = tab.cutoff_radius
+    op = assemble(dom, s, cutoff_radius=R)
     v = solve_poisson(op.factorize(), u)
     assert v.interior.min() >= 0.0
     lhs = op.energy(u)
-    rhs = 0.5 * tab.norm_const * gagliardo_double_sum(u, 2.0, s, "d_omega", table=tab)
+    rhs = 0.5 * tab.norm_const * gagliardo_double_sum(u, 2.0, s, "d_omega", cutoff_radius=R)
     assert lhs == pytest.approx(rhs, rel=1e-13)

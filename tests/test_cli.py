@@ -134,9 +134,9 @@ def test_iterate_uses_solver_cutoff(tmp_path, monkeypatch, table_builds):
     assert sorted(table_builds) == [(0.6, R), (1.2, R)]
 
 
-def test_run_frees_its_domains(tmp_path, monkeypatch):
-    # a domain and its memoized kernel tables form a reference cycle; the pair
-    # matrices must not outlive the run until some later collection
+def test_run_frees_its_domains(tmp_path, monkeypatch, no_gc):
+    # with the cycle collector off, reference counting alone must free every
+    # domain of a run, and with it the memoized tables and their pair matrices
     built = []
     build = cli._build_domain
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,12 +9,17 @@ from fraclab import (
     Ball,
     ConfigurationError,
     ParameterError,
+    apply_D_s2,
+    apply_riesz_gradient,
+    assemble,
     build_domain,
     build_kernel_table,
     get_table,
     load_kernel_table,
     normalization_constant,
     normalization_constant_quadrature,
+    riesz_potential,
+    sample,
     save_kernel_table,
     sphere_area,
 )
@@ -168,6 +174,30 @@ def test_get_table_loads_from_cache_dir(tmp_path, monkeypatch, table_builds):
     assert loaded.weights.tobytes() == built.weights.tobytes()
     assert loaded.kappa.tobytes() == built.kappa.tobytes()
     assert get_table(dom, 1.2) is loaded
+
+
+def test_dropped_domain_frees_its_tables(no_gc):
+    # a table holds its domain weakly and the memo is keyed weakly by domain,
+    # so reference counting alone frees the domain, its tables and their P
+    dom = build_domain(Ball(center=(0.0, 0.0), radius=1.0), 16, margin_cells=2)
+    u = sample(lambda x, y: 1.0 - x**2 - y**2, dom)
+    assemble(dom, 0.6)
+    apply_D_s2(u, 0.6)
+    apply_riesz_gradient(u, 0.6)
+    riesz_potential(u, 1.3)
+    refs = [weakref.ref(dom), weakref.ref(get_table(dom, 1.2)), weakref.ref(get_table(dom, 0.6))]
+    assert refs[1]()._pair is not None
+    del dom, u
+    assert all(ref() is None for ref in refs)
+
+
+def test_orphaned_table_raises(tmp_path):
+    table = get_table(_small_domain(), 1.2)
+    with pytest.raises(ParameterError, match="domain of this kernel table no longer exists"):
+        table.domain
+    with pytest.raises(ParameterError, match="no longer exists"):
+        save_kernel_table(table, tmp_path / "orphan.flkt")
+    assert not list(tmp_path.iterdir())
 
 
 def test_cached_high_order_file_needs_allow_high_order(tmp_path, monkeypatch):

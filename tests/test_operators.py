@@ -196,12 +196,6 @@ def test_riesz_gradient_potential_bound(dom1d_small):
     assert np.all(g <= bound * 1.05 + 1e-12)
 
 
-def test_table_domain_mismatch(dom1d, dom2d, bump1d):
-    tab2 = get_table(dom2d, 2 * S)
-    with pytest.raises(ParameterError):
-        apply_frac_laplacian(bump1d, S, table=tab2)
-
-
 def _dense_riesz_gradient(u, table):
     # the direct pair sum sum_j (z_j - z_i)_k/|z_j - z_i| w_ij u_j over interior j
     dom = u.domain
@@ -233,7 +227,7 @@ def test_riesz_gradient_matches_dense_sum(shape, n, offset, tight_cutoff):
         dom,
     )
     table = get_table(dom, S, cutoff)
-    g = apply_riesz_gradient(u, S, table=table)
+    g = apply_riesz_gradient(u, S, cutoff_radius=cutoff)
     ref = _dense_riesz_gradient(u, table)
     assert g.shape == ref.shape
     assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -280,5 +274,4 @@ def test_riesz_potential_matrix_matches_offset_rows(N, n, lam, origin_offset):
     V = vals.reshape(len(ij), len(ij))
     g = dom.from_interior(np.cos(3.0 * dom.interior_coords).prod(axis=1))
     got = riesz_potential(g, lam)
-    assert np.array_equal(dom._tables[("riesz", round(lam, 14))], V)
     assert np.array_equal(got.interior, V @ g.interior)

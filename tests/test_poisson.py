@@ -19,6 +19,7 @@ from fraclab import (
     solution_operator_continuity,
     solve_poisson,
 )
+from fraclab import poisson
 
 S = 0.6
 
@@ -221,25 +222,25 @@ def _doctored(table, how):
         ("negative_total", "diagonal must be positive"),
     ],
 )
-def test_assemble_rejects_what_reference_rejects(dom1d_small, how, message):
+def test_assemble_rejects_what_reference_rejects(dom1d_small, monkeypatch, how, message):
     table = _doctored(get_table(dom1d_small, 2.0 * S), how)
+    monkeypatch.setattr(poisson, "get_table", lambda *args: table)
     if message is None:
-        A = assemble(dom1d_small, S, table=table).matrix
+        A = assemble(dom1d_small, S).matrix
         assert A.tobytes() == _reference_assemble(dom1d_small, S, table).tobytes()
         return
     with pytest.raises(ConsistencyError, match=message) as ref:
         _reference_assemble(dom1d_small, S, table)
     with pytest.raises(ConsistencyError) as new:
-        assemble(dom1d_small, S, table=table)
+        assemble(dom1d_small, S)
     assert str(new.value) == str(ref.value)
 
 
 def test_assemble_allocates_only_the_stiffness_matrix(dom2d):
-    table = get_table(dom2d, 2.0 * S)
-    table.pair_matrix()
+    get_table(dom2d, 2.0 * S).pair_matrix()
     tracemalloc.start()
     try:
-        assemble(dom2d, S, table=table)
+        assemble(dom2d, S)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
