@@ -8,9 +8,10 @@ Every CSV starts with a comment line carrying the sha256 of the fully
 resolved configuration, so re-running a config reproduces its outputs
 bit for bit.  Exit codes: 0 success, 2 validation error, 3 numerical failure.
 
-The domain's cutoff_factor sets the kernel cutoff radius in bounding-box
-diameters.  Kernel tables come from kernels.get_table, which also keeps them
-in FRACLAB_CACHE_DIR when that is set.
+The [domain] cutoff_factor sets the kernel cutoff radius of the domain in
+bounding-box diameters; every subcommand that builds a domain honours it.
+Kernel tables come from kernels.get_table, which also keeps them in
+FRACLAB_CACHE_DIR when that is set.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     QuadratureError,
 )
 from .fixedpoint import IterationConfig, ProblemSpec, picard_iterate
-from .grids import Annulus, Ball, Box, GridDomain, GridFunction, build_domain, sample
+from .grids import Annulus, Ball, Box, GridDomain, GridFunction, build_domain, node_radii, sample
 from .nonexistence import bump_family, certify as certify_family, lambda_star_star
 from .operators import apply_D_s2, apply_frac_laplacian, central_gradient
 from .poisson import assemble, solve_poisson
@@ -258,11 +259,8 @@ def _build_domain(dcfg: dict) -> GridDomain:
         dcfg["nodes_per_axis"],
         margin_cells=dcfg["margin_cells"],
         origin_offset=dcfg["origin_offset"],
+        cutoff_factor=dcfg["cutoff_factor"],
     )
-
-
-def _cutoff(domain: GridDomain, dcfg: dict) -> float:
-    return dcfg["cutoff_factor"] * domain.bbox_diameter
 
 
 def _field(spec: str, domain: GridDomain) -> GridFunction:
@@ -272,10 +270,7 @@ def _field(spec: str, domain: GridDomain) -> GridFunction:
         return sample(lambda *cs: np.full_like(cs[0], v), domain)
     if kind == "power":
         beta = float(arg)
-        r = np.linalg.norm(domain.interior_coords, axis=1)
-        if r.min() <= 0.0:
-            raise ConfigurationError("power-law field needs an origin-offset grid")
-        return domain.from_interior(r ** (-beta))
+        return domain.from_interior(node_radii(domain) ** (-beta))
     if kind == "bump":
         rho = float(arg)
         r2 = (domain.interior_coords**2).sum(axis=1)
@@ -348,7 +343,7 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     for n in levels:
         dcfg["nodes_per_axis"] = n
         dom = _build_domain(dcfg)
-        solver = assemble(dom, s, cutoff_radius=_cutoff(dom, dcfg)).factorize()
+        solver = assemble(dom, s).factorize()
         f = _field(cfg["problem"]["f"], dom)
         sols.append((n, dom, solve_poisson(solver, f)))
     n_f, dom_f, u_f = sols[-1]
@@ -367,7 +362,7 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 def _run_iterate(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     dom = _build_domain(cfg["domain"])
     spec = _problem_from_config(cfg, dom)
-    solver = assemble(dom, spec.s, cutoff_radius=_cutoff(dom, cfg["domain"])).factorize()
+    solver = assemble(dom, spec.s).factorize()
     it = IterationConfig(
         tolerance=cfg["run"]["tolerance"],
         max_iter=cfg["run"]["max_iter"],
@@ -398,7 +393,7 @@ def _run_iterate(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 def _run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     dom = _build_domain(cfg["domain"])
     s = cfg["problem"]["s"]
-    solver = assemble(dom, s, cutoff_radius=_cutoff(dom, cfg["domain"])).factorize()
+    solver = assemble(dom, s).factorize()
     it = IterationConfig(tolerance=cfg["run"]["tolerance"], max_iter=cfg["run"]["max_iter"])
     rows = []
     for lam in cfg["run"]["lambda_sweep"]:
@@ -462,10 +457,6 @@ def _run_exponents(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 
 
 def _run_certify(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    if cfg["domain"]["cutoff_factor"] != 4.0:
-        # the certificates use the default cutoff; the key stays in the schema
-        # so that the resolved-config hash of existing certify configs holds
-        raise ConfigurationError("certify uses the default kernel cutoff; [domain] cutoff_factor must be 4.0")
     dom = _build_domain(cfg["domain"])
     s = cfg["problem"]["s"]
     mu1 = cfg["problem"]["mu1"]
@@ -481,6 +472,7 @@ def _run_certify(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
         ).reshape(-1, dom.dimension)
     ]
     family = []
+    dropped = 0
     for c in centers:
         for rho in cfg["run"]["bump_rhos"]:
             if isinstance(dom.shape, Ball):
@@ -490,8 +482,14 @@ def _run_certify(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
                 )
                 rho = min(rho, 0.95 * room)
                 if rho <= dom.h:
+                    dropped += 1
                     continue
             family.extend(bump_family(dom, [c], [rho]))
+    if dropped and not family:
+        raise ConfigurationError(
+            f"all {dropped} bumps dropped: each radius, clipped to fit inside the ball, "
+            f"is at most h = {dom.h:.4g}; raise nodes_per_axis"
+        )
     rows = []
     for lam in cfg["run"]["lambda_values"]:
         ok, best = certify_family(lam, f, mu1, s, family)

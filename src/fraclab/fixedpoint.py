@@ -14,7 +14,8 @@ non-finite iterates or a sup-norm runaway.  The loop keeps only what the
 verdict needs, the iterates and their successive differences; the history
 norms (sup, energy and the L^r norm of (-Delta)^{s/2} u) are computed from the
 stored iterates the first time a report's history is read.  Every operator
-uses the cutoff radius of the solver's kernel table.  The closed-form root of
+reads its kernel table at the cutoff radius of the shared domain.  The
+closed-form root of
 
     g(t) = a^p (b t + c*)^p - t,   c* = (p-1)/p * (1/(p a^p b))^{1/(p-1)}
 
@@ -145,12 +146,11 @@ class IterationReport:
     @cached_property
     def history(self) -> dict[str, list[float]]:
         op = self.solver.operator
-        R = op.table.cutoff_radius
         return {
             "sup_norm": [float(np.abs(u.interior).max()) for u in self.iterates],
             "energy_norm": [math.sqrt(max(op.energy(u), 0.0)) for u in self.iterates],
             "frac_half_norm": [
-                lp_norm(apply_frac_power(u, self.spec.s, cutoff_radius=R), FRAC_HALF_NORM_R)
+                lp_norm(apply_frac_power(u, self.spec.s), FRAC_HALF_NORM_R)
                 for u in self.iterates
             ],
             "successive_diff": list(self.successive_diffs),
@@ -262,20 +262,19 @@ def threshold_from_constants(constants: ThresholdConstants, scheme: str) -> Thre
     )
 
 
-def _rhs_eval(spec: ProblemSpec, u: GridFunction, cutoff_radius: float | None = None) -> np.ndarray:
+def _rhs_eval(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
     mu = spec.mu.interior
     base = spec.lam * spec.f.interior
-    R = cutoff_radius
     if spec.rhs_kind == "D_s2":
-        return mu * apply_D_s2(u, spec.s, cutoff_radius=R).interior + base
+        return mu * apply_D_s2(u, spec.s).interior + base
     if spec.rhs_kind == "u_times_D_s2":
-        return mu * u.interior * apply_D_s2(u, spec.s, cutoff_radius=R).interior + base
+        return mu * u.interior * apply_D_s2(u, spec.s).interior + base
     if spec.rhs_kind == "abs_frac_power_q":
-        return mu * np.abs(apply_frac_power(u, spec.t, cutoff_radius=R).interior) ** spec.q + base
+        return mu * np.abs(apply_frac_power(u, spec.t).interior) ** spec.q + base
     if spec.rhs_kind == "riesz_grad_q":
-        g = apply_riesz_gradient(u, spec.s, cutoff_radius=R)
+        g = apply_riesz_gradient(u, spec.s)
         return mu * ((g**2).sum(axis=1)) ** (spec.q / 2.0) + base
-    b = apply_B_sq(u, spec.s, spec.q, cutoff_radius=R).interior
+    b = apply_B_sq(u, spec.s, spec.q).interior
     return mu * b**spec.alpha + base
 
 
@@ -315,7 +314,6 @@ def picard_iterate(
         )
     _warn_integrability_window(spec)
     dom = spec.domain
-    R = solver.operator.table.cutoff_radius
 
     base = solver.solve_vector(spec.lam * spec.f.interior)
     base_sup = float(np.abs(base).max()) if base.size else 0.0
@@ -329,7 +327,7 @@ def picard_iterate(
     diffs: list[float] = []
     u = dom.zeros()
 
-    rhs0 = _rhs_eval(spec, u, R)
+    rhs0 = _rhs_eval(spec, u)
     if not np.any(rhs0):
         return IterationReport(
             verdict="converged",
@@ -348,7 +346,7 @@ def picard_iterate(
     rhs = rhs0
     for k in range(1, config.max_iter + 1):
         if k > 1:
-            rhs = _rhs_eval(spec, u, R)
+            rhs = _rhs_eval(spec, u)
         if not np.all(np.isfinite(rhs)):
             verdict, iterations = "diverged", k
             break
@@ -371,7 +369,7 @@ def picard_iterate(
 
     final_residual = None
     if verdict == "converged":
-        rhs = _rhs_eval(spec, u, R)
+        rhs = _rhs_eval(spec, u)
         num = float(np.linalg.norm(solver.operator.matrix @ u.interior - rhs))
         den = float(np.linalg.norm(rhs))
         final_residual = num / max(den, 1e-300)
@@ -403,6 +401,6 @@ def manufacture_forcing(spec: ProblemSpec, u_star: GridFunction, solver: Factori
     nonlinear part of the right-hand side from the stiffness action.
     """
     zero_f = replace(spec, f=spec.domain.zeros())
-    nonlinear = _rhs_eval(zero_f, u_star, solver.operator.table.cutoff_radius)
+    nonlinear = _rhs_eval(zero_f, u_star)
     f_vec = (solver.operator.matrix @ u_star.interior - nonlinear) / spec.lam
     return spec.domain.from_interior(f_vec)

@@ -29,6 +29,7 @@ __all__ = [
     "GridDomain",
     "GridFunction",
     "build_domain",
+    "node_radii",
     "sample",
     "integrate",
     "lp_norm",
@@ -114,9 +115,12 @@ class GridDomain:
         h: grid spacing, identical on all axes
         shape: the Shape whose predicate defines the interior
         interior_mask: boolean array of shape (n,)*N
+        cutoff_radius: read-only radius R at which every kernel table of this
+            domain truncates |x-y|^-(N+sigma); None gives four bounding-box
+            diameters
     """
 
-    def __init__(self, shape: Shape, lo, hi, nodes_per_axis: int):
+    def __init__(self, shape: Shape, lo, hi, nodes_per_axis: int, cutoff_radius: float | None = None):
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
@@ -136,6 +140,12 @@ class GridDomain:
         self.nodes_per_axis = n
         self.h = float(spacings[0])
         self.shape = shape
+        R = 4.0 * self.bbox_diameter if cutoff_radius is None else float(cutoff_radius)
+        if not R >= self.bbox_diameter + self.h:
+            raise ConfigurationError(
+                f"cutoff radius {R:.4g} smaller than bounding-box diameter + one cell"
+            )
+        self._cutoff_radius = R
 
         axes = [lo[k] + (np.arange(n) + 0.5) * self.h for k in range(self.dimension)]
         self.axis_centers = axes
@@ -161,6 +171,10 @@ class GridDomain:
         for arr in (self.lo, self.hi, self.interior_index, self.interior_coords):
             arr.setflags(write=False)
         self.interior_mask.setflags(write=False)
+
+    @property
+    def cutoff_radius(self) -> float:
+        return self._cutoff_radius
 
     @property
     def bbox_diameter(self) -> float:
@@ -242,11 +256,13 @@ def build_domain(
     nodes_per_axis: int,
     margin_cells: int = 1,
     origin_offset: bool = False,
+    cutoff_factor: float = 4.0,
 ) -> GridDomain:
     """Build a cube bounding box around `shape` with an exterior margin.
 
     The cube edge is the largest shape extent plus `margin_cells` cells on each
-    side, so h solves  h * (nodes_per_axis - 2*margin_cells) = extent.
+    side, so h solves  h * (nodes_per_axis - 2*margin_cells) = extent.  The
+    kernel cutoff radius is cutoff_factor bounding-box diameters.
     """
     if margin_cells < 1:
         raise ConfigurationError("margin_cells must be >= 1")
@@ -265,7 +281,15 @@ def build_domain(
     if origin_offset:
         lo = lo + h / 2.0
         hi = hi + h / 2.0
-    return GridDomain(shape, lo, hi, n)
+    return GridDomain(shape, lo, hi, n, cutoff_factor * float(np.linalg.norm(hi - lo)))
+
+
+def node_radii(domain: GridDomain) -> np.ndarray:
+    """Distances |x_i| of the interior nodes; ParameterError if a node sits at the origin."""
+    r = np.linalg.norm(domain.interior_coords, axis=1)
+    if r.min() < 1e-12 * domain.h:
+        raise ParameterError("grid has a node at the origin; use origin_offset=True")
+    return r
 
 
 def sample(expr, domain: GridDomain) -> GridFunction:

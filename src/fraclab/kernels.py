@@ -4,7 +4,8 @@ Every nonlocal operator here is driven by translation-invariant weights
 
     w_z = integral over cell(z) of |y|^-(N+sigma) dy,   z in Z^N \\ {0},
 
-accumulated for lattice offsets with |z| h <= R, plus an analytic far-field
+accumulated for lattice offsets with |z| h <= R, the cutoff radius of the
+domain (GridDomain.cutoff_radius), plus an analytic far-field
 tail  omega_{N-1} R^-sigma / sigma  for the mass beyond the cutoff.  Cell
 averaging (exact antiderivatives in 1D, tensor-midpoint subdivision in 2D/3D)
 keeps every weight positive and symmetric, which is what gives the assembled
@@ -30,10 +31,10 @@ is provided both in closed form and via direct quadrature of the defining
 integral (spherical reduction, log-substitution near 0, pi-length panels with
 an analytic remainder), the latter serving as an independent oracle.
 
-get_table is the one way any code reaches a table.  It memoizes each
-(order, cutoff radius) per domain and, when FRACLAB_CACHE_DIR is set,
-keeps every table it serves in that directory, one file per domain, order
-and cutoff radius.  The files use a binary format (save_kernel_table /
+get_table is the one way any code reaches a table.  It memoizes each order
+per domain and, when FRACLAB_CACHE_DIR is set, keeps every table it serves
+in that directory, one file per domain and order; the file name carries the
+domain's cutoff radius.  The files use a binary format (save_kernel_table /
 load_kernel_table) whose header carries the key fields and a sha256 of the
 weights and kappa; a file that fails any check raises CacheMismatch, and
 get_table then rebuilds it with a warning.  The memo is keyed weakly by
@@ -75,7 +76,6 @@ __all__ = [
     "cell_kernel_integrals",
     "cell_lattice",
     "lattice_gather",
-    "resolve_cutoff",
 ]
 
 CACHE_MAGIC = b"FLKT"
@@ -341,13 +341,8 @@ class KernelTable:
         return self._pair
 
 
-def resolve_cutoff(domain: GridDomain, cutoff_radius: float | None = None) -> float:
-    """Cutoff radius R of the table; the default is four bounding-box diameters."""
-    return 4.0 * domain.bbox_diameter if cutoff_radius is None else float(cutoff_radius)
-
-
 def _make_table(
-    domain: GridDomain, sigma: float, R: float, M: int, W: np.ndarray, kappa: np.ndarray | None = None
+    domain: GridDomain, sigma: float, M: int, W: np.ndarray, kappa: np.ndarray | None = None
 ) -> KernelTable:
     """Complete a weight lattice with the tail, normalization and exterior mass.
 
@@ -359,7 +354,7 @@ def _make_table(
     table = KernelTable(
         _domain=weakref.ref(domain),
         sigma=float(sigma),
-        cutoff_radius=R,
+        cutoff_radius=domain.cutoff_radius,
         lattice_radius=M,
         weights=W,
         total_weight=total,
@@ -380,52 +375,35 @@ def _check_order(N: int, sigma: float, allow_high_order: bool) -> None:
         raise ParameterError(f"kernel order sigma must lie in (0,{cap}), got {sigma}")
 
 
-def build_kernel_table(
-    domain: GridDomain,
-    sigma: float,
-    cutoff_radius: float | None = None,
-    allow_high_order: bool = False,
-) -> KernelTable:
-    """Build the weight table of order sigma (kernel exponent N + sigma).
+def build_kernel_table(domain: GridDomain, sigma: float, allow_high_order: bool = False) -> KernelTable:
+    """Build the weight table of order sigma (kernel exponent N + sigma) at the domain's cutoff.
 
     sigma must lie in (0,2) for operator use; seminorm machinery may pass
     allow_high_order=True to reach orders up to N+2 (no normalization then).
     """
     N = domain.dimension
     _check_order(N, sigma, allow_high_order)
-    R = resolve_cutoff(domain, cutoff_radius)
-    if R < domain.bbox_diameter + domain.h:
-        raise ConfigurationError(
-            f"cutoff radius {R:.4g} smaller than bounding-box diameter + one cell"
-        )
-    M = int(math.floor(R / domain.h))
+    M = int(math.floor(domain.cutoff_radius / domain.h))
     W = cell_lattice(N, M, -(N + sigma), domain.h, ball=True)
-    return _make_table(domain, sigma, R, M, W)
+    return _make_table(domain, sigma, M, W)
 
 
-# the tables of each live domain by (order, cutoff radius); an entry goes when its domain does
+# the tables of each live domain by order; an entry goes when its domain does
 _MEMO: weakref.WeakKeyDictionary[GridDomain, dict] = weakref.WeakKeyDictionary()
 
 
-def get_table(
-    domain: GridDomain,
-    sigma: float,
-    cutoff_radius: float | None = None,
-    allow_high_order: bool = False,
-) -> KernelTable:
+def get_table(domain: GridDomain, sigma: float, allow_high_order: bool = False) -> KernelTable:
     """The table of order sigma on domain: memoized, then disk-cached, then built.
 
-    Tables are immutable once built, so each (order, cutoff radius) is built
-    once per domain; None and the default radius passed explicitly name the
-    same table.  When FRACLAB_CACHE_DIR is set, a table missing from the memo
-    is loaded from that directory, or built and saved there; a cache file that
-    fails its checks is rebuilt with a warning.  The order is checked before
+    Tables are immutable once built, so each order is built once per domain,
+    at the domain's cutoff radius.  When FRACLAB_CACHE_DIR is set, a table
+    missing from the memo is loaded from that directory, or built and saved
+    there; a cache file that fails its checks is rebuilt with a warning.  The order is checked before
     the cache is read, so a high-order file never serves a call that did not
     allow high orders.
     """
     _check_order(domain.dimension, sigma, allow_high_order)
-    R = resolve_cutoff(domain, cutoff_radius)
-    key = (round(float(sigma), 14), R)
+    key = round(float(sigma), 14)
     memo = _MEMO.setdefault(domain, {})
     table = memo.get(key)
     if table is not None:
@@ -433,15 +411,15 @@ def get_table(
     cache_dir = os.environ.get("FRACLAB_CACHE_DIR")
     path = None
     if cache_dir:
-        name = f"{domain.shape_hash()[:16]}_{float(sigma)!r}_{R!r}_{domain.nodes_per_axis}.flkt"
+        name = f"{domain.shape_hash()[:16]}_{float(sigma)!r}_{domain.cutoff_radius!r}_{domain.nodes_per_axis}.flkt"
         path = Path(cache_dir) / name
     if path is not None and path.exists():
         try:
-            table = load_kernel_table(path, domain, sigma, R)
+            table = load_kernel_table(path, domain, sigma)
         except CacheMismatch as exc:
             print(f"warning: rebuilding kernel cache {path} ({exc})", file=sys.stderr)
     if table is None:
-        table = build_kernel_table(domain, sigma, R, allow_high_order)
+        table = build_kernel_table(domain, sigma, allow_high_order)
         if path is not None:
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -505,9 +483,9 @@ def save_kernel_table(table: KernelTable, path) -> None:
         raise
 
 
-def load_kernel_table(path, domain: GridDomain, sigma: float, cutoff_radius: float | None = None) -> KernelTable:
+def load_kernel_table(path, domain: GridDomain, sigma: float) -> KernelTable:
     """Load a cached table; raises CacheMismatch unless all key fields and the payload digest agree."""
-    R = resolve_cutoff(domain, cutoff_radius)
+    R = domain.cutoff_radius
     try:
         with open(path, "rb") as fh:
             raw = fh.read(_HEADER.size)
@@ -540,6 +518,6 @@ def load_kernel_table(path, domain: GridDomain, sigma: float, cutoff_radius: flo
         raise CacheMismatch("payload sha256 does not match the header")
 
     try:
-        return _make_table(domain, sigma, R, M, W, kap)
+        return _make_table(domain, sigma, M, W, kap)
     except ConfigurationError as exc:
         raise CacheMismatch(str(exc)) from exc

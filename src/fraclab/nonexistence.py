@@ -80,16 +80,21 @@ def certify(
     """True iff lam exceeds the best (smallest) certificate of the family.
 
     family yields (id, GridFunction) pairs; members with nonpositive pairing
-    are skipped, and an empty admissible family is an error.
+    are skipped.  An empty family, or one whose pairings are all nonpositive,
+    is an error.
     """
     best: Certificate | None = None
+    members = 0
     for phi_id, phi in family:
+        members += 1
         try:
             cert = lambda_star_star(phi, f, mu1, s, phi_id=phi_id)
         except ParameterError:
             continue
         if best is None or cert.value < best.value:
             best = cert
+    if members == 0:
+        raise ParameterError("no admissible test function: the family is empty")
     if best is None:
         raise ParameterError("no admissible test function: all pairings were nonpositive")
     return lam > best.value, best

@@ -1,7 +1,8 @@
 """Discrete nonlocal operators sharing one kernel table per (domain, order).
 
 All operators act on exterior-zero grid functions and return the same, and
-each takes its table from kernels.get_table by order and cutoff radius.  With
+each takes its table from kernels.get_table by order, at the cutoff radius
+of the domain.  With
 P the interior pair-weight matrix, kappa the exterior mass and T = total+tail
 the full-space weight mass, the signed operators take the form
 
@@ -109,24 +110,16 @@ def _signed_apply(u: GridFunction, table: KernelTable) -> GridFunction:
     return u.domain.from_interior(out)
 
 
-def apply_frac_laplacian(
-    u: GridFunction,
-    s: float,
-    cutoff_radius: float | None = None,
-) -> GridFunction:
+def apply_frac_laplacian(u: GridFunction, s: float) -> GridFunction:
     """(-Delta)^s u in symmetrized second-difference form (kernel order 2s)."""
     check_unit_interval("s", s)
-    return _signed_apply(u, get_table(u.domain, 2.0 * s, cutoff_radius))
+    return _signed_apply(u, get_table(u.domain, 2.0 * s))
 
 
-def apply_frac_power(
-    u: GridFunction,
-    t: float,
-    cutoff_radius: float | None = None,
-) -> GridFunction:
+def apply_frac_power(u: GridFunction, t: float) -> GridFunction:
     """(-Delta)^{t/2} u: same structure with kernel order t and constant a_{N,t/2}."""
     check_unit_interval("t", t)
-    return _signed_apply(u, get_table(u.domain, t, cutoff_radius))
+    return _signed_apply(u, get_table(u.domain, t))
 
 
 def pair_power_sum(table: KernelTable, ui: np.ndarray, p: float) -> np.ndarray:
@@ -153,14 +146,10 @@ def pair_power_sum(table: KernelTable, ui: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def apply_D_s2(
-    u: GridFunction,
-    s: float,
-    cutoff_radius: float | None = None,
-) -> GridFunction:
+def apply_D_s2(u: GridFunction, s: float) -> GridFunction:
     """Nonlocal gradient square D_s^2(u); nonnegative at every node."""
     check_unit_interval("s", s)
-    table = get_table(u.domain, 2.0 * s, cutoff_radius)
+    table = get_table(u.domain, 2.0 * s)
     ui = u.interior
     P = table.pair_matrix()
     grad = central_gradient(u)
@@ -170,12 +159,7 @@ def apply_D_s2(
     return u.domain.from_interior(np.maximum(out, 0.0))
 
 
-def apply_B_sq(
-    u: GridFunction,
-    s: float,
-    q: float,
-    cutoff_radius: float | None = None,
-) -> GridFunction:
+def apply_B_sq(u: GridFunction, s: float, q: float) -> GridFunction:
     """q-th root nonlocal gradient B_s^q(u); reduces to sqrt(D_s^2) at q = 2.
 
     Uses the kernel of order s*q (exponent N + s*q), so s*q < 2 is required.
@@ -186,7 +170,7 @@ def apply_B_sq(
     sigma = s * q
     if sigma >= 2.0:
         raise ParameterError(f"kernel order s*q = {sigma} is outside (0,2)")
-    table = get_table(u.domain, sigma, cutoff_radius)
+    table = get_table(u.domain, sigma)
     ui = u.interior
     norm = normalization_constant(u.domain.dimension, s)
     grad = central_gradient(u)
@@ -200,11 +184,7 @@ def apply_B_sq(
     return u.domain.from_interior(out)
 
 
-def apply_riesz_gradient(
-    u: GridFunction,
-    s: float,
-    cutoff_radius: float | None = None,
-) -> np.ndarray:
+def apply_riesz_gradient(u: GridFunction, s: float) -> np.ndarray:
     """Riesz fractional gradient: N columns of values at interior nodes.
 
     Component k at node i is  sum_j (u_i - u_j) ((x_i - x_j)_k/|x_i - x_j|) w_ij
@@ -215,7 +195,7 @@ def apply_riesz_gradient(
     grid function with K_k cropped to offsets |z_k| <= n-1, evaluated by FFT.
     """
     check_unit_interval("s", s)
-    table = get_table(u.domain, s, cutoff_radius)
+    table = get_table(u.domain, s)
     dom = u.domain
     N = dom.dimension
     n = dom.nodes_per_axis

@@ -61,10 +61,10 @@ class StiffnessOperator:
         return FactorizedSolver(self)
 
 
-def assemble(domain: GridDomain, s: float, cutoff_radius: float | None = None) -> StiffnessOperator:
+def assemble(domain: GridDomain, s: float) -> StiffnessOperator:
     """Assemble the interior stiffness matrix and verify its M-matrix structure."""
     check_unit_interval("s", s)
-    table = get_table(domain, 2.0 * s, cutoff_radius)
+    table = get_table(domain, 2.0 * s)
     a = table.norm_const
     P = table.pair_matrix()
     n = domain.interior_count

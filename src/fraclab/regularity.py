@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HypothesisViolation, ParameterError, check_unit_interval
-from .grids import Ball, GridDomain, GridFunction, build_domain
+from .grids import Ball, GridDomain, GridFunction, build_domain, node_radii
 from .operators import apply_frac_power
 from .poisson import assemble, solve_poisson
 from .seminorms import gagliardo_double_sum
@@ -264,9 +264,7 @@ def power_law_cell_average(domain: GridDomain, beta: float) -> GridFunction:
         hi = x + h / 2
         vals = (hi**e - lo**e) / (e * h)
         return domain.from_interior(vals)
-    r = np.linalg.norm(coords, axis=1)
-    if r.min() < 1e-12 * h:
-        raise ParameterError("node at the origin; use an origin-offset grid")
+    r = node_radii(domain)
     vals = r ** (-beta)
     near = r < 4.0 * h
     if near.any():
@@ -368,8 +366,5 @@ def counterexample_data(N: int, s: float, m: float, eps: float, domain: GridDoma
     origin = np.zeros((1, N))
     if not bool(domain.shape.contains(origin)[0]):
         raise ParameterError("the origin must lie inside the domain shape")
-    r = np.linalg.norm(domain.interior_coords, axis=1)
-    if r.min() < 1e-12 * domain.h:
-        raise ParameterError("grid has a node at the origin; use origin_offset=True")
     beta = (N - eps) / m
-    return domain.from_interior(r ** (-beta))
+    return domain.from_interior(node_radii(domain) ** (-beta))

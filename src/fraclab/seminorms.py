@@ -40,7 +40,7 @@ from scipy.integrate import quad
 from scipy.special import betaln, hyp2f1
 
 from .errors import ParameterError, QuadratureError, check_unit_interval
-from .grids import GridFunction, lp_norm
+from .grids import GridFunction, lp_norm, node_radii
 from .kernels import get_table, sphere_area
 from .operators import central_gradient, pair_power_sum
 
@@ -79,11 +79,9 @@ class SobolevCheckResult:
     p: float
 
 
-def _pair_seminorm(
-    u: GridFunction, p: float, order: float, region: str, cutoff_radius, allow_high_order: bool
-) -> float:
+def _pair_seminorm(u: GridFunction, p: float, order: float, region: str, allow_high_order: bool) -> float:
     dom = u.domain
-    table = get_table(dom, order, cutoff_radius, allow_high_order)
+    table = get_table(dom, order, allow_high_order)
     ui = u.interior
     pairs = float(pair_power_sum(table, ui, p).sum())
     grad = central_gradient(u)
@@ -95,13 +93,7 @@ def _pair_seminorm(
     return (pairs + kap + origin) * dom.h**dom.dimension
 
 
-def gagliardo_double_sum(
-    u: GridFunction,
-    p: float,
-    s: float,
-    region: str = "d_omega",
-    cutoff_radius: float | None = None,
-) -> float:
+def gagliardo_double_sum(u: GridFunction, p: float, s: float, region: str = "d_omega") -> float:
     """Discrete Gagliardo p-power sum of order s over the given pair region.
 
     Requires kernel order s*p < 2; higher orders are rejected (the invariant-
@@ -117,7 +109,7 @@ def gagliardo_double_sum(
         raise ParameterError(
             f"kernel order s*p = {order} is outside the supported range (0,2)"
         )
-    return _pair_seminorm(u, p, order, region, cutoff_radius, False)
+    return _pair_seminorm(u, p, order, region, False)
 
 
 def ball_membership(
@@ -144,7 +136,7 @@ def ball_membership(
         raise ParameterError(
             f"kernel order (s+eps)*r = {order} exceeds the supported bound N+2 = {N + 2}"
         )
-    value = _pair_seminorm(u, r, order, "d_omega", None, True)
+    value = _pair_seminorm(u, r, order, "d_omega", True)
     return value <= radius ** (r / 2.0), value
 
 
@@ -199,6 +191,12 @@ def hardy_phi_weight(N: int, s: float, p: float, sigma: float) -> float:
     return _phi_quad(N, (N + p * s) / 2.0, sigma)[0]
 
 
+def _check_hardy_args(s: float, p: float) -> None:
+    check_unit_interval("s", s)
+    if p <= 1.0:
+        raise ParameterError(f"p must exceed 1, got {p}")
+
+
 def hardy_constant(N: int, s: float, p: float, tol: float = 1e-6) -> HardyResult:
     """Sharp Hardy constant Lambda_{N,s,p} by nested adaptive quadrature.
 
@@ -207,9 +205,7 @@ def hardy_constant(N: int, s: float, p: float, tol: float = 1e-6) -> HardyResult
     """
     if N < 2:
         raise ParameterError(f"hardy_constant requires N >= 2, got {N}")
-    check_unit_interval("s", s)
-    if p <= 1.0:
-        raise ParameterError(f"p must exceed 1, got {p}")
+    _check_hardy_args(s, p)
 
     beta = (N + p * s) / 2.0
     k = (N - p * s) / p
@@ -279,8 +275,7 @@ def hardy_constant_mc(
     """
     if N < 2:
         raise ParameterError(f"hardy_constant_mc requires N >= 2, got {N}")
-    if not 0.0 < s < 1.0 or p <= 1.0:
-        raise ParameterError("require s in (0,1) and p > 1")
+    _check_hardy_args(s, p)
     rng = np.random.default_rng(seed)
     beta = (N + p * s) / 2.0
     k = (N - p * s) / p
@@ -314,9 +309,7 @@ def hardy_ratio(phi: GridFunction, s: float, p: float, weight_exponent: float) -
     Requires an origin-offset grid (no node at 0) and a nonzero denominator.
     """
     dom = phi.domain
-    radii = np.linalg.norm(dom.interior_coords, axis=1)
-    if radii.min() < 1e-12 * dom.h:
-        raise ParameterError("grid has a node at the origin; use origin_offset=True")
+    radii = node_radii(dom)
     num = gagliardo_double_sum(phi, p, s, "d_omega")
     den = float(
         (np.abs(phi.interior) ** p * radii ** (-weight_exponent)).sum()

@@ -16,8 +16,8 @@ from fraclab import (
 
 @pytest.fixture(scope="module")
 def setup3d():
-    dom = build_domain(Ball(center=(0.0, 0.0, 0.0), radius=1.0), 10, margin_cells=1)
-    tab = get_table(dom, 1.2, cutoff_radius=2.0 * dom.bbox_diameter)
+    dom = build_domain(Ball(center=(0.0, 0.0, 0.0), radius=1.0), 10, margin_cells=1, cutoff_factor=2.0)
+    tab = get_table(dom, 1.2)
     return dom, tab
 
 
@@ -32,10 +32,10 @@ def test_3d_solve_and_energy_identity(setup3d):
     dom, tab = setup3d
     s = 0.6
     u = sample(lambda x, y, z: np.maximum(1 - (x * x + y * y + z * z) / 0.64, 0) ** 2, dom)
-    R = tab.cutoff_radius
-    op = assemble(dom, s, cutoff_radius=R)
+    assert tab.cutoff_radius == 2.0 * dom.bbox_diameter
+    op = assemble(dom, s)
     v = solve_poisson(op.factorize(), u)
     assert v.interior.min() >= 0.0
     lhs = op.energy(u)
-    rhs = 0.5 * tab.norm_const * gagliardo_double_sum(u, 2.0, s, "d_omega", cutoff_radius=R)
+    rhs = 0.5 * tab.norm_const * gagliardo_double_sum(u, 2.0, s, "d_omega")
     assert lhs == pytest.approx(rhs, rel=1e-13)

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
+import fraclab
 from fraclab import Ball, StiffnessOperator, build_domain, fixedpoint
 from fraclab import cli
 from fraclab.cli import ExperimentConfig, run
@@ -302,21 +305,54 @@ lambda_values = 1.0
 """
 
 
-def test_certify_rejects_cutoff_factor(tmp_path, capsys):
-    # certify builds its tables at the default cutoff, so another factor is refused
+def test_certify_honours_cutoff_factor(tmp_path, table_builds):
+    # the cutoff belongs to the domain, so certify builds its table there
     text = CERTIFY_CFG.replace("margin_cells = 4", "margin_cells = 4\ncutoff_factor = 6.0")
-    cfg = _write(tmp_path, "c.ini", text)
-    assert run("certify", cfg, tmp_path / "out") == 2
-    assert "cutoff_factor" in capsys.readouterr().err
-    assert run("certify", _write(tmp_path, "d.ini", CERTIFY_CFG), tmp_path / "out") == 0
+    assert run("certify", _write(tmp_path, "c.ini", text), tmp_path / "out") == 0
+    bbox = build_domain(Ball(center=(0.0,), radius=1.0), 40, margin_cells=4).bbox_diameter
+    assert table_builds == [(1.2, 6.0 * bbox)]
+
+
+CERTIFY_3D_CFG = """
+[domain]
+dimension = 3
+nodes_per_axis = 9
+margin_cells = 1
+
+[problem]
+s = 0.5
+
+[run]
+lambda_values = 1.0
+bump_centers = 2
+"""
+
+
+def test_certify_names_bumps_clipped_below_h(tmp_path, capsys):
+    # every centre sits 0.8 from the origin, so each clipped radius is 0.19 < h
+    assert run("certify", _write(tmp_path, "c3.ini", CERTIFY_3D_CFG), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "all 24 bumps dropped" in err and "clipped" in err and "h = 0.2857" in err
+    assert "nonpositive" not in err
+
+
+def test_power_field_refuses_a_node_at_the_origin(tmp_path, capsys):
+    # 81 nodes on a symmetric box put the middle node at the origin
+    text = SWEEP_CFG.replace("nodes_per_axis = 80", "nodes_per_axis = 81").replace("f = bump:0.9", "f = power:0.5")
+    assert run("sweep", _write(tmp_path, "p.ini", text), tmp_path / "out") == 2
+    assert "grid has a node at the origin; use origin_offset=True" in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path):
     cfg = _write(tmp_path, "exp.ini", EXP_CFG)
+    # the child imports the same fraclab as this process, installed or not
+    src = str(Path(fraclab.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "fraclab.cli", "exponents", "--config", str(cfg), "--out", str(tmp_path / "o")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
 

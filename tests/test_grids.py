@@ -13,10 +13,14 @@ from fraclab import (
     GridDomain,
     ParameterError,
     build_domain,
+    counterexample_data,
+    hardy_ratio,
     integrate,
     lp_norm,
+    power_law_cell_average,
     sample,
 )
+from fraclab.grids import node_radii
 
 
 def test_ball_1d_nine_nodes_seven_interior():
@@ -150,3 +154,30 @@ def test_lp_norm_absolute_homogeneity(c, p):
     dom = build_domain(Ball(center=(0.0,), radius=1.0), 40, margin_cells=4)
     u = sample(lambda x: 1.0 - x**2, dom)
     assert lp_norm(c * u, p) == pytest.approx(abs(c) * lp_norm(u, p), rel=1e-12, abs=0.0)
+
+
+def _origin_node_grid():
+    # an odd node count on a symmetric box puts the middle node at the origin
+    return build_domain(Ball(center=(0.0, 0.0), radius=1.0), 9, margin_cells=1)
+
+
+def test_node_radii_refuses_a_node_at_the_origin():
+    with pytest.raises(ParameterError, match="node at the origin"):
+        node_radii(_origin_node_grid())
+    dom = build_domain(Ball(center=(0.0, 0.0), radius=1.0), 9, margin_cells=1, origin_offset=True)
+    assert node_radii(dom) == pytest.approx(np.linalg.norm(dom.interior_coords, axis=1), rel=0, abs=0)
+    assert node_radii(dom).min() > 0.5 * dom.h
+
+
+@pytest.mark.parametrize(
+    "caller",
+    [
+        lambda dom: hardy_ratio(sample(lambda x, y: 1.0 - x**2 - y**2, dom), 0.6, 2.0, 1.2),
+        lambda dom: counterexample_data(2, 0.6, 1.0, 0.5, dom),
+        lambda dom: power_law_cell_average(dom, 0.5),
+    ],
+    ids=["hardy_ratio", "counterexample_data", "power_law_cell_average"],
+)
+def test_origin_node_check_is_shared(caller):
+    with pytest.raises(ParameterError, match="^grid has a node at the origin; use origin_offset=True$"):
+        caller(_origin_node_grid())

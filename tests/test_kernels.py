@@ -8,16 +8,25 @@ import pytest
 from fraclab import (
     Ball,
     ConfigurationError,
+    GridDomain,
+    IterationConfig,
     ParameterError,
+    ProblemSpec,
+    apply_B_sq,
     apply_D_s2,
+    apply_frac_laplacian,
+    apply_frac_power,
     apply_riesz_gradient,
     assemble,
+    ball_membership,
     build_domain,
     build_kernel_table,
+    gagliardo_double_sum,
     get_table,
     load_kernel_table,
     normalization_constant,
     normalization_constant_quadrature,
+    picard_iterate,
     riesz_potential,
     sample,
     save_kernel_table,
@@ -84,10 +93,14 @@ def test_weight_sum_bounded_by_fullspace(dom1d):
     assert tab.total_weight + tab.tail >= 0.9 * full
 
 
+def _with_cutoff(dom, R):
+    return GridDomain(dom.shape, dom.lo, dom.hi, dom.nodes_per_axis, cutoff_radius=R)
+
+
 def test_tail_formula_and_monotonicity(dom2d):
     sigma = 1.5
-    t_small = build_kernel_table(dom2d, sigma, cutoff_radius=6.0)
-    t_big = build_kernel_table(dom2d, sigma, cutoff_radius=12.0)
+    t_small = build_kernel_table(_with_cutoff(dom2d, 6.0), sigma)
+    t_big = build_kernel_table(_with_cutoff(dom2d, 12.0), sigma)
     assert t_big.tail < t_small.tail
     R_eff = (t_small.lattice_radius + 0.5) * dom2d.h
     assert t_small.tail == pytest.approx(
@@ -96,8 +109,33 @@ def test_tail_formula_and_monotonicity(dom2d):
 
 
 def test_cutoff_too_small_rejected(dom1d):
-    with pytest.raises(ConfigurationError):
-        build_kernel_table(dom1d, 1.0, cutoff_radius=0.5 * dom1d.bbox_diameter)
+    # the cutoff is a domain property, checked where the domain is built
+    with pytest.raises(ConfigurationError, match="cutoff radius"):
+        _with_cutoff(dom1d, 0.5 * dom1d.bbox_diameter)
+    with pytest.raises(ConfigurationError, match="cutoff radius"):
+        build_domain(dom1d.shape, dom1d.nodes_per_axis, margin_cells=20, cutoff_factor=0.5)
+    with pytest.raises(ConfigurationError, match="cutoff radius"):
+        build_domain(dom1d.shape, dom1d.nodes_per_axis, margin_cells=20, cutoff_factor=math.nan)
+    assert _with_cutoff(dom1d, dom1d.bbox_diameter + dom1d.h).cutoff_radius == dom1d.bbox_diameter + dom1d.h
+
+
+def test_domain_cutoff_reaches_every_table_reader(table_builds):
+    # each reader asks for its own order, so each builds a table, and every
+    # build is at the cutoff the domain was made with
+    dom = build_domain(Ball(center=(0.0,), radius=1.0), 40, margin_cells=4, cutoff_factor=6.0)
+    u = sample(lambda x: np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 2, dom)
+    solver = assemble(dom, 0.6).factorize()
+    apply_frac_laplacian(u, 0.4)
+    apply_frac_power(u, 0.5)
+    apply_D_s2(u, 0.35)
+    apply_B_sq(u, 0.6, 1.5)
+    apply_riesz_gradient(u, 0.45)
+    gagliardo_double_sum(u, 1.8, 0.6)
+    ball_membership(u, 0.6, 0.1, 3.0, 1.0)
+    spec = ProblemSpec(rhs_kind="riesz_grad_q", s=0.6, lam=0.02, mu=u, f=u, q=1.5)
+    picard_iterate(spec, IterationConfig(max_iter=5), solver, ball_check=(0.2, 2.0, 1.0)).history
+    orders = [1.2, 0.8, 0.5, 0.7, 0.6 * 1.5, 0.45, 0.6 * 1.8, (0.6 + 0.1) * 3.0, 0.6, (0.6 + 0.2) * 2.0]
+    assert sorted(table_builds) == sorted((sigma, 6.0 * dom.bbox_diameter) for sigma in orders)
 
 
 def test_order_out_of_range_rejected(dom1d):
@@ -166,9 +204,9 @@ def test_get_table_loads_from_cache_dir(tmp_path, monkeypatch, table_builds):
     built = get_table(_small_domain(), 1.2)
     assert len(table_builds) == 1
     # an equal domain in the same process loads the file, and the default
-    # cutoff passed explicitly names the same file
-    dom = _small_domain()
-    loaded = get_table(dom, 1.2, 4.0 * dom.bbox_diameter)
+    # cutoff factor passed explicitly names the same file
+    dom = build_domain(Ball(center=(0.0,), radius=1.0), 40, margin_cells=4, cutoff_factor=4.0)
+    loaded = get_table(dom, 1.2)
     assert len(table_builds) == 1
     assert len(list(cachedir.iterdir())) == 1
     assert loaded.weights.tobytes() == built.weights.tobytes()
@@ -345,9 +383,10 @@ def _ref_table(domain, sigma, R):
     ],
 )
 def test_table_matches_full_lattice_build(N, n, sigma, cutoff_factor, high):
-    dom = build_domain(Ball(center=(0.0,) * N, radius=1.0), n, margin_cells=2)
-    R = None if cutoff_factor is None else cutoff_factor * dom.bbox_diameter
-    tab = build_kernel_table(dom, sigma, R, allow_high_order=high)
+    dom = build_domain(
+        Ball(center=(0.0,) * N, radius=1.0), n, margin_cells=2, cutoff_factor=cutoff_factor or 4.0
+    )
+    tab = build_kernel_table(dom, sigma, allow_high_order=high)
     W, total, kappa = _ref_table(dom, sigma, tab.cutoff_radius)
     assert np.array_equal(tab.weights, W)
     assert tab.total_weight == total

@@ -88,11 +88,12 @@ def test_certify_growing_family_never_increases_min(setup2d):
 
 
 def test_certify_empty_family_raises(setup2d):
+    # an empty family and one with no positive pairing are told apart
     dom, f, _ = setup2d
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="the family is empty"):
         certify(1.0, f, 1.0, S, [])
     f_neg = sample(lambda x, y: -np.ones_like(x), dom)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="all pairings were nonpositive"):
         certify(1.0, f_neg, 1.0, S, bump_family(dom, [(0.0, 0.0)], [0.5]))
 
 

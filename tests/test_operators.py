@@ -6,6 +6,7 @@ import pytest
 from fraclab import (
     Annulus,
     Ball,
+    GridDomain,
     ParameterError,
     apply_B_sq,
     apply_D_s2,
@@ -221,13 +222,14 @@ def _dense_riesz_gradient(u, table):
 )
 def test_riesz_gradient_matches_dense_sum(shape, n, offset, tight_cutoff):
     dom = build_domain(shape, n, margin_cells=2, origin_offset=offset)
-    cutoff = dom.bbox_diameter + dom.h if tight_cutoff else None
+    if tight_cutoff:
+        dom = GridDomain(shape, dom.lo, dom.hi, n, cutoff_radius=dom.bbox_diameter + dom.h)
     u = sample(
         lambda *x: np.exp(-sum((xk - 0.2 * (k + 1)) ** 2 for k, xk in enumerate(x))) + 0.3 * x[0],
         dom,
     )
-    table = get_table(dom, S, cutoff)
-    g = apply_riesz_gradient(u, S, cutoff_radius=cutoff)
+    table = get_table(dom, S)
+    g = apply_riesz_gradient(u, S)
     ref = _dense_riesz_gradient(u, table)
     assert g.shape == ref.shape
     assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()

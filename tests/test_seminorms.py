@@ -151,6 +151,14 @@ def test_hardy_constant_validation():
         hardy_constant(2, 0.6, 2.0, tol=1e-16)
 
 
+@pytest.mark.parametrize("fn", [hardy_constant, hardy_constant_mc])
+def test_hardy_functions_share_argument_check(fn):
+    with pytest.raises(ParameterError, match=r"^s must lie in \(0,1\), got 1.2$"):
+        fn(2, 1.2, 2.0)
+    with pytest.raises(ParameterError, match="^p must exceed 1, got 1.0$"):
+        fn(2, 0.6, 1.0)
+
+
 def test_hardy_ratio_scale_invariance(dom2d):
     phi = radial_bump(dom2d, (0.1, 0.0), 0.5)
     r1 = hardy_ratio(phi, S, 2.0, 2.0 * S)
