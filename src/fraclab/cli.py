@@ -339,13 +339,14 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     if len(levels) < 2:
         raise ConfigurationError("solve needs at least two levels")
     s = cfg["problem"]["s"]
+    # each level keeps only its solution, so its stiffness matrix and factor
+    # are freed before the next level assembles
     sols = []
     for n in levels:
         dcfg["nodes_per_axis"] = n
         dom = _build_domain(dcfg)
-        solver = assemble(dom, s).factorize()
-        f = _field(cfg["problem"]["f"], dom)
-        sols.append((n, dom, solve_poisson(solver, f)))
+        u = solve_poisson(assemble(dom, s).factorize(), _field(cfg["problem"]["f"], dom))
+        sols.append((n, dom, u))
     n_f, dom_f, u_f = sols[-1]
     rows = []
     prev_err = None
@@ -462,12 +463,16 @@ def _run_certify(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     mu1 = cfg["problem"]["mu1"]
     f = _field(cfg["problem"]["f"], dom)
     n_c = cfg["run"]["bump_centers"]
+    if n_c < 1:
+        raise ConfigurationError(f"bump_centers must be at least 1, got {n_c}")
     lo, hi = dom.lo.min(), dom.hi.max()
     span = 0.4 * (hi - lo)
+    # one centre per axis sits at the origin, not at the corner of the span
+    axis = np.linspace(-span / 2, span / 2, n_c) if n_c != 1 else np.zeros(1)
     centers = [
         tuple(c)
         for c in np.stack(
-            np.meshgrid(*([np.linspace(-span / 2, span / 2, n_c)] * dom.dimension), indexing="ij"),
+            np.meshgrid(*([axis] * dom.dimension), indexing="ij"),
             axis=-1,
         ).reshape(-1, dom.dimension)
     ]

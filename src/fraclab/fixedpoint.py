@@ -370,7 +370,7 @@ def picard_iterate(
     final_residual = None
     if verdict == "converged":
         rhs = _rhs_eval(spec, u)
-        num = float(np.linalg.norm(solver.operator.matrix @ u.interior - rhs))
+        num = float(np.linalg.norm(solver.operator.matvec(u.interior) - rhs))
         den = float(np.linalg.norm(rhs))
         final_residual = num / max(den, 1e-300)
 
@@ -402,5 +402,5 @@ def manufacture_forcing(spec: ProblemSpec, u_star: GridFunction, solver: Factori
     """
     zero_f = replace(spec, f=spec.domain.zeros())
     nonlinear = _rhs_eval(zero_f, u_star)
-    f_vec = (solver.operator.matrix @ u_star.interior - nonlinear) / spec.lam
+    f_vec = (solver.operator.matvec(u_star.interior) - nonlinear) / spec.lam
     return spec.domain.from_interior(f_vec)

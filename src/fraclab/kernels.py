@@ -76,6 +76,8 @@ __all__ = [
     "cell_kernel_integrals",
     "cell_lattice",
     "lattice_gather",
+    "lattice_row_sums",
+    "available_memory",
 ]
 
 CACHE_MAGIC = b"FLKT"
@@ -251,23 +253,80 @@ def cell_lattice(N: int, K: int, exponent: float, h: float, ball: bool) -> np.nd
     return orthant[np.ix_(*[mirror] * N)]
 
 
-def lattice_gather(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Dense matrix with entries weights[center + index_i - index_j].
+def available_memory() -> int | None:
+    """Bytes of memory available to a new allocation, or None where it cannot be read.
+
+    Reads MemAvailable from /proc/meminfo and falls back to the free physical
+    pages that os.sysconf reports.
+    """
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, AttributeError):
+        return None
+
+
+def _gathered_rows(weights: np.ndarray, index: np.ndarray, out: np.ndarray | None = None):
+    """Yield (i0, i1, block): rows i0:i1 of the matrix weights[center + index_i - index_j].
 
     weights is an offset lattice of odd side length with the zero offset at
     its center; entries are gathered from the flat array at linear offsets
-    center + lin_i - lin_j, one block of rows at a time.
+    center + lin_i - lin_j, PAIR_BLOCK_ROWS rows at a time.  Each block is a
+    view of out when it is given, and otherwise one reused scratch buffer.
     """
     shape = weights.shape
     W = weights.reshape(-1)
     lin = np.ravel_multi_index(index.T, shape)
     center = np.ravel_multi_index(tuple(k // 2 for k in shape), shape)
     n = len(lin)
-    out = np.empty((n, n))
+    scratch = np.empty((min(PAIR_BLOCK_ROWS, n), n)) if out is None else None
     for i0 in range(0, n, PAIR_BLOCK_ROWS):
         i1 = min(i0 + PAIR_BLOCK_ROWS, n)
-        np.take(W, (center + lin[i0:i1, None]) - lin[None, :], out=out[i0:i1])
+        block = out[i0:i1] if out is not None else scratch[: i1 - i0]
+        np.take(W, (center + lin[i0:i1, None]) - lin[None, :], out=block)
+        yield i0, i1, block
+
+
+def lattice_gather(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Dense matrix with entries weights[center + index_i - index_j].
+
+    This is where every I x I array of the package is allocated.  It first
+    estimates the array's 8 I^2 bytes and raises ConfigurationError, naming
+    the estimate, when that exceeds the memory available.
+    """
+    n = len(index)
+    need = 8 * n * n
+    avail = available_memory()
+    if avail is not None and need > avail:
+        raise ConfigurationError(
+            f"a dense {n} x {n} float64 array needs {need / 2**20:.1f} MB, "
+            f"but only {avail / 2**20:.1f} MB of memory is available; use fewer nodes"
+        )
+    out = np.empty((n, n))
+    for _ in _gathered_rows(weights, index, out):
+        pass
     return out
+
+
+def lattice_row_sums(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Row sums of lattice_gather(weights, index) with its diagonal zeroed.
+
+    Sums one row block at a time, so no I x I array is allocated; each row is
+    summed as a contiguous row of the full matrix would be, so the sums equal
+    the full matrix's row sums bit for bit.
+    """
+    sums = np.empty(len(index))
+    for i0, i1, block in _gathered_rows(weights, index):
+        rows = np.arange(i1 - i0)
+        block[rows, rows + i0] = 0.0
+        block.sum(axis=1, out=sums[i0:i1])
+    return sums
 
 
 def origin_cell_moment(h: float, N: int, power: float) -> float:
@@ -346,8 +405,8 @@ def _make_table(
 ) -> KernelTable:
     """Complete a weight lattice with the tail, normalization and exterior mass.
 
-    kappa is computed from the pair row sums unless given (a cache load); it
-    must be positive either way.
+    kappa is computed from the pair row sums, block by block without the pair
+    matrix, unless given (a cache load); it must be positive either way.
     """
     N = domain.dimension
     total = float(W.sum())
@@ -363,7 +422,9 @@ def _make_table(
         kappa=np.empty(0),
         shape_hash=domain.shape_hash(),
     )
-    table.kappa = total + table.tail - table.pair_matrix().sum(axis=1) if kappa is None else kappa
+    if kappa is None:
+        kappa = total + table.tail - lattice_row_sums(W, domain.interior_index)
+    table.kappa = kappa
     if not np.all(table.kappa > 0):
         raise ConfigurationError("exterior mass kappa must be positive on a bounded domain")
     return table

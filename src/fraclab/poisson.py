@@ -7,25 +7,31 @@ nonpositive off-diagonal, strictly dominant thanks to kappa_i > 0), hence
 positive definite; one Cholesky factorization serves every right-hand side of
 a Picard run.
 
-The dense path holds three I x I arrays at its peak: the pair matrix P cached
-on the kernel table, the stiffness matrix A, and the Cholesky factor.  The
-table is the one kernels.get_table serves every module for this domain and
-order; it and its P are freed with the domain.  Assembly builds A in one
-allocation and runs its M-matrix checks on A itself.  The factor is scanned
-for non-finite values once, when it is formed; each solve then checks only
-its right-hand side, in O(I).
+The dense path holds one I x I array from assembly to the last solve, so an
+8 GB machine reaches about I = 3 * 10^4.  Assembly gathers A straight from the
+kernel table's weight lattice, with no pair matrix, and runs its M-matrix
+checks on A itself.  The Cholesky factor L overwrites the upper triangle of
+the C-ordered A in place (LAPACK dpotrf on its Fortran-ordered transpose);
+the strict lower triangle keeps A's off-diagonal entries and the operator
+keeps A's diagonal as a vector, so A u is still available, before and after
+factorization, from BLAS dsymv on that triangle plus a diagonal correction.
+The factor is checked for non-finite values once, when it is formed, through
+its diagonal; each solve then checks only its right-hand side, in O(I).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
+from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dpotrf
 
 from .errors import ConsistencyError, ParameterError, check_unit_interval
 from .grids import GridDomain, GridFunction, lp_norm
-from .kernels import KernelTable, get_table
+from .kernels import KernelTable, get_table, lattice_gather
 from .seminorms import gagliardo_double_sum
 
 __all__ = [
@@ -42,23 +48,44 @@ RESIDUAL_TOL = 1e-10
 
 @dataclass
 class StiffnessOperator:
-    """Dense symmetric discrete (-Delta)^s over interior nodes."""
+    """Dense symmetric discrete (-Delta)^s over interior nodes.
+
+    diagonal holds the diagonal of A.  The matrix is readable until the first
+    factorize(), which overwrites its upper triangle with the Cholesky factor;
+    matvec, apply and energy work before and after.
+    """
 
     domain: GridDomain
     s: float
-    matrix: np.ndarray
     table: KernelTable
+    diagonal: np.ndarray
+    _matrix: np.ndarray = field(repr=False)
+    # the solver that factorized _matrix, held weakly so the two form no cycle
+    _solver: weakref.ref | None = field(default=None, repr=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._solver is not None:
+            raise ParameterError("the stiffness matrix was factorized in place; use apply()")
+        return self._matrix
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """A v from the intact lower triangle of the stored array and the kept diagonal."""
+        A = self._matrix
+        return dsymv(1.0, A.T, v, lower=0) + (self.diagonal - A.diagonal()) * v
 
     def apply(self, u: GridFunction) -> GridFunction:
-        return self.domain.from_interior(self.matrix @ u.interior)
+        return self.domain.from_interior(self.matvec(u.interior))
 
     def energy(self, u: GridFunction) -> float:
         """<A u, u>_h; equals (a/2) * gagliardo d_omega sum by weight sharing."""
         ui = u.interior
-        return float(ui @ (self.matrix @ ui)) * self.domain.h**self.domain.dimension
+        return float(ui @ self.matvec(ui)) * self.domain.h**self.domain.dimension
 
     def factorize(self) -> "FactorizedSolver":
-        return FactorizedSolver(self)
+        """The Cholesky solver; factorizes in place once, later calls return the same solver."""
+        solver = self._solver() if self._solver is not None else None
+        return solver if solver is not None else FactorizedSolver(self)
 
 
 def assemble(domain: GridDomain, s: float) -> StiffnessOperator:
@@ -66,9 +93,9 @@ def assemble(domain: GridDomain, s: float) -> StiffnessOperator:
     check_unit_interval("s", s)
     table = get_table(domain, 2.0 * s)
     a = table.norm_const
-    P = table.pair_matrix()
     n = domain.interior_count
-    A = np.negative(P)
+    A = lattice_gather(table.weights, domain.interior_index)
+    np.negative(A, out=A)
     idx = np.arange(n)
     A[idx, idx] = table.total_weight + table.tail
 
@@ -101,30 +128,42 @@ def assemble(domain: GridDomain, s: float) -> StiffnessOperator:
     row_excess = A.sum(axis=1)
     if not np.all(row_excess > 0):
         raise ConsistencyError("stiffness rows must be strictly diagonally dominant")
-    return StiffnessOperator(domain=domain, s=s, matrix=A, table=table)
+    return StiffnessOperator(domain=domain, s=s, table=table, diagonal=diag, _matrix=A)
 
 
 class FactorizedSolver:
-    """Cholesky factorization of a StiffnessOperator, reusable across solves."""
+    """Cholesky factorization of a StiffnessOperator, reusable across solves.
+
+    The first solver of an operator factorizes its matrix in place; a solver
+    made for an operator already factorized reuses that factor.
+    """
 
     def __init__(self, operator: StiffnessOperator):
         self.operator = operator
         self.domain = operator.domain
-        try:
-            self._chol = cho_factor(operator.matrix, lower=True)
-        except np.linalg.LinAlgError as exc:  # unreachable given the M-matrix checks
-            raise ConsistencyError(f"stiffness factorization failed: {exc}") from exc
+        # A is symmetric, so its C-ordered buffer read in Fortran order is A
+        # again; dpotrf writes L over that view's lower triangle, which is the
+        # upper triangle of the C-ordered array
+        self._factor = operator._matrix.T
+        first = operator._solver is None
+        operator._solver = weakref.ref(self)
+        info = dpotrf(self._factor, lower=1, clean=0, overwrite_a=1)[1] if first else 0
+        # LAPACK stops at a nonpositive pivot, and a non-finite entry of L
+        # makes the diagonal entry of its row non-finite
+        d = self._factor.diagonal()
+        if info != 0 or not np.all((d > 0) & (d < np.inf)):
+            raise ConsistencyError(f"stiffness factorization failed (LAPACK info {info})")
 
     def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A v = rhs; a non-finite right-hand side is a ParameterError.
 
-        cho_factor has already scanned A for non-finite values, so the I x I
-        factor is not scanned again on every solve.
+        The factor was checked for non-finite values when it was formed, so
+        the I x I factor is not scanned again on every solve.
         """
         rhs = np.asarray(rhs, dtype=float)
         if not np.all(np.isfinite(rhs)):
             raise ParameterError("right-hand side has non-finite entries")
-        return cho_solve(self._chol, rhs, check_finite=False)
+        return cho_solve((self._factor, True), rhs, check_finite=False)
 
 
 def solve_poisson(solver: FactorizedSolver, h: GridFunction) -> GridFunction:
@@ -133,7 +172,7 @@ def solve_poisson(solver: FactorizedSolver, h: GridFunction) -> GridFunction:
         raise ParameterError("right-hand side lives on a different domain")
     rhs = h.interior
     v = solver.solve_vector(rhs)
-    res = np.linalg.norm(solver.operator.matrix @ v - rhs)
+    res = np.linalg.norm(solver.operator.matvec(v) - rhs)
     scale = np.linalg.norm(rhs)
     if scale > 0 and res > RESIDUAL_TOL * scale:
         raise ConsistencyError(f"solver residual {res / scale:.3e} exceeds {RESIDUAL_TOL}")

@@ -8,7 +8,7 @@ import pytest
 
 import fraclab
 from fraclab import Ball, StiffnessOperator, build_domain, fixedpoint
-from fraclab import cli
+from fraclab import cli, kernels
 from fraclab.cli import ExperimentConfig, run
 
 
@@ -45,11 +45,24 @@ def test_solve_csv_schema_and_exit0(tmp_path):
 
 
 def test_rerun_bit_reproducible(tmp_path):
-    cfg = _write(tmp_path, "solve.ini", SOLVE_CFG)
+    # the 2D sweep's final residual comes from the threaded stiffness matvec
+    cfgs = {
+        "solve": _write(tmp_path, "solve.ini", SOLVE_CFG),
+        "sweep": _write(tmp_path, "sweep2d.ini", SWEEP_2D_CFG),
+    }
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert run("solve", cfg, out1) == 0
-    assert run("solve", cfg, out2) == 0
-    assert (out1 / "solve.csv").read_bytes() == (out2 / "solve.csv").read_bytes()
+    for sub, cfg in cfgs.items():
+        assert run(sub, cfg, out1) == 0
+        assert run(sub, cfg, out2) == 0
+        assert (out1 / f"{sub}.csv").read_bytes() == (out2 / f"{sub}.csv").read_bytes()
+    assert (out1 / "sweep.csv").read_text().count("converged") == 2
+
+
+def test_dense_array_beyond_memory_exit2(tmp_path, monkeypatch, capsys):
+    # levels 40 and 80 need 8 and 41 KB for their stiffness matrix, level 160 needs 185 KB
+    monkeypatch.setattr(kernels, "available_memory", lambda: 100_000)
+    assert run("solve", _write(tmp_path, "solve.ini", SOLVE_CFG), tmp_path / "out") == 2
+    assert "a dense 152 x 152 float64 array needs 0.2 MB" in capsys.readouterr().err
 
 
 def test_invalid_s_exit2(tmp_path, capsys):
@@ -79,6 +92,25 @@ SWEEP_CFG = """
 dimension = 1
 nodes_per_axis = 80
 margin_cells = 8
+
+[problem]
+s = 0.6
+rhs_kind = D_s2
+mu = const:1.0
+f = bump:0.9
+
+[run]
+tolerance = 1e-8
+max_iter = 80
+lambda_sweep = 0.05,0.1
+"""
+
+
+SWEEP_2D_CFG = """
+[domain]
+dimension = 2
+nodes_per_axis = 24
+margin_cells = 2
 
 [problem]
 s = 0.6
@@ -311,6 +343,20 @@ def test_certify_honours_cutoff_factor(tmp_path, table_builds):
     assert run("certify", _write(tmp_path, "c.ini", text), tmp_path / "out") == 0
     bbox = build_domain(Ball(center=(0.0,), radius=1.0), 40, margin_cells=4).bbox_diameter
     assert table_builds == [(1.2, 6.0 * bbox)]
+
+
+def test_certify_single_bump_centre_at_origin(tmp_path):
+    text = CERTIFY_CFG.replace("lambda_values = 1.0", "lambda_values = 1.0\nbump_centers = 1")
+    assert run("certify", _write(tmp_path, "c.ini", text), tmp_path / "out") == 0
+    rows = (tmp_path / "out" / "certify.csv").read_text().splitlines()[2:]
+    assert rows and all(',"bump[c=(0),rho=' in row for row in rows)
+
+
+@pytest.mark.parametrize("n_c", [0, -2])
+def test_certify_needs_a_bump_centre(tmp_path, capsys, n_c):
+    text = CERTIFY_CFG.replace("lambda_values = 1.0", f"lambda_values = 1.0\nbump_centers = {n_c}")
+    assert run("certify", _write(tmp_path, "c.ini", text), tmp_path / "out") == 2
+    assert f"bump_centers must be at least 1, got {n_c}" in capsys.readouterr().err
 
 
 CERTIFY_3D_CFG = """

@@ -439,3 +439,44 @@ def test_normalization_quadrature_matches_angular_panels(N, s):
     got = normalization_constant_quadrature(N, s, r_max=40.0)
     assert got == pytest.approx(_ref_normalization_quadrature(N, s, r_max=40.0), rel=1e-12)
 
+
+
+@pytest.mark.parametrize("N,n", [(1, 132), (1, 200), (2, 24), (3, 10)])
+def test_kappa_block_sums_equal_pair_row_sums(N, n):
+    # I = 128, 196, 316, 136: whole and partial last row blocks of 64
+    dom = build_domain(Ball(center=(0.0,) * N, radius=1.0), n, margin_cells=2)
+    tab = get_table(dom, 1.2)
+    assert tab._pair is None
+    P = tab.pair_matrix()
+    assert np.array_equal(kernels.lattice_row_sums(tab.weights, dom.interior_index), P.sum(axis=1))
+    assert np.array_equal(tab.kappa, tab.total_weight + tab.tail - P.sum(axis=1))
+
+
+def test_dense_array_refused_beyond_available_memory(dom2d, monkeypatch):
+    W, index = get_table(dom2d, 1.2).weights, dom2d.interior_index
+    need = 8 * dom2d.interior_count**2
+    monkeypatch.setattr(kernels, "available_memory", lambda: need - 1)
+    with pytest.raises(ConfigurationError, match=f"needs {need / 2**20:.1f} MB"):
+        kernels.lattice_gather(W, index)
+    with pytest.raises(ConfigurationError, match="needs"):
+        assemble(dom2d, 0.6)
+    monkeypatch.setattr(kernels, "available_memory", lambda: need)
+    assert kernels.lattice_gather(W, index).shape == (dom2d.interior_count,) * 2
+
+
+def test_available_memory_falls_back_to_sysconf(monkeypatch):
+    assert kernels.available_memory() > 0
+
+    def unreadable(*args, **kwargs):
+        raise OSError("no /proc here")
+
+    monkeypatch.setattr(kernels, "open", unreadable, raising=False)
+    pages = {"SC_AVPHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(kernels.os, "sysconf", lambda name: pages[name])
+    assert kernels.available_memory() == 4096 * 1000
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name}")
+
+    monkeypatch.setattr(kernels.os, "sysconf", unknown)
+    assert kernels.available_memory() is None

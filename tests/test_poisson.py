@@ -63,7 +63,7 @@ def test_smallest_eigenvalue_positive_by_inverse_iteration(dom1d_small):
         v = w * lam
     assert lam is not None and lam > 0.0
     # residual of the eigenpair
-    r = op.matrix @ v - lam * v
+    r = op.apply(dom1d_small.from_interior(v)).interior - lam * v
     assert np.linalg.norm(r) < 1e-8 * lam
 
 
@@ -107,7 +107,7 @@ def test_energy_identity(dom1d, bump1d):
 def test_residual_bound(solver1d, dom1d):
     h = sample(lambda x: np.exp(x), dom1d)
     v = solve_poisson(solver1d, h)
-    res = solver1d.operator.matrix @ v.interior - h.interior
+    res = solver1d.operator.apply(v).interior - h.interior
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(h.interior)
 
 
@@ -184,12 +184,15 @@ def _reference_assemble(domain, s, table):
     return A
 
 
+def _dim_domain(dim, dom1d, dom2d):
+    if dim == 3:
+        return build_domain(Ball(center=(0.0, 0.0, 0.0), radius=1.0), 10, margin_cells=1)
+    return dom1d if dim == 1 else dom2d
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_assemble_bit_identical_to_reference(dim, dom1d, dom2d):
-    if dim == 3:
-        dom = build_domain(Ball(center=(0.0, 0.0, 0.0), radius=1.0), 10, margin_cells=1)
-    else:
-        dom = dom1d if dim == 1 else dom2d
+    dom = _dim_domain(dim, dom1d, dom2d)
     A = assemble(dom, S).matrix
     ref = _reference_assemble(dom, S, get_table(dom, 2.0 * S))
     assert A.tobytes() == ref.tobytes()
@@ -237,7 +240,7 @@ def test_assemble_rejects_what_reference_rejects(dom1d_small, monkeypatch, how, 
 
 
 def test_assemble_allocates_only_the_stiffness_matrix(dom2d):
-    get_table(dom2d, 2.0 * S).pair_matrix()
+    get_table(dom2d, 2.0 * S)
     tracemalloc.start()
     try:
         assemble(dom2d, S)
@@ -247,10 +250,76 @@ def test_assemble_allocates_only_the_stiffness_matrix(dom2d):
     assert peak < 1.5 * 8 * dom2d.interior_count**2
 
 
-def test_solve_vector_matches_checked_cho_solve(solver1d, dom1d):
+def test_solve_vector_matches_checked_cho_solve(dom1d):
+    op = assemble(dom1d, S)
+    A = op.matrix.copy()
+    solver = op.factorize()
     rhs = np.random.default_rng(5).standard_normal(dom1d.interior_count)
-    ref = cho_solve(cho_factor(solver1d.operator.matrix, lower=True), rhs)
-    assert solver1d.solve_vector(rhs).tobytes() == ref.tobytes()
+    ref = cho_solve(cho_factor(A, lower=True), rhs)
+    assert solver.solve_vector(rhs).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_in_place_factor_equals_cho_factor(dim, dom1d, dom2d):
+    dom = _dim_domain(dim, dom1d, dom2d)
+    op = assemble(dom, S)
+    A = op.matrix.copy()
+    ref = np.tril(cho_factor(A, lower=True)[0])
+    solver = op.factorize()
+    # L sits in the upper triangle of the C-ordered array; A keeps its strict lower triangle
+    assert np.tril(solver._factor).tobytes() == ref.tobytes()
+    assert np.array_equal(np.tril(op._matrix, -1), np.tril(A, -1))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_matvec_matches_dense_before_and_after_factorization(dim, dom1d, dom2d):
+    dom = _dim_domain(dim, dom1d, dom2d)
+    op = assemble(dom, S)
+    A = op.matrix.copy()
+    v = np.random.default_rng(7).standard_normal(dom.interior_count)
+    ref = A @ v
+    before = op.matvec(v)
+    op.factorize()
+    after = op.matvec(v)
+    for got in (before, after):
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_matrix_raises_after_factorize(dom1d_small):
+    op = assemble(dom1d_small, S)
+    A = op.matrix
+    assert A.shape == (dom1d_small.interior_count,) * 2
+    solver = op.factorize()
+    with pytest.raises(ParameterError, match="factorized in place"):
+        op.matrix
+    assert op.factorize() is solver
+
+
+def test_infinite_diagonal_fails_factorization(dom1d_small, monkeypatch):
+    # an infinite diagonal passes the M-matrix checks; the factor's diagonal check catches it
+    table = replace(get_table(dom1d_small, 2.0 * S), total_weight=np.inf, _pair=None)
+    monkeypatch.setattr(poisson, "get_table", lambda *args: table)
+    op = assemble(dom1d_small, S)
+    with pytest.raises(ConsistencyError, match="factorization failed"):
+        op.factorize()
+
+
+def test_factorize_holds_one_dense_array():
+    # a fresh domain: the table build, assembly and factorization together
+    # allocate one I x I array and no pair matrix; the rest of the peak is the
+    # weight lattice, about 5% of the array at I = 4060
+    dom = build_domain(Ball(center=(0.0, 0.0), radius=1.0), 80, margin_cells=4)
+    n = dom.interior_count
+    tracemalloc.start()
+    try:
+        solver = assemble(dom, S).factorize()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert get_table(dom, 2.0 * S)._pair is None
+    assert peak < 1.1 * 8 * n**2
+    rhs = np.ones(n)
+    assert np.linalg.norm(solver.operator.matvec(solver.solve_vector(rhs)) - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
