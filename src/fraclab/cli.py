@@ -71,6 +71,41 @@ def _strs(v: str) -> list[str]:
     return [x.strip() for x in v.split(",") if x.strip()]
 
 
+def _positive_floats(v: str) -> list[float]:
+    xs = _floats(v)
+    for x in xs:
+        if not x > 0.0:
+            raise ConfigurationError(f"every entry must be positive, got {x}")
+    return xs
+
+
+def _precision(v: str) -> int:
+    # 17 significant digits round-trip every float64
+    digits = int(v)
+    if not 1 <= digits <= 17:
+        raise ConfigurationError(f"precision must lie in 1..17 significant digits, got {digits}")
+    return digits
+
+
+def _field_spec(spec: str) -> tuple[str, float]:
+    """Kind and number of a field spec const:<v>|power:<beta>|bump:<rho>."""
+    kind, _, arg = spec.partition(":")
+    if kind not in ("const", "power", "bump"):
+        raise ConfigurationError(f"unknown field spec {spec!r}; use const:<v>|power:<beta>|bump:<rho>")
+    if kind == "const" and not arg:
+        return kind, 1.0
+    try:
+        return kind, float(arg)
+    except ValueError:
+        raise ConfigurationError(f"field spec {spec!r} needs a number after {kind}:") from None
+
+
+def _field_str(v: str) -> str:
+    # checked at load; the config keeps the spec text, so its hash is unchanged
+    _field_spec(v)
+    return v
+
+
 _DOMAIN_SCHEMA = {
     "shape": (str, "ball"),
     "dimension": (int, 1),
@@ -90,20 +125,20 @@ _PROBLEM_SCHEMA = {
     "s": (float, REQ),
     "rhs_kind": (str, "D_s2"),
     "lambda": (float, 0.1),
-    "mu": (str, "const:1.0"),
-    "f": (str, "const:1.0"),
+    "mu": (_field_str, "const:1.0"),
+    "f": (_field_str, "const:1.0"),
     "m": (float, None),
     "t": (float, None),
     "q": (float, None),
     "alpha": (float, None),
 }
 
-_OUTPUT_SCHEMA = {"precision": (int, 17)}
+_OUTPUT_SCHEMA = {"precision": (_precision, 17)}
 
 SCHEMAS: dict[str, dict[str, dict]] = {
     "solve": {
         "domain": _DOMAIN_SCHEMA,
-        "problem": {"s": (float, REQ), "f": (str, "const:1.0")},
+        "problem": {"s": (float, REQ), "f": (_field_str, "const:1.0")},
         "run": {"levels": (_ints, REQ)},
         "output": _OUTPUT_SCHEMA,
     },
@@ -148,11 +183,11 @@ SCHEMAS: dict[str, dict[str, dict]] = {
     },
     "certify": {
         "domain": _DOMAIN_SCHEMA,
-        "problem": {"s": (float, REQ), "f": (str, "const:1.0"), "mu1": (float, 1.0)},
+        "problem": {"s": (float, REQ), "f": (_field_str, "const:1.0"), "mu1": (float, 1.0)},
         "run": {
             "lambda_values": (_floats, REQ),
             "bump_centers": (int, 3),
-            "bump_rhos": (_floats, [0.3, 0.5, 0.7]),
+            "bump_rhos": (_positive_floats, [0.3, 0.5, 0.7]),
         },
         "output": _OUTPUT_SCHEMA,
     },
@@ -264,18 +299,13 @@ def _build_domain(dcfg: dict) -> GridDomain:
 
 
 def _field(spec: str, domain: GridDomain) -> GridFunction:
-    kind, _, arg = spec.partition(":")
+    kind, v = _field_spec(spec)
     if kind == "const":
-        v = float(arg) if arg else 1.0
         return sample(lambda *cs: np.full_like(cs[0], v), domain)
     if kind == "power":
-        beta = float(arg)
-        return domain.from_interior(node_radii(domain) ** (-beta))
-    if kind == "bump":
-        rho = float(arg)
-        r2 = (domain.interior_coords**2).sum(axis=1)
-        return domain.from_interior(np.maximum(1.0 - r2 / rho**2, 0.0) ** 2)
-    raise ConfigurationError(f"unknown field spec {spec!r}; use const:<v>|power:<beta>|bump:<rho>")
+        return domain.from_interior(node_radii(domain) ** (-v))
+    r2 = (domain.interior_coords**2).sum(axis=1)  # bump of radius v
+    return domain.from_interior(np.maximum(1.0 - r2 / v**2, 0.0) ** 2)
 
 
 def _fmt(x, precision: int) -> str:

@@ -27,16 +27,21 @@ power substitution that flattens the (1-sigma)^{p-1-ps} endpoint, and a
 closed-form term for the last stretch where Phi enters its asymptotic regime
 Phi(1-u) ~ c_Phi u^{-1-ps}.  An independent Monte-Carlo estimator of the same
 double integral (importance sampling in sigma, closed-form Phi) serves as the
-cross-check oracle.
+cross-check oracle.  It runs in chunks of MC_CHUNK samples on every usable
+core and holds about 16 bytes per sample (the per-sample values and one
+temporary of the closing standard deviation).  Each chunk draws its slice of
+the single seeded stream, so the estimate does not depend on the number of
+workers or the order the chunks finish in.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betaln, hyp2f1
 
 from .errors import ParameterError, QuadratureError, check_unit_interval
@@ -60,6 +65,7 @@ __all__ = [
 REGIONS = ("omega_omega", "d_omega", "full_space")
 
 _U_SWITCH = 1e-8  # 1 - sigma below which the endpoint asymptotics take over
+MC_CHUNK = 1 << 16  # samples per independent chunk of the Monte-Carlo oracle
 
 
 @dataclass(frozen=True)
@@ -168,6 +174,8 @@ def _phi_coeff(N: int, beta: float) -> float:
 
 def _phi_quad(N: int, beta: float, sigma: float) -> tuple[float, float]:
     """Angular factor Phi by adaptive quadrature, peaked-core split near sigma=1."""
+    from scipy.integrate import quad
+
     SN2 = sphere_area(N - 2)
     usq = (1.0 - sigma) ** 2
 
@@ -206,6 +214,7 @@ def hardy_constant(N: int, s: float, p: float, tol: float = 1e-6) -> HardyResult
     if N < 2:
         raise ParameterError(f"hardy_constant requires N >= 2, got {N}")
     _check_hardy_args(s, p)
+    from scipy.integrate import quad
 
     beta = (N + p * s) / 2.0
     k = (N - p * s) / p
@@ -260,6 +269,20 @@ def _phi_closed(N: int, beta: float, sigma: np.ndarray) -> np.ndarray:
     raise ParameterError(f"Monte-Carlo Hardy oracle implemented for N in {{2,3}}, got {N}")
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _uniforms(seed: int, offset: int, n: int) -> np.ndarray:
+    """Draws offset .. offset+n-1 of the uniform stream of default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(offset)  # one 64-bit step per double
+    return rng.random(n)
+
+
 def hardy_constant_mc(
     N: int,
     s: float,
@@ -271,35 +294,56 @@ def hardy_constant_mc(
 
     Importance mixture in sigma (densities ~ sigma^{ps-1} near 0 and
     (1-sigma)^{p-ps-1} near 1, both with exact inverse CDFs) keeps the
-    integrand bounded; returns (estimate, standard error).
+    integrand bounded; returns (estimate, standard error).  Sample i uses
+    draws i and samples+i of the default_rng(seed) stream, so chunks of
+    MC_CHUNK samples run on parallel threads and the result is the same for
+    any worker count.
     """
     if N < 2:
         raise ParameterError(f"hardy_constant_mc requires N >= 2, got {N}")
     _check_hardy_args(s, p)
-    rng = np.random.default_rng(seed)
+    if not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise ParameterError(f"samples must be an integer >= 2, got {samples!r}")
     beta = (N + p * s) / 2.0
     k = (N - p * s) / p
     ps = p * s
     g = p - ps
     cphi = _phi_coeff(N, beta)
+    vals = np.empty(samples)
 
-    U = rng.random(samples)
-    pick = rng.random(samples) < 0.5
-    sigma = np.where(pick, U ** (1.0 / ps), 1.0 - U ** (1.0 / g))
-    u = 1.0 - sigma
-    dens = 0.5 * ps * np.maximum(sigma, 1e-300) ** (ps - 1.0) + 0.5 * g * np.maximum(u, 1e-300) ** (
-        g - 1.0
-    )
-    F = np.empty(samples)
-    near = u < _U_SWITCH
-    far = ~near
-    F[far] = (
-        sigma[far] ** (ps - 1.0)
-        * np.abs(1.0 - sigma[far] ** k) ** p
-        * _phi_closed(N, beta, sigma[far])
-    )
-    F[near] = k**p * cphi * np.maximum(u[near], 1e-300) ** (p - 1.0 - ps)
-    vals = 2.0 * F / dens
+    def chunk(c0: int) -> None:
+        n = min(MC_CHUNK, samples - c0)
+        U = _uniforms(seed, c0, n)
+        pick = _uniforms(seed, samples + c0, n) < 0.5
+        rest = ~pick
+        sigma = np.empty(n)
+        sigma[pick] = U[pick] ** (1.0 / ps)
+        sigma[rest] = 1.0 - U[rest] ** (1.0 / g)
+        u = 1.0 - sigma
+        dens = 0.5 * ps * np.maximum(sigma, 1e-300) ** (ps - 1.0) + 0.5 * g * np.maximum(
+            u, 1e-300
+        ) ** (g - 1.0)
+        F = np.empty(n)
+        near = u < _U_SWITCH
+        far = ~near
+        F[far] = (
+            sigma[far] ** (ps - 1.0)
+            * np.abs(1.0 - sigma[far] ** k) ** p
+            * _phi_closed(N, beta, sigma[far])
+        )
+        F[near] = k**p * cphi * np.maximum(u[near], 1e-300) ** (p - 1.0 - ps)
+        vals[c0 : c0 + n] = 2.0 * F / dens
+
+    starts = range(0, samples, MC_CHUNK)
+    workers = min(_usable_cpus(), len(starts))
+    if workers == 1:
+        for c0 in starts:
+            chunk(c0)
+    else:
+        # hyp2f1 and the numpy ufuncs release the GIL; each chunk fills its
+        # own slice of vals, and the reduction below is over the whole array
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(chunk, starts))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 

@@ -12,6 +12,12 @@ from fraclab import cli, kernels
 from fraclab.cli import ExperimentConfig, run
 
 
+def _child_env():
+    # a child process imports the same fraclab as this one, installed or not
+    src = str(Path(fraclab.__file__).parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -81,6 +87,35 @@ def test_unknown_key_exit2(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.ini", SOLVE_CFG + "\nwhatever = 3\n")
     assert run("solve", cfg, tmp_path / "out") == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def _no_computation(*args, **kwargs):
+    raise AssertionError("a config error must stop the run before any domain is built")
+
+
+@pytest.mark.parametrize("spec", ["power:abc", "bump:", "const:1,5", "gauss:1"])
+def test_malformed_field_spec_exit2(tmp_path, capsys, monkeypatch, spec):
+    monkeypatch.setattr(cli, "_build_domain", _no_computation)
+    cfg = _write(tmp_path, "bad.ini", SOLVE_CFG.replace("s = 0.6", f"s = 0.6\nf = {spec}"))
+    assert run("solve", cfg, tmp_path / "out") == 2
+    assert f"[problem] f: {spec!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("digits", ["-3", "0", "18"])
+def test_precision_out_of_range_exit2(tmp_path, capsys, monkeypatch, digits):
+    monkeypatch.setattr(cli, "_build_domain", _no_computation)
+    cfg = _write(tmp_path, "bad.ini", SOLVE_CFG + f"\n[output]\nprecision = {digits}\n")
+    assert run("solve", cfg, tmp_path / "out") == 2
+    assert f"precision must lie in 1..17 significant digits, got {digits}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "solve.csv").exists()
+
+
+def test_import_cli_leaves_scipy_integrate_unloaded():
+    # scipy.integrate serves only the Hardy quadrature and is imported there
+    code = "import sys, fraclab.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_missing_config_exit2(tmp_path):
@@ -199,6 +234,12 @@ def test_hardy_small_ps_exit0(tmp_path):
     lines = (out / "hardy.csv").read_text().splitlines()
     assert lines[1] == "N,s,p,lambda_quad,error_estimate,lambda_mc,mc_stderr,rel_diff"
     assert len(lines) == 2 + 2
+
+
+def test_hardy_refuses_negative_mc_samples(tmp_path, capsys):
+    cfg = _write(tmp_path, "hardy.ini", HARDY_CFG.replace("mc_samples = 20000", "mc_samples = -5"))
+    assert run("hardy", cfg, tmp_path / "out") == 2
+    assert "samples must be an integer >= 2, got -5" in capsys.readouterr().err
 
 
 EXP_CFG = """
@@ -337,6 +378,16 @@ lambda_values = 1.0
 """
 
 
+@pytest.mark.parametrize("rho", ["-0.5", "0"])
+def test_certify_names_a_nonpositive_radius(tmp_path, capsys, monkeypatch, rho):
+    monkeypatch.setattr(cli, "_build_domain", _no_computation)
+    text = CERTIFY_CFG.replace("lambda_values = 1.0", f"lambda_values = 1.0\nbump_rhos = 0.3,{rho}")
+    assert run("certify", _write(tmp_path, "c.ini", text), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "bump_rhos" in err and f"must be positive, got {float(rho)}" in err
+    assert "clipped" not in err
+
+
 def test_certify_honours_cutoff_factor(tmp_path, table_builds):
     # the cutoff belongs to the domain, so certify builds its table there
     text = CERTIFY_CFG.replace("margin_cells = 4", "margin_cells = 4\ncutoff_factor = 6.0")
@@ -391,14 +442,11 @@ def test_power_field_refuses_a_node_at_the_origin(tmp_path, capsys):
 
 def test_console_entry_point(tmp_path):
     cfg = _write(tmp_path, "exp.ini", EXP_CFG)
-    # the child imports the same fraclab as this process, installed or not
-    src = str(Path(fraclab.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "fraclab.cli", "exponents", "--config", str(cfg), "--out", str(tmp_path / "o")],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
 

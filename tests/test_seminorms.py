@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from fraclab import (
     sobolev_check,
     sphere_area,
 )
+from fraclab import seminorms
 from fraclab.nonexistence import radial_bump
 
 S = 0.6
@@ -157,6 +160,77 @@ def test_hardy_functions_share_argument_check(fn):
         fn(2, 1.2, 2.0)
     with pytest.raises(ParameterError, match="^p must exceed 1, got 1.0$"):
         fn(2, 0.6, 1.0)
+
+
+def _one_shot_mc(N, s, p, samples, seed):
+    # the estimator as a single pass over all samples, both inverse CDFs
+    # evaluated everywhere; the chunked oracle must reproduce its bits
+    rng = np.random.default_rng(seed)
+    beta = (N + p * s) / 2.0
+    k = (N - p * s) / p
+    ps = p * s
+    g = p - ps
+    cphi = seminorms._phi_coeff(N, beta)
+    U = rng.random(samples)
+    pick = rng.random(samples) < 0.5
+    sigma = np.where(pick, U ** (1.0 / ps), 1.0 - U ** (1.0 / g))
+    u = 1.0 - sigma
+    dens = 0.5 * ps * np.maximum(sigma, 1e-300) ** (ps - 1.0) + 0.5 * g * np.maximum(u, 1e-300) ** (
+        g - 1.0
+    )
+    F = np.empty(samples)
+    near = u < seminorms._U_SWITCH
+    far = ~near
+    F[far] = (
+        sigma[far] ** (ps - 1.0)
+        * np.abs(1.0 - sigma[far] ** k) ** p
+        * seminorms._phi_closed(N, beta, sigma[far])
+    )
+    F[near] = k**p * cphi * np.maximum(u[near], 1e-300) ** (p - 1.0 - ps)
+    vals = 2.0 * F / dens
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+
+
+@pytest.mark.parametrize("N, s, p", [(2, 0.6, 2.0), (3, 0.45, 2.6)])
+@pytest.mark.parametrize(
+    "samples", [1000, seminorms.MC_CHUNK, 3 * seminorms.MC_CHUNK + 17]
+)
+def test_hardy_mc_chunks_match_one_shot_bits(N, s, p, samples):
+    assert hardy_constant_mc(N, s, p, samples, seed=7) == _one_shot_mc(N, s, p, samples, 7)
+
+
+def test_hardy_mc_independent_of_worker_count(monkeypatch):
+    # more workers than chunks and cores, switching threads as often as possible
+    samples = 5 * seminorms.MC_CHUNK + 3
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(seminorms, "_usable_cpus", lambda: workers)
+            results.append(hardy_constant_mc(2, 0.6, 2.0, samples, seed=11))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1] == results[2]
+
+
+def test_hardy_mc_memory_per_sample(monkeypatch):
+    # the values array plus one temporary of the closing std: ~16 B per sample
+    monkeypatch.setattr(seminorms, "_usable_cpus", lambda: 2)
+    samples = 2_000_000
+    tracemalloc.start()
+    try:
+        hardy_constant_mc(2, 0.6, 2.0, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * samples
+
+
+@pytest.mark.parametrize("samples", [0, 1, -5, 2.5, 1e6, True])
+def test_hardy_mc_refuses_unusable_sample_counts(samples):
+    with pytest.raises(ParameterError, match="samples must be an integer >= 2"):
+        hardy_constant_mc(2, 0.6, 2.0, samples)
 
 
 def test_hardy_ratio_scale_invariance(dom2d):
