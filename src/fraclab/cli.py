@@ -41,7 +41,7 @@ from .nonexistence import bump_family, certify as certify_family, lambda_star_st
 from .operators import apply_D_s2, apply_frac_laplacian, central_gradient
 from .poisson import assemble, solve_poisson
 from .regularity import PROPOSITIONS, exponent_range, regularity_probe
-from .seminorms import hardy_constant, hardy_constant_mc
+from .seminorms import check_hardy_mc_args, hardy_constant, hardy_constant_mc
 
 __all__ = ["main", "run", "ExperimentConfig"]
 
@@ -95,9 +95,12 @@ def _field_spec(spec: str) -> tuple[str, float]:
     if kind == "const" and not arg:
         return kind, 1.0
     try:
-        return kind, float(arg)
+        v = float(arg)
     except ValueError:
         raise ConfigurationError(f"field spec {spec!r} needs a number after {kind}:") from None
+    if kind == "bump" and not v > 0.0:
+        raise ConfigurationError(f"bump radius must be positive, got {spec!r}")
+    return kind, v
 
 
 def _field_str(v: str) -> str:
@@ -435,16 +438,21 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 
 
 def _run_hardy(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    rows = []
+    # every triple is parsed and checked before the first quadrature runs
+    samples = cfg["run"]["mc_samples"]
+    triples = []
     for entry in cfg["run"]["triples"]:
-        parts = entry.split(":")
-        if len(parts) != 3:
-            raise ConfigurationError(f"hardy triple must be N:s:p, got {entry!r}")
-        N, s, p = int(parts[0]), float(parts[1]), float(parts[2])
+        try:
+            n_str, s_str, p_str = entry.split(":")  # a wrong count is a ValueError too
+            N, s, p = int(n_str), float(s_str), float(p_str)
+        except ValueError:
+            raise ConfigurationError(f"hardy triple must be N:s:p, got {entry!r}") from None
+        check_hardy_mc_args(N, s, p, samples)
+        triples.append((N, s, p))
+    rows = []
+    for N, s, p in triples:
         res = hardy_constant(N, s, p, tol=cfg["run"]["tol"])
-        mc, mc_err = hardy_constant_mc(
-            N, s, p, samples=cfg["run"]["mc_samples"], seed=cfg["run"]["seed"]
-        )
+        mc, mc_err = hardy_constant_mc(N, s, p, samples=samples, seed=cfg["run"]["seed"])
         rows.append(
             [N, s, p, res.value, res.error_estimate, mc, mc_err, abs(res.value - mc) / res.value]
         )

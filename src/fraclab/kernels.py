@@ -40,7 +40,7 @@ weights and kappa; a file that fails any check raises CacheMismatch, and
 get_table then rebuilds it with a warning.  The memo is keyed weakly by
 domain and a table holds its domain weakly, so a table serves its domain
 without keeping it alive: when the last reference to a domain goes, its
-tables and their pair matrices go with it, by reference counting alone.
+tables go with it, by reference counting alone.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ __all__ = [
 
 CACHE_MAGIC = b"FLKT"
 CACHE_VERSION = 2
-# rows of the pair matrix handled per block; a 64 x I float64 block stays in cache
+# rows per block of every pair-weight loop; a 64 x I float64 block stays in cache
 PAIR_BLOCK_ROWS = 64
 
 
@@ -378,7 +378,6 @@ class KernelTable:
     norm_const: float | None
     kappa: np.ndarray
     shape_hash: str
-    _pair: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def domain(self) -> GridDomain:
@@ -391,22 +390,14 @@ class KernelTable:
         """Integral of |z|^{p-N-sigma} over the origin cell (requires p > sigma)."""
         return origin_cell_moment(self.domain.h, self.domain.dimension, p - self.domain.dimension - self.sigma)
 
-    def pair_matrix(self) -> np.ndarray:
-        """Dense interior-to-interior weight matrix w(z_i - z_j), zero diagonal."""
-        if self._pair is None:
-            P = lattice_gather(self.weights, self.domain.interior_index)
-            np.fill_diagonal(P, 0.0)
-            self._pair = P
-        return self._pair
-
 
 def _make_table(
     domain: GridDomain, sigma: float, M: int, W: np.ndarray, kappa: np.ndarray | None = None
 ) -> KernelTable:
     """Complete a weight lattice with the tail, normalization and exterior mass.
 
-    kappa is computed from the pair row sums, block by block without the pair
-    matrix, unless given (a cache load); it must be positive either way.
+    kappa is computed from the pair row sums, block by block without an
+    I x I array, unless given (a cache load); it must be positive either way.
     """
     N = domain.dimension
     total = float(W.sum())

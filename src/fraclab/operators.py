@@ -22,10 +22,10 @@ The squared gradient  D_s^2(u) = (a/2) int |u(x)-u(y)|^2 |x-y|^-(N+2s) dy  and
 its q-th power generalization B_s^q use the same tables; their origin cell is
 absolutely integrable and approximated by |grad_h u|^{2 or q} * I0(2 or q).
 
-The signed operators and D_s^2 apply the dense matrix P; the p-power pair sums
-behind B_s^q and the Gagliardo sums visit each symmetric pair of P once.  The
-Riesz gradient never forms P: its weights depend only on the node offset, so
-it is an FFT correlation with the stored weight lattice.
+P is never formed: its entries depend on the node offset only, so the signed
+operators, D_s^2, the Riesz gradient and the Riesz potential are FFT
+correlations with a lattice cropped to offsets |z_k| <= n-1.  The p-power pair
+sums (B_s^q, Gagliardo) gather row slabs of P from that crop, pairs once each.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ import numpy as np
 import scipy.fft as sp_fft
 
 from .errors import ParameterError, check_unit_interval
-from .grids import GridFunction
+from .grids import GridDomain, GridFunction
 from .kernels import (
     PAIR_BLOCK_ROWS,
     KernelTable,
     cell_lattice,
     get_table,
-    lattice_gather,
     normalization_constant,
     origin_cell_moment,
 )
@@ -98,13 +97,36 @@ def _stride2_second_difference(u: GridFunction) -> np.ndarray:
     return (acc / (4.0 * dom.h**2))[dom.interior_mask]
 
 
+def _crop(table: KernelTable) -> np.ndarray:
+    """The weights on offsets |z_k| <= n-1, shape (2n-1,)*N, zero offset at the center."""
+    n = table.domain.nodes_per_axis
+    M = table.lattice_radius
+    # the cutoff is at least the bbox diameter plus one cell, so M > n
+    assert M >= n - 1, f"lattice radius {M} does not cover grid offsets up to {n - 1}"
+    return table.weights[(slice(M - n + 1, M + n),) * table.domain.dimension]
+
+
+def _correlate(values: np.ndarray, kernel: np.ndarray, domain: GridDomain) -> np.ndarray:
+    """sum_j kernel[z_j - z_i] values_j at interior nodes i, for an exterior-zero grid array.
+
+    kernel has side 2n-1, zero offset at the center; leading stack axes of
+    either argument broadcast.  Correlation is convolution with the mirror
+    image; circular length >= 2n-1 keeps wrapped terms off the window.
+    """
+    N = domain.dimension
+    n = domain.nodes_per_axis
+    shape = [sp_fft.next_fast_len(2 * n - 1, real=True)] * N
+    axes = tuple(range(-N, 0))
+    K = sp_fft.rfftn(kernel[(Ellipsis,) + (slice(None, None, -1),) * N], shape, axes=axes)
+    full = sp_fft.irfftn(K * sp_fft.rfftn(values, shape, axes=axes), shape, axes=axes)
+    return full[(Ellipsis,) + (slice(n - 1, 2 * n - 1),) * N][..., domain.interior_mask]
+
+
 def _signed_apply(u: GridFunction, table: KernelTable) -> GridFunction:
-    ui = u.interior
-    P = table.pair_matrix()
     I02 = table.origin_moment(2.0)
     out = table.norm_const * (
-        (table.total_weight + table.tail) * ui
-        - P @ ui
+        (table.total_weight + table.tail) * u.interior
+        - _correlate(u.values, _crop(table), u.domain)
         + 0.5 * I02 * _stride2_second_difference(u)
     )
     return u.domain.from_interior(out)
@@ -122,23 +144,33 @@ def apply_frac_power(u: GridFunction, t: float) -> GridFunction:
     return _signed_apply(u, get_table(u.domain, t))
 
 
+def _pair_slabs(table: KernelTable):
+    """Yield (i0, i1, w): pair weights of slab (i0:i1, i0:), gathered from the crop into one reused buffer."""
+    crop = _crop(table)
+    lin = np.ravel_multi_index(table.domain.interior_index.T, crop.shape)
+    crop, n = crop.ravel(), len(lin)
+    buf = np.empty(min(PAIR_BLOCK_ROWS, n) * n)
+    for i0 in range(0, n, PAIR_BLOCK_ROWS):
+        i1 = min(i0 + PAIR_BLOCK_ROWS, n)
+        w = buf[: (i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0)
+        # every index is in range; mode="clip" lets take fill w without a buffer
+        yield i0, i1, np.take(crop, crop.size // 2 + lin[i0:i1, None] - lin[None, i0:], out=w, mode="clip")
+
+
 def pair_power_sum(table: KernelTable, ui: np.ndarray, p: float) -> np.ndarray:
     """sum_j |u_i - u_j|^p w_ij over interior j.
 
-    P is exactly symmetric, so each unordered pair is evaluated once: row
-    blocks sweep the upper triangle and add their row sums to the block's nodes
-    and their column sums to the partner nodes.
+    The weights are exactly symmetric, so each unordered pair is evaluated
+    once: row slabs sweep the upper triangle and add their row sums to the
+    slab's nodes and their column sums to the partner nodes.
     """
-    P = table.pair_matrix()
-    n = len(ui)
-    out = np.zeros(n)
+    out = np.zeros(len(ui))
     below = np.tri(PAIR_BLOCK_ROWS, k=-1, dtype=bool)
-    for i0 in range(0, n, PAIR_BLOCK_ROWS):
-        i1 = min(i0 + PAIR_BLOCK_ROWS, n)
+    for i0, i1, w in _pair_slabs(table):
         diff = ui[i0:i1, None] - ui[None, i0:]
         np.abs(diff, out=diff)
         diff **= p
-        diff *= P[i0:i1, i0:]
+        diff *= w
         # the diagonal block holds its pairs twice; keep the upper copy
         diff[:, : i1 - i0][below[: i1 - i0, : i1 - i0]] = 0.0
         out[i0:i1] += diff.sum(axis=1)
@@ -151,10 +183,10 @@ def apply_D_s2(u: GridFunction, s: float) -> GridFunction:
     check_unit_interval("s", s)
     table = get_table(u.domain, 2.0 * s)
     ui = u.interior
-    P = table.pair_matrix()
+    Pu, Pu2 = _correlate(np.stack([u.values, u.values**2]), _crop(table), u.domain)
     grad = central_gradient(u)
     g2 = (grad**2).sum(axis=1)
-    pair = ui**2 * (table.total_weight + table.tail) - 2.0 * ui * (P @ ui) + P @ (ui**2)
+    pair = ui**2 * (table.total_weight + table.tail) - 2.0 * ui * Pu + Pu2
     out = 0.5 * table.norm_const * (pair + g2 * table.origin_moment(2.0))
     return u.domain.from_interior(np.maximum(out, 0.0))
 
@@ -195,37 +227,19 @@ def apply_riesz_gradient(u: GridFunction, s: float) -> np.ndarray:
     grid function with K_k cropped to offsets |z_k| <= n-1, evaluated by FFT.
     """
     check_unit_interval("s", s)
-    table = get_table(u.domain, s)
-    dom = u.domain
-    N = dom.dimension
-    n = dom.nodes_per_axis
-    M = table.lattice_radius
-    # the cutoff is at least the bbox diameter plus one cell, so M > n
-    assert M >= n - 1, f"lattice radius {M} does not cover grid offsets up to {n - 1}"
-    W = table.weights[(slice(M - n + 1, M + n),) * N]
-    z = np.indices(W.shape, dtype=float) - (n - 1)
+    W = _crop(get_table(u.domain, s))
+    z = np.indices(W.shape, dtype=float) - (u.domain.nodes_per_axis - 1)
     r = np.sqrt((z**2).sum(axis=0))
     np.maximum(r, 1e-300, out=r)
-    # circular length 2n-1 keeps the wrapped terms off the cropped window
-    shape = [sp_fft.next_fast_len(2 * n - 1, real=True)] * N
-    axes = tuple(range(N))
-    U = sp_fft.rfftn(u.values, shape, axes=axes)
-    window = (slice(n - 1, 2 * n - 1),) * N
-    out = np.empty((dom.interior_count, N))
-    for k in range(N):
-        # correlation with K_k is convolution with its mirror image
-        K = (z[k] / r * W)[(slice(None, None, -1),) * N]
-        full = sp_fft.irfftn(sp_fft.rfftn(K, shape, axes=axes) * U, shape, axes=axes)
-        out[:, k] = full[window][dom.interior_mask]
-    return out
+    return _correlate(u.values, z / r * W, u.domain).T
 
 
 def riesz_potential(g: GridFunction, lam: float) -> GridFunction:
     """Riesz potential J_lam(g)(x_i) = sum_j g_j * int_{cell j} |x_i - y|^-lam dy.
 
     The coincident cell is included; it is integrable since lam < N.  The
-    dense matrix is gathered from the cell-integral lattice on offsets
-    |z_k| <= n-1 on every call.
+    cell integrals depend only on the node offset, so the sum is a correlation
+    with the cell-integral lattice on offsets |z_k| <= n-1.
     """
     dom = g.domain
     if not 0.0 < lam < dom.dimension:
@@ -233,4 +247,4 @@ def riesz_potential(g: GridFunction, lam: float) -> GridFunction:
     N, K = dom.dimension, dom.nodes_per_axis - 1
     W = cell_lattice(N, K, -lam, dom.h, ball=False)
     W[(K,) * N] = origin_cell_moment(dom.h, N, -lam)
-    return dom.from_interior(lattice_gather(W, dom.interior_index) @ g.interior)
+    return dom.from_interior(_correlate(g.values, W, dom))

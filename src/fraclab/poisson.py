@@ -9,14 +9,13 @@ a Picard run.
 
 The dense path holds one I x I array from assembly to the last solve, so an
 8 GB machine reaches about I = 3 * 10^4.  Assembly gathers A straight from the
-kernel table's weight lattice, with no pair matrix, and runs its M-matrix
-checks on A itself.  The Cholesky factor L overwrites the upper triangle of
-the C-ordered A in place (LAPACK dpotrf on its Fortran-ordered transpose);
-the strict lower triangle keeps A's off-diagonal entries and the operator
-keeps A's diagonal as a vector, so A u is still available, before and after
-factorization, from BLAS dsymv on that triangle plus a diagonal correction.
-The factor is checked for non-finite values once, when it is formed, through
-its diagonal; each solve then checks only its right-hand side, in O(I).
+kernel table's weight lattice and runs its M-matrix checks on A itself.  The
+Cholesky factor L overwrites the upper triangle of the C-ordered A in place
+(LAPACK dpotrf on its Fortran-ordered transpose).  The products A u behind
+apply, energy and the residual checks are apply_frac_laplacian, by FFT, and
+never read the array.  The factor is checked for non-finite values once, when
+it is formed, through its diagonal; each solve then checks only its
+right-hand side, in O(I).
 """
 
 from __future__ import annotations
@@ -26,12 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotrf
 
 from .errors import ConsistencyError, ParameterError, check_unit_interval
 from .grids import GridDomain, GridFunction, lp_norm
 from .kernels import KernelTable, get_table, lattice_gather
+from .operators import apply_frac_laplacian
 from .seminorms import gagliardo_double_sum
 
 __all__ = [
@@ -48,17 +47,16 @@ RESIDUAL_TOL = 1e-10
 
 @dataclass
 class StiffnessOperator:
-    """Dense symmetric discrete (-Delta)^s over interior nodes.
+    """Discrete (-Delta)^s over interior nodes, with its dense symmetric matrix.
 
-    diagonal holds the diagonal of A.  The matrix is readable until the first
-    factorize(), which overwrites its upper triangle with the Cholesky factor;
-    matvec, apply and energy work before and after.
+    The matrix is readable until the first factorize(), which overwrites its
+    upper triangle with the Cholesky factor; matvec, apply and energy apply
+    the operator by FFT and never read the matrix.
     """
 
     domain: GridDomain
     s: float
     table: KernelTable
-    diagonal: np.ndarray
     _matrix: np.ndarray = field(repr=False)
     # the solver that factorized _matrix, held weakly so the two form no cycle
     _solver: weakref.ref | None = field(default=None, repr=False)
@@ -70,9 +68,8 @@ class StiffnessOperator:
         return self._matrix
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """A v from the intact lower triangle of the stored array and the kept diagonal."""
-        A = self._matrix
-        return dsymv(1.0, A.T, v, lower=0) + (self.diagonal - A.diagonal()) * v
+        """A v, as the fractional Laplacian of the exterior-zero extension of v."""
+        return apply_frac_laplacian(self.domain.from_interior(v), self.s).interior
 
     def apply(self, u: GridFunction) -> GridFunction:
         return self.domain.from_interior(self.matvec(u.interior))
@@ -128,7 +125,7 @@ def assemble(domain: GridDomain, s: float) -> StiffnessOperator:
     row_excess = A.sum(axis=1)
     if not np.all(row_excess > 0):
         raise ConsistencyError("stiffness rows must be strictly diagonally dominant")
-    return StiffnessOperator(domain=domain, s=s, table=table, diagonal=diag, _matrix=A)
+    return StiffnessOperator(domain=domain, s=s, table=table, _matrix=A)
 
 
 class FactorizedSolver:

@@ -58,6 +58,7 @@ __all__ = [
     "sobolev_check",
     "hardy_constant",
     "hardy_constant_mc",
+    "check_hardy_mc_args",
     "hardy_ratio",
     "hardy_phi_weight",
 ]
@@ -262,11 +263,18 @@ def _phi_closed(N: int, beta: float, sigma: np.ndarray) -> np.ndarray:
     if N == 2:
         ksq = 4.0 * sigma / np.maximum(u, 1e-150) ** 2
         return 2.0 * math.pi * u ** (-2.0 * beta) * hyp2f1(beta, 0.5, 1.0, -ksq)
-    if N == 3:
-        bm1 = beta - 1.0
-        sg = np.maximum(sigma, 1e-8)
-        return 2.0 * math.pi / (2.0 * sg * bm1) * (u ** (-2.0 * bm1) - (1.0 + sg) ** (-2.0 * bm1))
-    raise ParameterError(f"Monte-Carlo Hardy oracle implemented for N in {{2,3}}, got {N}")
+    bm1 = beta - 1.0
+    sg = np.maximum(sigma, 1e-8)
+    return 2.0 * math.pi / (2.0 * sg * bm1) * (u ** (-2.0 * bm1) - (1.0 + sg) ** (-2.0 * bm1))
+
+
+def check_hardy_mc_args(N: int, s: float, p: float, samples: int) -> None:
+    """The arguments hardy_constant_mc accepts: N in {2,3}, s in (0,1), p > 1, an integer samples >= 2."""
+    if N not in (2, 3):
+        raise ParameterError(f"Monte-Carlo Hardy oracle implemented for N in {{2,3}}, got {N}")
+    _check_hardy_args(s, p)
+    if not isinstance(samples, (int, np.integer)) or samples < 2:
+        raise ParameterError(f"samples must be an integer >= 2, got {samples!r}")
 
 
 def _usable_cpus() -> int:
@@ -299,11 +307,7 @@ def hardy_constant_mc(
     MC_CHUNK samples run on parallel threads and the result is the same for
     any worker count.
     """
-    if N < 2:
-        raise ParameterError(f"hardy_constant_mc requires N >= 2, got {N}")
-    _check_hardy_args(s, p)
-    if not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise ParameterError(f"samples must be an integer >= 2, got {samples!r}")
+    check_hardy_mc_args(N, s, p, samples)
     beta = (N + p * s) / 2.0
     k = (N - p * s) / p
     ps = p * s

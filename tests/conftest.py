@@ -6,6 +6,13 @@ import pytest
 from fraclab import Ball, build_domain, kernels, sample
 
 
+def dense_pairs(table):
+    """The dense interior pair-weight matrix w(z_i - z_j), zero diagonal: the oracle of the FFT operators."""
+    P = kernels.lattice_gather(table.weights, table.domain.interior_index)
+    np.fill_diagonal(P, 0.0)
+    return P
+
+
 @pytest.fixture(scope="session")
 def dom1d():
     """Unit-ball 1D domain, 200 nodes, boundary aligned with cell edges."""

@@ -51,7 +51,7 @@ def test_solve_csv_schema_and_exit0(tmp_path):
 
 
 def test_rerun_bit_reproducible(tmp_path):
-    # the 2D sweep's final residual comes from the threaded stiffness matvec
+    # the 2D sweep's final residual comes from the FFT stiffness matvec
     cfgs = {
         "solve": _write(tmp_path, "solve.ini", SOLVE_CFG),
         "sweep": _write(tmp_path, "sweep2d.ini", SWEEP_2D_CFG),
@@ -99,6 +99,15 @@ def test_malformed_field_spec_exit2(tmp_path, capsys, monkeypatch, spec):
     cfg = _write(tmp_path, "bad.ini", SOLVE_CFG.replace("s = 0.6", f"s = 0.6\nf = {spec}"))
     assert run("solve", cfg, tmp_path / "out") == 2
     assert f"[problem] f: {spec!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["bump:0", "bump:-0.5", "bump:nan"])
+def test_nonpositive_bump_radius_exit2(tmp_path, capsys, monkeypatch, spec):
+    monkeypatch.setattr(cli, "_build_domain", _no_computation)
+    cfg = _write(tmp_path, "bad.ini", SOLVE_CFG.replace("s = 0.6", f"s = 0.6\nf = {spec}"))
+    assert run("solve", cfg, tmp_path / "out") == 2
+    assert f"bump radius must be positive, got {spec!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "solve.csv").exists()
 
 
 @pytest.mark.parametrize("digits", ["-3", "0", "18"])
@@ -206,7 +215,7 @@ def test_iterate_uses_solver_cutoff(tmp_path, monkeypatch, table_builds):
 
 def test_run_frees_its_domains(tmp_path, monkeypatch, no_gc):
     # with the cycle collector off, reference counting alone must free every
-    # domain of a run, and with it the memoized tables and their pair matrices
+    # domain of a run, and with it the memoized tables
     built = []
     build = cli._build_domain
 
@@ -240,6 +249,24 @@ def test_hardy_refuses_negative_mc_samples(tmp_path, capsys):
     cfg = _write(tmp_path, "hardy.ini", HARDY_CFG.replace("mc_samples = 20000", "mc_samples = -5"))
     assert run("hardy", cfg, tmp_path / "out") == 2
     assert "samples must be an integer >= 2, got -5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (("2:0.45:2.0", "2:abc:2"), "hardy triple must be N:s:p, got '2:abc:2'"),
+        (("3:0.3:2.0", "3:0.3:2.0,4:0.5:2"), "implemented for N in {2,3}, got 4"),
+        (("mc_samples = 20000", "mc_samples = 1"), "samples must be an integer >= 2, got 1"),
+    ],
+)
+def test_hardy_checks_every_triple_before_quadrature(tmp_path, capsys, monkeypatch, change, message):
+    calls = []
+    monkeypatch.setattr(cli, "hardy_constant", lambda *args, **kwargs: calls.append(args))
+    cfg = _write(tmp_path, "hardy.ini", HARDY_CFG.replace(*change))
+    assert run("hardy", cfg, tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out" / "hardy.csv").exists()
 
 
 EXP_CFG = """

@@ -32,6 +32,7 @@ from fraclab import (
     save_kernel_table,
     sphere_area,
 )
+from conftest import dense_pairs
 from fraclab import kernels
 from fraclab.kernels import CacheMismatch, cell_kernel_integrals
 
@@ -216,7 +217,7 @@ def test_get_table_loads_from_cache_dir(tmp_path, monkeypatch, table_builds):
 
 def test_dropped_domain_frees_its_tables(no_gc):
     # a table holds its domain weakly and the memo is keyed weakly by domain,
-    # so reference counting alone frees the domain, its tables and their P
+    # so reference counting alone frees the domain and its tables
     dom = build_domain(Ball(center=(0.0, 0.0), radius=1.0), 16, margin_cells=2)
     u = sample(lambda x, y: 1.0 - x**2 - y**2, dom)
     assemble(dom, 0.6)
@@ -224,7 +225,6 @@ def test_dropped_domain_frees_its_tables(no_gc):
     apply_riesz_gradient(u, 0.6)
     riesz_potential(u, 1.3)
     refs = [weakref.ref(dom), weakref.ref(get_table(dom, 1.2)), weakref.ref(get_table(dom, 0.6))]
-    assert refs[1]()._pair is not None
     del dom, u
     assert all(ref() is None for ref in refs)
 
@@ -446,8 +446,7 @@ def test_kappa_block_sums_equal_pair_row_sums(N, n):
     # I = 128, 196, 316, 136: whole and partial last row blocks of 64
     dom = build_domain(Ball(center=(0.0,) * N, radius=1.0), n, margin_cells=2)
     tab = get_table(dom, 1.2)
-    assert tab._pair is None
-    P = tab.pair_matrix()
+    P = dense_pairs(tab)
     assert np.array_equal(kernels.lattice_row_sums(tab.weights, dom.interior_index), P.sum(axis=1))
     assert np.array_equal(tab.kappa, tab.total_weight + tab.tail - P.sum(axis=1))
 

@@ -19,6 +19,7 @@ from fraclab import (
     solution_operator_continuity,
     solve_poisson,
 )
+from conftest import dense_pairs
 from fraclab import poisson
 
 S = 0.6
@@ -31,7 +32,7 @@ def solver1d(dom1d):
 
 def test_matrix_matches_apply(dom1d, bump1d):
     op = assemble(dom1d, S)
-    mv = op.apply(bump1d).interior
+    mv = op.matrix @ bump1d.interior
     direct = apply_frac_laplacian(bump1d, S).interior
     assert np.max(np.abs(mv - direct)) <= 1e-12 * np.max(np.abs(direct))
 
@@ -152,7 +153,7 @@ def test_continuity_alternating_sign(solver1d, dom1d, bump1d):
 def _reference_assemble(domain, s, table):
     """Stiffness assembly as first written, with I x I temporaries for the checks."""
     a = table.norm_const
-    P = table.pair_matrix()
+    P = dense_pairs(table)
     n = domain.interior_count
     A = -P.copy()
     idx = np.arange(n)
@@ -209,10 +210,10 @@ def _doctored(table, how):
     elif how == "nan_weight":
         W[near] = np.nan
     elif how == "half_total":
-        return replace(table, total_weight=0.5 * table.total_weight, _pair=None)
+        return replace(table, total_weight=0.5 * table.total_weight)
     elif how == "negative_total":
-        return replace(table, total_weight=-2.0 * (table.total_weight + table.tail), _pair=None)
-    return replace(table, weights=W, _pair=None)
+        return replace(table, total_weight=-2.0 * (table.total_weight + table.tail))
+    return replace(table, weights=W)
 
 
 @pytest.mark.parametrize(
@@ -297,7 +298,7 @@ def test_matrix_raises_after_factorize(dom1d_small):
 
 def test_infinite_diagonal_fails_factorization(dom1d_small, monkeypatch):
     # an infinite diagonal passes the M-matrix checks; the factor's diagonal check catches it
-    table = replace(get_table(dom1d_small, 2.0 * S), total_weight=np.inf, _pair=None)
+    table = replace(get_table(dom1d_small, 2.0 * S), total_weight=np.inf)
     monkeypatch.setattr(poisson, "get_table", lambda *args: table)
     op = assemble(dom1d_small, S)
     with pytest.raises(ConsistencyError, match="factorization failed"):
@@ -306,8 +307,8 @@ def test_infinite_diagonal_fails_factorization(dom1d_small, monkeypatch):
 
 def test_factorize_holds_one_dense_array():
     # a fresh domain: the table build, assembly and factorization together
-    # allocate one I x I array and no pair matrix; the rest of the peak is the
-    # weight lattice, about 5% of the array at I = 4060
+    # allocate one I x I array; the rest of the peak is the weight lattice,
+    # about 5% of the array at I = 4060
     dom = build_domain(Ball(center=(0.0, 0.0), radius=1.0), 80, margin_cells=4)
     n = dom.interior_count
     tracemalloc.start()
@@ -316,7 +317,6 @@ def test_factorize_holds_one_dense_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert get_table(dom, 2.0 * S)._pair is None
     assert peak < 1.1 * 8 * n**2
     rhs = np.ones(n)
     assert np.linalg.norm(solver.operator.matvec(solver.solve_vector(rhs)) - rhs) <= 1e-10 * np.linalg.norm(rhs)
