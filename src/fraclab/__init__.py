@@ -1,7 +1,7 @@
 """fraclab: a desk-scale laboratory for fractional Laplacian problems.
 
 Grids, cell-averaged hypersingular kernel tables, nonlocal operators,
-Gagliardo/Hardy functionals, a dense fractional Poisson solver, a Picard
+Gagliardo/Hardy functionals, a matrix-free fractional Poisson solver, a Picard
 fixed-point driver with closed-form smallness thresholds, exact-arithmetic
 regularity exponent tables and non-existence certificates, plus the
 `fraclab` batch CLI.
@@ -58,7 +58,6 @@ from .seminorms import (
 )
 from .poisson import (
     ContinuityReport,
-    FactorizedSolver,
     StiffnessOperator,
     assemble,
     solution_operator_continuity,

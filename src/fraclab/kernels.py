@@ -22,6 +22,15 @@ operators reduce to interior sums sharing one table.  Identities such as
 the energy identity and the Gagliardo decomposition then hold to machine
 precision by construction, because every module reads the same weights.
 
+The interior pair weights w(z_i - z_j) depend on the node offset only, so no
+I x I array is ever formed: every interior sum that is linear in the data is
+one FFT correlation (_correlate) with the lattice cropped to offsets
+|z_k| <= n-1 (_crop), on a periodic box of side next_fast_len(2n-1) that keeps
+wrapped terms off the grid.  kappa is such a correlation with the interior
+indicator, kappa = total + tail - (crop correlated with 1_interior).  The
+weight lattice itself is the largest array of the package; cell_lattice
+refuses one larger than the memory available.
+
 The normalization constant
 
     a_{N,s} = ( int_{R^N} (1 - cos xi_1) |xi|^-(N+2s) dxi )^-1
@@ -57,6 +66,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.fft as sp_fft
 from scipy import special
 
 from .errors import ConfigurationError, ParameterError, check_unit_interval
@@ -75,15 +85,11 @@ __all__ = [
     "origin_cell_moment",
     "cell_kernel_integrals",
     "cell_lattice",
-    "lattice_gather",
-    "lattice_row_sums",
     "available_memory",
 ]
 
 CACHE_MAGIC = b"FLKT"
-CACHE_VERSION = 2
-# rows per block of every pair-weight loop; a 64 x I float64 block stays in cache
-PAIR_BLOCK_ROWS = 64
+CACHE_VERSION = 3
 
 
 def sphere_area(d: int) -> float:
@@ -213,7 +219,8 @@ def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.
         grids = np.meshgrid(*([off1] * ndim), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
         out = np.zeros(len(zg))
-        chunk = max(1, int(4e6 // max(len(pts), 1)))
+        # 2^16 quadrature points per chunk keep the temporaries small beside the lattice
+        chunk = max(1, 2**16 // len(pts))
         for i in range(0, len(zg), chunk):
             y = (zg[i : i + chunk, None, :] + pts[None, :, :]) * h
             r2 = (y**2).sum(axis=-1)
@@ -241,7 +248,18 @@ def cell_lattice(N: int, K: int, exponent: float, h: float, ball: bool) -> np.nd
     sorted offset 0 <= z_1 <= ... <= z_N and the values are copied to every
     permutation and sign.  ball=True keeps only offsets with |z| <= K (zero
     beyond); the center entry is 0.
+
+    The lattice is the largest array of the package.  Its 8 (2K+1)^N bytes are
+    estimated first, and a lattice larger than the memory available is a
+    ConfigurationError that names the estimate.
     """
+    need = 8 * (2 * K + 1) ** N
+    avail = available_memory()
+    if avail is not None and need > avail:
+        raise ConfigurationError(
+            f"the {N}D weight lattice of side {2 * K + 1} needs {need / 2**20:.3g} MB, but only "
+            f"{avail / 2**20:.3g} MB of memory is available; use fewer nodes or a smaller cutoff_factor"
+        )
     z = _sorted_offsets(N, K)[1:]
     if ball:
         z = z[(z * z).sum(axis=1) <= K * K]
@@ -270,63 +288,6 @@ def available_memory() -> int | None:
         return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (OSError, ValueError, AttributeError):
         return None
-
-
-def _gathered_rows(weights: np.ndarray, index: np.ndarray, out: np.ndarray | None = None):
-    """Yield (i0, i1, block): rows i0:i1 of the matrix weights[center + index_i - index_j].
-
-    weights is an offset lattice of odd side length with the zero offset at
-    its center; entries are gathered from the flat array at linear offsets
-    center + lin_i - lin_j, PAIR_BLOCK_ROWS rows at a time.  Each block is a
-    view of out when it is given, and otherwise one reused scratch buffer.
-    """
-    shape = weights.shape
-    W = weights.reshape(-1)
-    lin = np.ravel_multi_index(index.T, shape)
-    center = np.ravel_multi_index(tuple(k // 2 for k in shape), shape)
-    n = len(lin)
-    scratch = np.empty((min(PAIR_BLOCK_ROWS, n), n)) if out is None else None
-    for i0 in range(0, n, PAIR_BLOCK_ROWS):
-        i1 = min(i0 + PAIR_BLOCK_ROWS, n)
-        block = out[i0:i1] if out is not None else scratch[: i1 - i0]
-        np.take(W, (center + lin[i0:i1, None]) - lin[None, :], out=block)
-        yield i0, i1, block
-
-
-def lattice_gather(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Dense matrix with entries weights[center + index_i - index_j].
-
-    This is where every I x I array of the package is allocated.  It first
-    estimates the array's 8 I^2 bytes and raises ConfigurationError, naming
-    the estimate, when that exceeds the memory available.
-    """
-    n = len(index)
-    need = 8 * n * n
-    avail = available_memory()
-    if avail is not None and need > avail:
-        raise ConfigurationError(
-            f"a dense {n} x {n} float64 array needs {need / 2**20:.1f} MB, "
-            f"but only {avail / 2**20:.1f} MB of memory is available; use fewer nodes"
-        )
-    out = np.empty((n, n))
-    for _ in _gathered_rows(weights, index, out):
-        pass
-    return out
-
-
-def lattice_row_sums(weights: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Row sums of lattice_gather(weights, index) with its diagonal zeroed.
-
-    Sums one row block at a time, so no I x I array is allocated; each row is
-    summed as a contiguous row of the full matrix would be, so the sums equal
-    the full matrix's row sums bit for bit.
-    """
-    sums = np.empty(len(index))
-    for i0, i1, block in _gathered_rows(weights, index):
-        rows = np.arange(i1 - i0)
-        block[rows, rows + i0] = 0.0
-        block.sum(axis=1, out=sums[i0:i1])
-    return sums
 
 
 def origin_cell_moment(h: float, N: int, power: float) -> float:
@@ -391,13 +352,60 @@ class KernelTable:
         return origin_cell_moment(self.domain.h, self.domain.dimension, p - self.domain.dimension - self.sigma)
 
 
+def _crop(table: KernelTable) -> np.ndarray:
+    """The weights on offsets |z_k| <= n-1, shape (2n-1,)*N, zero offset at the center."""
+    n = table.domain.nodes_per_axis
+    M = table.lattice_radius
+    # the cutoff is at least the bbox diameter plus one cell, so M > n
+    assert M >= n - 1, f"lattice radius {M} does not cover grid offsets up to {n - 1}"
+    return table.weights[(slice(M - n + 1, M + n),) * table.domain.dimension]
+
+
+def _box_shape(domain: GridDomain) -> tuple[int, ...]:
+    """The periodic FFT box, of side L = next_fast_len(2n-1) on every axis."""
+    return (sp_fft.next_fast_len(2 * domain.nodes_per_axis - 1, real=True),) * domain.dimension
+
+
+def _spectrum(kernel: np.ndarray, domain: GridDomain) -> np.ndarray:
+    """The transform that makes _box_product the correlation with kernel.
+
+    kernel has side 2n-1 with the zero offset at the center; it is mirrored
+    and wrapped onto the box with the zero offset at the origin.  Leading stack
+    axes are kept.
+    """
+    N, n = domain.dimension, domain.nodes_per_axis
+    axes = tuple(range(-N, 0))
+    box = np.zeros(kernel.shape[: kernel.ndim - N] + _box_shape(domain))
+    box[(Ellipsis,) + (slice(0, 2 * n - 1),) * N] = kernel[(Ellipsis,) + (slice(None, None, -1),) * N]
+    return sp_fft.rfftn(np.roll(box, 1 - n, axis=axes), axes=axes)
+
+
+def _box_product(values: np.ndarray, spectrum: np.ndarray, domain: GridDomain) -> np.ndarray:
+    """irfftn(spectrum * rfftn(values)) on the box, at the interior nodes.
+
+    values is an exterior-zero grid array, zero-padded to the box; since the
+    box side is at least 2n-1, no wrapped term reaches the grid.  Leading
+    stack axes of either argument broadcast.
+    """
+    shape = _box_shape(domain)
+    axes = tuple(range(-len(shape), 0))
+    full = sp_fft.irfftn(spectrum * sp_fft.rfftn(values, shape, axes=axes), shape, axes=axes)
+    return full[(Ellipsis,) + (slice(0, domain.nodes_per_axis),) * domain.dimension][..., domain.interior_mask]
+
+
+def _correlate(values: np.ndarray, kernel: np.ndarray, domain: GridDomain) -> np.ndarray:
+    """sum_j kernel[z_j - z_i] values_j at interior nodes i, for an exterior-zero grid array."""
+    return _box_product(values, _spectrum(kernel, domain), domain)
+
+
 def _make_table(
     domain: GridDomain, sigma: float, M: int, W: np.ndarray, kappa: np.ndarray | None = None
 ) -> KernelTable:
     """Complete a weight lattice with the tail, normalization and exterior mass.
 
-    kappa is computed from the pair row sums, block by block without an
-    I x I array, unless given (a cache load); it must be positive either way.
+    Unless given (a cache load), kappa is the full-space mass less the pair
+    row sums, kappa = total + tail - (crop correlated with 1_interior), one
+    FFT correlation; it must be positive either way.
     """
     N = domain.dimension
     total = float(W.sum())
@@ -414,7 +422,7 @@ def _make_table(
         shape_hash=domain.shape_hash(),
     )
     if kappa is None:
-        kappa = total + table.tail - lattice_row_sums(W, domain.interior_index)
+        kappa = total + table.tail - _correlate(domain.interior_mask.astype(float), _crop(table), domain)
     table.kappa = kappa
     if not np.all(table.kappa > 0):
         raise ConfigurationError("exterior mass kappa must be positive on a bounded domain")

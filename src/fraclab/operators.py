@@ -22,10 +22,12 @@ The squared gradient  D_s^2(u) = (a/2) int |u(x)-u(y)|^2 |x-y|^-(N+2s) dy  and
 its q-th power generalization B_s^q use the same tables; their origin cell is
 absolutely integrable and approximated by |grad_h u|^{2 or q} * I0(2 or q).
 
-P is never formed: its entries depend on the node offset only, so the signed
-operators, D_s^2, the Riesz gradient and the Riesz potential are FFT
-correlations with a lattice cropped to offsets |z_k| <= n-1.  The p-power pair
-sums (B_s^q, Gagliardo) gather row slabs of P from that crop, pairs once each.
+P is never formed: its entries depend on the node offset only.  A signed
+operator is a product with its real symbol on the FFT box (_symbol), the one
+path that poisson.StiffnessOperator uses too; D_s^2, the Riesz gradient and
+the Riesz potential are FFT correlations with a lattice cropped to offsets
+|z_k| <= n-1.  The p-power pair sums (B_s^q, Gagliardo) gather row slabs of P
+from that crop, pairs once each.
 """
 
 from __future__ import annotations
@@ -34,10 +36,14 @@ import numpy as np
 import scipy.fft as sp_fft
 
 from .errors import ParameterError, check_unit_interval
-from .grids import GridDomain, GridFunction
+from .grids import GridFunction
 from .kernels import (
-    PAIR_BLOCK_ROWS,
     KernelTable,
+    _box_product,
+    _box_shape,
+    _correlate,
+    _crop,
+    _spectrum,
     cell_lattice,
     get_table,
     normalization_constant,
@@ -54,6 +60,9 @@ __all__ = [
     "riesz_potential",
     "pair_power_sum",
 ]
+
+# rows per block of every pair-weight loop; a 64 x I float64 block stays in cache
+PAIR_BLOCK_ROWS = 64
 
 
 def central_gradient(u: GridFunction) -> np.ndarray:
@@ -79,57 +88,33 @@ def central_gradient(u: GridFunction) -> np.ndarray:
     return out
 
 
-def _stride2_second_difference(u: GridFunction) -> np.ndarray:
-    """sum_k (2 u_i - u_{i+2e_k} - u_{i-2e_k}) / (4 h^2) at interior nodes."""
-    dom = u.domain
-    full = u.values
-    acc = np.zeros_like(full)
-    for k in range(dom.dimension):
-        up = np.zeros_like(full)
-        dn = np.zeros_like(full)
-        sl_a = [slice(None)] * dom.dimension
-        sl_b = [slice(None)] * dom.dimension
-        sl_a[k] = slice(None, -2)
-        sl_b[k] = slice(2, None)
-        up[tuple(sl_a)] = full[tuple(sl_b)]
-        dn[tuple(sl_b)] = full[tuple(sl_a)]
-        acc += 2.0 * full - up - dn
-    return (acc / (4.0 * dom.h**2))[dom.interior_mask]
+def _stride_coupling(table: KernelTable) -> float:
+    """c = I0(2)/(8 h^2): the weight of each stride-2 neighbour in the origin-cell term L0."""
+    return table.origin_moment(2.0) / (8.0 * table.domain.h**2)
 
 
-def _crop(table: KernelTable) -> np.ndarray:
-    """The weights on offsets |z_k| <= n-1, shape (2n-1,)*N, zero offset at the center."""
-    n = table.domain.nodes_per_axis
-    M = table.lattice_radius
-    # the cutoff is at least the bbox diameter plus one cell, so M > n
-    assert M >= n - 1, f"lattice radius {M} does not cover grid offsets up to {n - 1}"
-    return table.weights[(slice(M - n + 1, M + n),) * table.domain.dimension]
+def _diagonal(table: KernelTable) -> float:
+    """a (T + 2N c): the coefficient of u_i in the signed operator."""
+    return table.norm_const * (table.total_weight + table.tail + 2 * table.domain.dimension * _stride_coupling(table))
 
 
-def _correlate(values: np.ndarray, kernel: np.ndarray, domain: GridDomain) -> np.ndarray:
-    """sum_j kernel[z_j - z_i] values_j at interior nodes i, for an exterior-zero grid array.
+def _symbol(table: KernelTable) -> np.ndarray:
+    """The signed operator's symbol on the FFT box: a [(T + 2N c) - W^(xi) - 2c sum_k cos 2 xi_k].
 
-    kernel has side 2n-1, zero offset at the center; leading stack axes of
-    either argument broadcast.  Correlation is convolution with the mirror
-    image; circular length >= 2n-1 keeps wrapped terms off the window.
+    The operator is the correlation with the even kernel
+    a [(T + 2N c) delta_0 - w_z - c sum_k (delta_{2e_k} + delta_{-2e_k})], so its
+    transform is real.  It is positive, since |W^| <= total < T.
     """
-    N = domain.dimension
-    n = domain.nodes_per_axis
-    shape = [sp_fft.next_fast_len(2 * n - 1, real=True)] * N
-    axes = tuple(range(-N, 0))
-    K = sp_fft.rfftn(kernel[(Ellipsis,) + (slice(None, None, -1),) * N], shape, axes=axes)
-    full = sp_fft.irfftn(K * sp_fft.rfftn(values, shape, axes=axes), shape, axes=axes)
-    return full[(Ellipsis,) + (slice(n - 1, 2 * n - 1),) * N][..., domain.interior_mask]
+    dom = table.domain
+    shape = _box_shape(dom)
+    freqs = [sp_fft.fftfreq(L) for L in shape[:-1]] + [sp_fft.rfftfreq(shape[-1])]
+    stride = sum(np.cos(4.0 * np.pi * f) for f in np.meshgrid(*freqs, indexing="ij", sparse=True))
+    W = _spectrum(_crop(table), dom).real
+    return _diagonal(table) - table.norm_const * (W + 2.0 * _stride_coupling(table) * stride)
 
 
 def _signed_apply(u: GridFunction, table: KernelTable) -> GridFunction:
-    I02 = table.origin_moment(2.0)
-    out = table.norm_const * (
-        (table.total_weight + table.tail) * u.interior
-        - _correlate(u.values, _crop(table), u.domain)
-        + 0.5 * I02 * _stride2_second_difference(u)
-    )
-    return u.domain.from_interior(out)
+    return u.domain.from_interior(_box_product(u.values, _symbol(table), u.domain))
 
 
 def apply_frac_laplacian(u: GridFunction, s: float) -> GridFunction:

@@ -1,41 +1,38 @@
-"""Dense assembly and direct solution of the fractional Poisson problem.
+"""Matrix-free solution of the fractional Poisson problem.
 
-The stiffness matrix is the literal matrix form of the fractional Laplacian
-application: row i carries  a * [ (total+tail) delta_ij - w_ij + L0_ij ].  It
-is symmetric by weight symmetry and an M-matrix (positive diagonal,
-nonpositive off-diagonal, strictly dominant thanks to kappa_i > 0), hence
-positive definite; one Cholesky factorization serves every right-hand side of
-a Picard run.
+The stiffness operator is the fractional Laplacian on interior nodes: row i
+carries  a * [ (T + 2N c) delta_ij - w_ij - c (stride-2 neighbours of i) ],
+with T = total+tail and c = I0(2)/(8 h^2).  Its entries depend on the node
+offset only (Toeplitz structure), so it is the restriction to the interior of
+a convolution, and StiffnessOperator holds one real array: the symbol of that
+convolution on the periodic FFT box of side L = next_fast_len(2n-1).  A v
+zero-pads v into the box, multiplies its transform by the symbol and restricts
+the result to the interior; apply_frac_laplacian is the same product.  The
+same product with the reciprocal symbol is the circulant preconditioner of the
+conjugate-gradient solve (R. Chan & M. Ng, SIAM Review 38, 1996).
 
-The dense path holds one I x I array from assembly to the last solve, so an
-8 GB machine reaches about I = 3 * 10^4.  Assembly gathers A straight from the
-kernel table's weight lattice and runs its M-matrix checks on A itself.  The
-Cholesky factor L overwrites the upper triangle of the C-ordered A in place
-(LAPACK dpotrf on its Fortran-ordered transpose).  The products A u behind
-apply, energy and the residual checks are apply_frac_laplacian, by FFT, and
-never read the array.  The factor is checked for non-finite values once, when
-it is formed, through its diagonal; each solve then checks only its
-right-hand side, in O(I).
+The operator is symmetric by weight symmetry and an M-matrix: its diagonal
+a (T + 2N c) is positive, its off-diagonal entries -a w_z and -a c are
+nonpositive, and its rows are strictly dominant thanks to kappa_i > 0; hence
+it is positive definite and obeys a discrete maximum principle.  assemble
+checks all three on the table and one product A 1 (the row sums), in
+O(I log I); no I x I array is formed anywhere.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf
 
 from .errors import ConsistencyError, ParameterError, check_unit_interval
 from .grids import GridDomain, GridFunction, lp_norm
-from .kernels import KernelTable, get_table, lattice_gather
-from .operators import apply_frac_laplacian
+from .kernels import _box_product, _crop, get_table
+from .operators import _diagonal, _symbol
 from .seminorms import gagliardo_double_sum
 
 __all__ = [
     "StiffnessOperator",
-    "FactorizedSolver",
     "assemble",
     "solve_poisson",
     "solution_operator_continuity",
@@ -43,33 +40,27 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
+# conjugate gradients stop at this relative residual, and fail past this many iterations
+PCG_RTOL = 1e-14
+PCG_MAX_ITER = 500
 
 
 @dataclass
 class StiffnessOperator:
-    """Discrete (-Delta)^s over interior nodes, with its dense symmetric matrix.
-
-    The matrix is readable until the first factorize(), which overwrites its
-    upper triangle with the Cholesky factor; matvec, apply and energy apply
-    the operator by FFT and never read the matrix.
-    """
+    """Discrete (-Delta)^s over interior nodes, held as its symbol on the FFT box."""
 
     domain: GridDomain
     s: float
-    table: KernelTable
-    _matrix: np.ndarray = field(repr=False)
-    # the solver that factorized _matrix, held weakly so the two form no cycle
-    _solver: weakref.ref | None = field(default=None, repr=False)
+    symbol: np.ndarray = field(repr=False)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._solver is not None:
-            raise ParameterError("the stiffness matrix was factorized in place; use apply()")
-        return self._matrix
+    def _box_apply(self, symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
+        full = np.zeros((self.domain.nodes_per_axis,) * self.domain.dimension)
+        full[self.domain.interior_mask] = v
+        return _box_product(full, symbol, self.domain)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """A v, as the fractional Laplacian of the exterior-zero extension of v."""
-        return apply_frac_laplacian(self.domain.from_interior(v), self.s).interior
+        return self._box_apply(self.symbol, v)
 
     def apply(self, u: GridFunction) -> GridFunction:
         return self.domain.from_interior(self.matvec(u.interior))
@@ -79,97 +70,62 @@ class StiffnessOperator:
         ui = u.interior
         return float(ui @ self.matvec(ui)) * self.domain.h**self.domain.dimension
 
-    def factorize(self) -> "FactorizedSolver":
-        """The Cholesky solver; factorizes in place once, later calls return the same solver."""
-        solver = self._solver() if self._solver is not None else None
-        return solver if solver is not None else FactorizedSolver(self)
-
-
-def assemble(domain: GridDomain, s: float) -> StiffnessOperator:
-    """Assemble the interior stiffness matrix and verify its M-matrix structure."""
-    check_unit_interval("s", s)
-    table = get_table(domain, 2.0 * s)
-    a = table.norm_const
-    n = domain.interior_count
-    A = lattice_gather(table.weights, domain.interior_index)
-    np.negative(A, out=A)
-    idx = np.arange(n)
-    A[idx, idx] = table.total_weight + table.tail
-
-    # origin cell: stride-2 second difference, coefficient I0(2)/(8 h^2) per axis
-    c = table.origin_moment(2.0) / (8.0 * domain.h**2)
-    pos = np.full((domain.nodes_per_axis,) * domain.dimension, -1, dtype=int)
-    pos[domain.interior_mask] = idx
-    ij = domain.interior_index
-    for k in range(domain.dimension):
-        for sign in (1, -1):
-            nb = ij.copy()
-            nb[:, k] += 2 * sign
-            valid = (nb[:, k] >= 0) & (nb[:, k] < domain.nodes_per_axis)
-            j = np.full(n, -1, dtype=int)
-            j[valid] = pos[tuple(nb[valid].T)]
-            hit = j >= 0
-            A[idx[hit], j[hit]] -= c
-            A[idx, idx] += c
-    A *= a
-
-    diag = A.diagonal().copy()
-    if not np.all(diag > 0):
-        raise ConsistencyError("stiffness diagonal must be positive")
-    # mask the diagonal so the maximum runs over the off-diagonal entries only
-    np.fill_diagonal(A, -np.inf)
-    off_max = A.max()
-    np.fill_diagonal(A, diag)
-    if off_max > 1e-14 * diag.max():
-        raise ConsistencyError("stiffness off-diagonal entries must be nonpositive")
-    row_excess = A.sum(axis=1)
-    if not np.all(row_excess > 0):
-        raise ConsistencyError("stiffness rows must be strictly diagonally dominant")
-    return StiffnessOperator(domain=domain, s=s, table=table, _matrix=A)
-
-
-class FactorizedSolver:
-    """Cholesky factorization of a StiffnessOperator, reusable across solves.
-
-    The first solver of an operator factorizes its matrix in place; a solver
-    made for an operator already factorized reuses that factor.
-    """
-
-    def __init__(self, operator: StiffnessOperator):
-        self.operator = operator
-        self.domain = operator.domain
-        # A is symmetric, so its C-ordered buffer read in Fortran order is A
-        # again; dpotrf writes L over that view's lower triangle, which is the
-        # upper triangle of the C-ordered array
-        self._factor = operator._matrix.T
-        first = operator._solver is None
-        operator._solver = weakref.ref(self)
-        info = dpotrf(self._factor, lower=1, clean=0, overwrite_a=1)[1] if first else 0
-        # LAPACK stops at a nonpositive pivot, and a non-finite entry of L
-        # makes the diagonal entry of its row non-finite
-        d = self._factor.diagonal()
-        if info != 0 or not np.all((d > 0) & (d < np.inf)):
-            raise ConsistencyError(f"stiffness factorization failed (LAPACK info {info})")
-
     def solve_vector(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A v = rhs; a non-finite right-hand side is a ParameterError.
+        """Solve A v = rhs by conjugate gradients, preconditioned with the reciprocal symbol.
 
-        The factor was checked for non-finite values when it was formed, so
-        the I x I factor is not scanned again on every solve.
+        Iterates from 0 until the updated residual is at most PCG_RTOL of
+        |rhs|; a solve still above it after PCG_MAX_ITER iterations is a
+        ConsistencyError, and a non-finite right-hand side a ParameterError.
         """
         rhs = np.asarray(rhs, dtype=float)
         if not np.all(np.isfinite(rhs)):
             raise ParameterError("right-hand side has non-finite entries")
-        return cho_solve((self._factor, True), rhs, check_finite=False)
+        x = np.zeros_like(rhs)
+        if not rhs.any():
+            return x
+        inverse = 1.0 / self.symbol
+        stop = PCG_RTOL * np.linalg.norm(rhs)
+        r = rhs.copy()
+        p, rz = np.zeros_like(rhs), 1.0  # with p = 0 the first direction is z
+        for _ in range(PCG_MAX_ITER):
+            z = self._box_apply(inverse, r)
+            rz, rz_prev = r @ z, rz
+            p = z + (rz / rz_prev) * p
+            Ap = self.matvec(p)
+            alpha = rz / (p @ Ap)
+            x += alpha * p
+            r -= alpha * Ap
+            if np.linalg.norm(r) <= stop:
+                return x
+        raise ConsistencyError(
+            f"conjugate gradients did not reach a relative residual of {PCG_RTOL} in {PCG_MAX_ITER} iterations"
+        )
 
 
-def solve_poisson(solver: FactorizedSolver, h: GridFunction) -> GridFunction:
+def assemble(domain: GridDomain, s: float) -> StiffnessOperator:
+    """The interior stiffness operator, with its M-matrix structure verified."""
+    check_unit_interval("s", s)
+    table = get_table(domain, 2.0 * s)
+    diag = _diagonal(table)
+    if not 0.0 < diag < np.inf:
+        raise ConsistencyError("stiffness diagonal must be positive and finite")
+    # the off-diagonal entries are -a w_z, for w_z in the crop, and -a c
+    if -table.norm_const * _crop(table).min() > 1e-14 * diag:
+        raise ConsistencyError("stiffness off-diagonal entries must be nonpositive")
+    op = StiffnessOperator(domain=domain, s=s, symbol=_symbol(table))
+    # A 1 is the vector of row sums
+    if not np.all(op.matvec(np.ones(domain.interior_count)) > 0):
+        raise ConsistencyError("stiffness rows must be strictly diagonally dominant")
+    return op
+
+
+def solve_poisson(solver: StiffnessOperator, h: GridFunction) -> GridFunction:
     """Solve (-Delta)^s v = h in Omega, v = 0 outside; verifies the residual."""
     if h.domain is not solver.domain:
         raise ParameterError("right-hand side lives on a different domain")
     rhs = h.interior
     v = solver.solve_vector(rhs)
-    res = np.linalg.norm(solver.operator.matvec(v) - rhs)
+    res = np.linalg.norm(solver.matvec(v) - rhs)
     scale = np.linalg.norm(rhs)
     if scale > 0 and res > RESIDUAL_TOL * scale:
         raise ConsistencyError(f"solver residual {res / scale:.3e} exceeds {RESIDUAL_TOL}")
@@ -186,14 +142,14 @@ class ContinuityReport:
 
 
 def solution_operator_continuity(
-    solver: FactorizedSolver,
+    solver: StiffnessOperator,
     h_sequence: list[GridFunction],
     h_limit: GridFunction,
     p_values: tuple[float, ...] | None = None,
 ) -> ContinuityReport:
     """Diagnostic: W-seminorm convergence of solutions under L^1 data convergence."""
     dom = solver.domain
-    N, s = dom.dimension, solver.operator.s
+    N, s = dom.dimension, solver.s
     if p_values is None:
         p_cap = N / (N - s)
         p_values = (1.0, 0.5 * (1.0 + p_cap))

@@ -3,14 +3,56 @@ import gc
 import numpy as np
 import pytest
 
-from fraclab import Ball, build_domain, kernels, sample
+from fraclab import Ball, ConsistencyError, build_domain, kernels, sample
+
+
+# The dense oracles: the I x I arrays that the package never forms.
+
+
+def lattice_gather(weights, index):
+    """Dense matrix with entries weights[center + index_i - index_j], for an offset lattice of odd side."""
+    lin = np.ravel_multi_index(index.T, weights.shape)
+    return weights.ravel()[weights.size // 2 + lin[:, None] - lin[None, :]]
 
 
 def dense_pairs(table):
     """The dense interior pair-weight matrix w(z_i - z_j), zero diagonal: the oracle of the FFT operators."""
-    P = kernels.lattice_gather(table.weights, table.domain.interior_index)
+    P = lattice_gather(table.weights, table.domain.interior_index)
     np.fill_diagonal(P, 0.0)
     return P
+
+
+def dense_stiffness(table):
+    """The matrix a [(T + 2N c) delta_ij - w_ij - c (stride-2 neighbours of i)], c = I0(2)/(8 h^2).
+
+    It runs the M-matrix checks of assemble on the matrix itself and raises
+    the same ConsistencyError messages.
+    """
+    dom = table.domain
+    n, N = dom.interior_count, dom.dimension
+    c = table.origin_moment(2.0) / (8.0 * dom.h**2)
+    A = -dense_pairs(table)
+    idx = np.arange(n)
+    A[idx, idx] = table.total_weight + table.tail + 2 * N * c
+    pos = np.full((dom.nodes_per_axis,) * N, -1, dtype=int)
+    pos[dom.interior_mask] = idx
+    for k in range(N):
+        for step in (2, -2):
+            nb = dom.interior_index.copy()
+            nb[:, k] += step
+            valid = (nb[:, k] >= 0) & (nb[:, k] < dom.nodes_per_axis)
+            j = np.full(n, -1, dtype=int)
+            j[valid] = pos[tuple(nb[valid].T)]
+            A[idx[j >= 0], j[j >= 0]] -= c
+    A *= table.norm_const
+    diag = np.diag(A).copy()
+    if not np.all((diag > 0) & (diag < np.inf)):
+        raise ConsistencyError("stiffness diagonal must be positive and finite")
+    if (A - np.diag(diag)).max() > 1e-14 * diag.max():
+        raise ConsistencyError("stiffness off-diagonal entries must be nonpositive")
+    if not np.all(A.sum(axis=1) > 0):
+        raise ConsistencyError("stiffness rows must be strictly diagonally dominant")
+    return A
 
 
 @pytest.fixture(scope="session")

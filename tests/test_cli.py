@@ -65,10 +65,12 @@ def test_rerun_bit_reproducible(tmp_path):
 
 
 def test_dense_array_beyond_memory_exit2(tmp_path, monkeypatch, capsys):
-    # levels 40 and 80 need 8 and 41 KB for their stiffness matrix, level 160 needs 185 KB
-    monkeypatch.setattr(kernels, "available_memory", lambda: 100_000)
+    # the weight lattice, of side 2M+1 with M = 4n, is the largest array: levels
+    # 40 and 80 need 2.6 and 5.1 KB for it, level 160 needs 10.2 KB
+    monkeypatch.setattr(kernels, "available_memory", lambda: 8000)
     assert run("solve", _write(tmp_path, "solve.ini", SOLVE_CFG), tmp_path / "out") == 2
-    assert "a dense 152 x 152 float64 array needs 0.2 MB" in capsys.readouterr().err
+    assert "the 1D weight lattice of side 1281 needs 0.00977 MB" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "solve.csv").exists()
 
 
 def test_invalid_s_exit2(tmp_path, capsys):
@@ -90,7 +92,7 @@ def test_unknown_key_exit2(tmp_path, capsys):
 
 
 def _no_computation(*args, **kwargs):
-    raise AssertionError("a config error must stop the run before any domain is built")
+    raise AssertionError("a config error must stop the run before any computation")
 
 
 @pytest.mark.parametrize("spec", ["power:abc", "bump:", "const:1,5", "gauss:1"])
@@ -99,6 +101,27 @@ def test_malformed_field_spec_exit2(tmp_path, capsys, monkeypatch, spec):
     cfg = _write(tmp_path, "bad.ini", SOLVE_CFG.replace("s = 0.6", f"s = 0.6\nf = {spec}"))
     assert run("solve", cfg, tmp_path / "out") == 2
     assert f"[problem] f: {spec!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["40,80,80", "80,40"])
+@pytest.mark.parametrize("subcommand", ["solve", "probe"])
+def test_levels_must_increase_exit2(tmp_path, capsys, monkeypatch, subcommand, levels):
+    # a repeated level divided by a zero error; a decreasing one made the coarse level the reference
+    monkeypatch.setattr(cli, "_build_domain", _no_computation)
+    monkeypatch.setattr(cli, "regularity_probe", _no_computation)
+    text = {"solve": SOLVE_CFG, "probe": PROBE_CFG}[subcommand]
+    text = "\n".join(f"levels = {levels}" if line.startswith("levels") else line for line in text.splitlines())
+    assert run(subcommand, _write(tmp_path, "bad.ini", text), tmp_path / "out") == 2
+    assert "levels must be strictly increasing" in capsys.readouterr().err
+    assert not (tmp_path / "out" / f"{subcommand}.csv").exists()
+
+
+def test_lambda_sweep_checked_before_any_picard_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "picard_iterate", _no_computation)
+    text = SWEEP_CFG.replace("lambda_sweep = 0.05,0.1", "lambda_sweep = 0.1,-0.2,0")
+    assert run("sweep", _write(tmp_path, "bad.ini", text), tmp_path / "out") == 2
+    assert "[run] lambda_sweep: '0.1,-0.2,0' (every entry must be positive, got -0.2)" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("spec", ["bump:0", "bump:-0.5", "bump:nan"])
@@ -120,11 +143,12 @@ def test_precision_out_of_range_exit2(tmp_path, capsys, monkeypatch, digits):
 
 
 def test_import_cli_leaves_scipy_integrate_unloaded():
-    # scipy.integrate serves only the Hardy quadrature and is imported there
-    code = "import sys, fraclab.cli; print('scipy.integrate' in sys.modules)"
+    # scipy.integrate serves only the Hardy quadrature and is imported there;
+    # no module of the package uses scipy.linalg
+    code = "import sys, fraclab.cli; print('scipy.integrate' in sys.modules, 'scipy.linalg' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_missing_config_exit2(tmp_path):
@@ -306,11 +330,7 @@ def test_iterate_zero_forcing(tmp_path):
     assert "converged" in lines[-1]
 
 
-def test_probe_cli(tmp_path):
-    cfg = _write(
-        tmp_path,
-        "probe.ini",
-        """
+PROBE_CFG = """
 [domain]
 dimension = 1
 
@@ -321,8 +341,11 @@ t = 0.5
 p = 2.6
 m = 1.0
 levels = 32,128,512
-""",
-    )
+"""
+
+
+def test_probe_cli(tmp_path):
+    cfg = _write(tmp_path, "probe.ini", PROBE_CFG)
     out = tmp_path / "out"
     assert run("probe", cfg, out) == 0
     text = (out / "probe.csv").read_text()

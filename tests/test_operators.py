@@ -22,9 +22,9 @@ from fraclab import (
     sample,
     solve_poisson,
 )
-from conftest import dense_pairs
-from fraclab.kernels import PAIR_BLOCK_ROWS, cell_lattice, lattice_gather, origin_cell_moment
-from fraclab.operators import _pair_slabs, _stride2_second_difference, pair_power_sum
+from conftest import dense_pairs, dense_stiffness, lattice_gather
+from fraclab.kernels import cell_lattice, origin_cell_moment
+from fraclab.operators import PAIR_BLOCK_ROWS, _pair_slabs, pair_power_sum
 
 S = 0.6
 
@@ -172,7 +172,7 @@ def test_frac_power_pointwise_bound(dom1d_small):
     cs = []
     for n in (80, 160):
         dom = build_domain(Ball(center=(0.0,), radius=1.0), n, margin_cells=n // 10)
-        solver = assemble(dom, S).factorize()
+        solver = assemble(dom, S)
         f = sample(lambda x: np.ones_like(x), dom)
         v = solve_poisson(solver, f)
         lhs = np.abs(apply_frac_power(v, t).interior)
@@ -187,7 +187,7 @@ def test_frac_power_pointwise_bound(dom1d_small):
 def test_riesz_gradient_potential_bound(dom1d_small):
     # |grad^s v| <= 1/(N-(1-s)) J_{N-(1-s)}(|grad v|) node-wise on a solved instance
     dom = dom1d_small
-    solver = assemble(dom, S).factorize()
+    solver = assemble(dom, S)
     f = sample(lambda x: np.ones_like(x), dom)
     v = solve_poisson(solver, f)
     g = np.sqrt((apply_riesz_gradient(v, S) ** 2).sum(axis=1))
@@ -238,13 +238,8 @@ def test_riesz_gradient_matches_dense_sum(shape, n, offset, tight_cutoff):
 
 
 def _dense_signed(u, table):
-    # a * [T u - P u + L0 u] with the dense pair matrix
-    ui = u.interior
-    return table.norm_const * (
-        (table.total_weight + table.tail) * ui
-        - dense_pairs(table) @ ui
-        + 0.5 * table.origin_moment(2.0) * _stride2_second_difference(u)
-    )
+    # a * [T u - P u + L0 u] with the dense stiffness matrix
+    return dense_stiffness(table) @ u.interior
 
 
 def _dense_D_s2(u, table):

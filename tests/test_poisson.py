@@ -19,7 +19,7 @@ from fraclab import (
     solution_operator_continuity,
     solve_poisson,
 )
-from conftest import dense_pairs
+from conftest import dense_stiffness
 from fraclab import poisson
 
 S = 0.6
@@ -27,23 +27,26 @@ S = 0.6
 
 @pytest.fixture(scope="module")
 def solver1d(dom1d):
-    return assemble(dom1d, S).factorize()
+    return assemble(dom1d, S)
+
+
+def _dense(dom):
+    return dense_stiffness(get_table(dom, 2.0 * S))
 
 
 def test_matrix_matches_apply(dom1d, bump1d):
-    op = assemble(dom1d, S)
-    mv = op.matrix @ bump1d.interior
+    mv = _dense(dom1d) @ bump1d.interior
     direct = apply_frac_laplacian(bump1d, S).interior
     assert np.max(np.abs(mv - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_matrix_symmetry_exact(dom1d):
-    A = assemble(dom1d, S).matrix
+    A = _dense(dom1d)
     assert np.max(np.abs(A - A.T)) == 0.0
 
 
 def test_m_matrix_structure(dom2d):
-    A = assemble(dom2d, S).matrix
+    A = _dense(dom2d)
     d = np.diag(A)
     assert np.all(d > 0)
     off = A - np.diag(d)
@@ -53,13 +56,12 @@ def test_m_matrix_structure(dom2d):
 
 def test_smallest_eigenvalue_positive_by_inverse_iteration(dom1d_small):
     op = assemble(dom1d_small, S)
-    solver = op.factorize()
     rng = np.random.default_rng(3)
     v = rng.standard_normal(dom1d_small.interior_count)
     v /= np.linalg.norm(v)
     lam = None
     for _ in range(60):
-        w = solver.solve_vector(v)
+        w = op.solve_vector(v)
         lam = 1.0 / np.linalg.norm(w)
         v = w * lam
     assert lam is not None and lam > 0.0
@@ -108,7 +110,7 @@ def test_energy_identity(dom1d, bump1d):
 def test_residual_bound(solver1d, dom1d):
     h = sample(lambda x: np.exp(x), dom1d)
     v = solve_poisson(solver1d, h)
-    res = solver1d.operator.apply(v).interior - h.interior
+    res = solver1d.apply(v).interior - h.interior
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(h.interior)
 
 
@@ -117,7 +119,7 @@ def test_s_harmonic_profile():
     # constant C = Gamma(1/2) / (2^{2s} Gamma(1/2+s) Gamma(1+s))
     s = 0.75
     dom = build_domain(Ball(center=(0.0,), radius=1.0), 640, margin_cells=64)
-    solver = assemble(dom, s).factorize()
+    solver = assemble(dom, s)
     v = solve_poisson(solver, sample(lambda x: np.ones_like(x), dom))
     C = math.gamma(0.5) / (2.0 ** (2 * s) * math.gamma(0.5 + s) * math.gamma(1.0 + s))
     exact = sample(lambda x: C * (1.0 - x**2) ** s, dom)
@@ -150,41 +152,6 @@ def test_continuity_alternating_sign(solver1d, dom1d, bump1d):
         assert vals[-1] < vals[0]
 
 
-def _reference_assemble(domain, s, table):
-    """Stiffness assembly as first written, with I x I temporaries for the checks."""
-    a = table.norm_const
-    P = dense_pairs(table)
-    n = domain.interior_count
-    A = -P.copy()
-    idx = np.arange(n)
-    A[idx, idx] = table.total_weight + table.tail
-    c = table.origin_moment(2.0) / (8.0 * domain.h**2)
-    pos = np.full((domain.nodes_per_axis,) * domain.dimension, -1, dtype=int)
-    pos[domain.interior_mask] = idx
-    ij = domain.interior_index
-    for k in range(domain.dimension):
-        for sign in (1, -1):
-            nb = ij.copy()
-            nb[:, k] += 2 * sign
-            valid = (nb[:, k] >= 0) & (nb[:, k] < domain.nodes_per_axis)
-            j = np.full(n, -1, dtype=int)
-            j[valid] = pos[tuple(nb[valid].T)]
-            hit = j >= 0
-            A[idx[hit], j[hit]] -= c
-            A[idx, idx] += c
-    A *= a
-    diag = np.diag(A)
-    off = A - np.diag(diag)
-    if not np.all(diag > 0):
-        raise ConsistencyError("stiffness diagonal must be positive")
-    if off.max() > 1e-14 * diag.max():
-        raise ConsistencyError("stiffness off-diagonal entries must be nonpositive")
-    row_excess = A.sum(axis=1)
-    if not np.all(row_excess > 0):
-        raise ConsistencyError("stiffness rows must be strictly diagonally dominant")
-    return A
-
-
 def _dim_domain(dim, dom1d, dom2d):
     if dim == 3:
         return build_domain(Ball(center=(0.0, 0.0, 0.0), radius=1.0), 10, margin_cells=1)
@@ -193,16 +160,18 @@ def _dim_domain(dim, dom1d, dom2d):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_assemble_bit_identical_to_reference(dim, dom1d, dom2d):
+    # one operator core: the stiffness matvec is apply_frac_laplacian, bit for bit
     dom = _dim_domain(dim, dom1d, dom2d)
-    A = assemble(dom, S).matrix
-    ref = _reference_assemble(dom, S, get_table(dom, 2.0 * S))
-    assert A.tobytes() == ref.tobytes()
+    v = np.random.default_rng(dim).standard_normal(dom.interior_count)
+    got = assemble(dom, S).matvec(v)
+    assert got.tobytes() == apply_frac_laplacian(dom.from_interior(v), S).interior.tobytes()
 
 
 def _doctored(table, how):
+    # a weight and its mirror change together: the weights stay symmetric
     W = table.weights.copy()
     M, N = table.lattice_radius, table.domain.dimension
-    near = (M + 1,) + (M,) * (N - 1)
+    near = ([M - 1, M + 1],) + (M,) * (N - 1)
     if how == "negative_weight":
         W[near] = -W[near]
     elif how == "tiny_negative_weight":  # inside the 1e-14 off-diagonal tolerance
@@ -213,6 +182,8 @@ def _doctored(table, how):
         return replace(table, total_weight=0.5 * table.total_weight)
     elif how == "negative_total":
         return replace(table, total_weight=-2.0 * (table.total_weight + table.tail))
+    elif how == "infinite_total":
+        return replace(table, total_weight=np.inf)
     return replace(table, weights=W)
 
 
@@ -224,23 +195,27 @@ def _doctored(table, how):
         ("nan_weight", "diagonally dominant"),
         ("half_total", "diagonally dominant"),
         ("negative_total", "diagonal must be positive"),
+        ("infinite_total", "positive and finite"),
     ],
 )
 def test_assemble_rejects_what_reference_rejects(dom1d_small, monkeypatch, how, message):
+    # the dense reference runs the same checks on the I x I matrix itself
     table = _doctored(get_table(dom1d_small, 2.0 * S), how)
     monkeypatch.setattr(poisson, "get_table", lambda *args: table)
     if message is None:
-        A = assemble(dom1d_small, S).matrix
-        assert A.tobytes() == _reference_assemble(dom1d_small, S, table).tobytes()
+        v = np.random.default_rng(2).standard_normal(dom1d_small.interior_count)
+        ref = dense_stiffness(table) @ v
+        assert np.linalg.norm(assemble(dom1d_small, S).matvec(v) - ref) <= 1e-14 * np.linalg.norm(ref)
         return
     with pytest.raises(ConsistencyError, match=message) as ref:
-        _reference_assemble(dom1d_small, S, table)
+        dense_stiffness(table)
     with pytest.raises(ConsistencyError) as new:
         assemble(dom1d_small, S)
     assert str(new.value) == str(ref.value)
 
 
 def test_assemble_allocates_only_the_stiffness_matrix(dom2d):
+    # the operator holds one symbol of the FFT box, (L, L/2+1) with L = 80 here
     get_table(dom2d, 2.0 * S)
     tracemalloc.start()
     try:
@@ -248,78 +223,89 @@ def test_assemble_allocates_only_the_stiffness_matrix(dom2d):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * dom2d.interior_count**2
+    assert peak < 0.1 * 8 * dom2d.interior_count**2
 
 
 def test_solve_vector_matches_checked_cho_solve(dom1d):
+    # PCG against a checked Cholesky solve of the dense matrix: measured 9.6e-15
     op = assemble(dom1d, S)
-    A = op.matrix.copy()
-    solver = op.factorize()
     rhs = np.random.default_rng(5).standard_normal(dom1d.interior_count)
-    ref = cho_solve(cho_factor(A, lower=True), rhs)
-    assert solver.solve_vector(rhs).tobytes() == ref.tobytes()
+    ref = cho_solve(cho_factor(_dense(dom1d), lower=True), rhs)
+    assert np.abs(op.solve_vector(rhs) - ref).max() <= 3e-14 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_in_place_factor_equals_cho_factor(dim, dom1d, dom2d):
-    dom = _dim_domain(dim, dom1d, dom2d)
-    op = assemble(dom, S)
-    A = op.matrix.copy()
-    ref = np.tril(cho_factor(A, lower=True)[0])
-    solver = op.factorize()
-    # L sits in the upper triangle of the C-ordered array; A keeps its strict lower triangle
-    assert np.tril(solver._factor).tobytes() == ref.tobytes()
-    assert np.array_equal(np.tril(op._matrix, -1), np.tril(A, -1))
+# max |PCG - dense| / max |dense| for the bump max(0, 1 - |x|^2/0.5)^2, measured
+# per (N, s): 1D n = 400 (I = 392): 1.9e-15, 8.1e-14, 8.2e-14; 2D n = 48
+# (I = 1264): 1.0e-15, 2.7e-15, 1.3e-15; 3D n = 16 (I = 280): 1.1e-15,
+# 1.0e-15, 8.3e-16.  Each bound is three times the measured value, rounded up.
+@pytest.mark.parametrize(
+    "N, n, s, bound",
+    [
+        (1, 400, 0.3, 6e-15),
+        (1, 400, 0.6, 2.5e-13),
+        (1, 400, 0.9, 2.5e-13),
+        (2, 48, 0.3, 3.1e-15),
+        (2, 48, 0.6, 8e-15),
+        (2, 48, 0.9, 4e-15),
+        (3, 16, 0.3, 3.3e-15),
+        (3, 16, 0.6, 3.1e-15),
+        (3, 16, 0.9, 2.5e-15),
+    ],
+)
+def test_pcg_matches_dense_solve(N, n, s, bound):
+    dom = build_domain(Ball(center=(0.0,) * N, radius=1.0), n, margin_cells=4)
+    rhs = np.maximum(0.0, 1.0 - (dom.interior_coords**2).sum(axis=1) / 0.5) ** 2
+    ref = np.linalg.solve(dense_stiffness(get_table(dom, 2.0 * s)), rhs)
+    got = assemble(dom, s).solve_vector(rhs)
+    assert np.abs(got - ref).max() <= bound * np.abs(ref).max()
+
+
+def test_pcg_past_iteration_cap_is_consistency_error(dom1d, monkeypatch):
+    op = assemble(dom1d, S)
+    monkeypatch.setattr(poisson, "PCG_MAX_ITER", 2)
+    with pytest.raises(ConsistencyError, match="conjugate gradients"):
+        op.solve_vector(np.ones(dom1d.interior_count))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_matvec_matches_dense_before_and_after_factorization(dim, dom1d, dom2d):
+    # a solve leaves the symbol as it was, so the matvec is the same after it
     dom = _dim_domain(dim, dom1d, dom2d)
     op = assemble(dom, S)
-    A = op.matrix.copy()
     v = np.random.default_rng(7).standard_normal(dom.interior_count)
-    ref = A @ v
+    ref = _dense(dom) @ v
     before = op.matvec(v)
-    op.factorize()
+    op.solve_vector(v)
     after = op.matvec(v)
-    for got in (before, after):
-        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
-
-
-def test_matrix_raises_after_factorize(dom1d_small):
-    op = assemble(dom1d_small, S)
-    A = op.matrix
-    assert A.shape == (dom1d_small.interior_count,) * 2
-    solver = op.factorize()
-    with pytest.raises(ParameterError, match="factorized in place"):
-        op.matrix
-    assert op.factorize() is solver
+    assert after.tobytes() == before.tobytes()
+    assert np.linalg.norm(before - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_infinite_diagonal_fails_factorization(dom1d_small, monkeypatch):
-    # an infinite diagonal passes the M-matrix checks; the factor's diagonal check catches it
+    # an infinite diagonal passes the sign checks; it is refused before any solve
     table = replace(get_table(dom1d_small, 2.0 * S), total_weight=np.inf)
     monkeypatch.setattr(poisson, "get_table", lambda *args: table)
-    op = assemble(dom1d_small, S)
-    with pytest.raises(ConsistencyError, match="factorization failed"):
-        op.factorize()
+    with pytest.raises(ConsistencyError, match="diagonal must be positive and finite"):
+        assemble(dom1d_small, S)
 
 
-def test_factorize_holds_one_dense_array():
-    # a fresh domain: the table build, assembly and factorization together
-    # allocate one I x I array; the rest of the peak is the weight lattice,
-    # about 5% of the array at I = 4060
+def test_assemble_and_solve_allocate_no_dense_array():
+    # a fresh domain: the table build, assembly and one solve together stay
+    # below a tenth of one I x I array; the largest allocation is the weight
+    # lattice, 6.6 MB at I = 4060
     dom = build_domain(Ball(center=(0.0, 0.0), radius=1.0), 80, margin_cells=4)
     n = dom.interior_count
+    assert n == 4060
+    rhs = np.ones(n)
     tracemalloc.start()
     try:
-        solver = assemble(dom, S).factorize()
+        op = assemble(dom, S)
+        v = op.solve_vector(rhs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.1 * 8 * n**2
-    rhs = np.ones(n)
-    assert np.linalg.norm(solver.operator.matvec(solver.solve_vector(rhs)) - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert peak < 0.1 * 8 * n**2
+    assert np.linalg.norm(op.matvec(v) - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
