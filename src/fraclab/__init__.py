@@ -30,10 +30,8 @@ from .kernels import (
     KernelTable,
     build_kernel_table,
     get_table,
-    load_kernel_table,
     normalization_constant,
     normalization_constant_quadrature,
-    save_kernel_table,
     sphere_area,
 )
 from .operators import (

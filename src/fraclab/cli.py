@@ -10,8 +10,8 @@ bit for bit.  Exit codes: 0 success, 2 validation error, 3 numerical failure.
 
 The [domain] cutoff_factor sets the kernel cutoff radius of the domain in
 bounding-box diameters; every subcommand that builds a domain honours it.
-Kernel tables come from kernels.get_table, which also keeps them in
-FRACLAB_CACHE_DIR when that is set.
+Kernel tables come from kernels.get_table, which builds each one in the
+process that uses it.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ nodes.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -51,9 +50,6 @@ class Ball:
         c = np.asarray(self.center, dtype=float)
         return c - self.radius, c + self.radius
 
-    def canonical(self) -> str:
-        return f"ball|c={tuple(float(v) for v in self.center)!r}|r={float(self.radius)!r}"
-
 
 @dataclass(frozen=True)
 class Box:
@@ -69,12 +65,6 @@ class Box:
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
-
-    def canonical(self) -> str:
-        return (
-            f"box|lo={tuple(float(v) for v in self.lo)!r}"
-            f"|hi={tuple(float(v) for v in self.hi)!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -94,12 +84,6 @@ class Annulus:
         n = len(self.center) if self.center else 1
         c = np.asarray(self.center, dtype=float) if self.center else np.zeros(n)
         return c - self.r_outer, c + self.r_outer
-
-    def canonical(self) -> str:
-        return (
-            f"annulus|ri={float(self.r_inner)!r}|ro={float(self.r_outer)!r}"
-            f"|c={tuple(float(v) for v in self.center)!r}"
-        )
 
 
 Shape = Ball | Box | Annulus
@@ -179,13 +163,6 @@ class GridDomain:
     @property
     def bbox_diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
-
-    def shape_hash(self) -> str:
-        key = (
-            f"{self.shape.canonical()}|N={self.dimension}|n={self.nodes_per_axis}"
-            f"|lo={tuple(float(v) for v in self.lo)!r}|hi={tuple(float(v) for v in self.hi)!r}"
-        )
-        return hashlib.sha256(key.encode()).hexdigest()
 
     def zeros(self) -> "GridFunction":
         return GridFunction(self, np.zeros((self.nodes_per_axis,) * self.dimension))

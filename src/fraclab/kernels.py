@@ -27,9 +27,11 @@ I x I array is ever formed: every interior sum that is linear in the data is
 one FFT correlation (_correlate) with the lattice cropped to offsets
 |z_k| <= n-1 (_crop), on a periodic box of side next_fast_len(2n-1) that keeps
 wrapped terms off the grid.  kappa is such a correlation with the interior
-indicator, kappa = total + tail - (crop correlated with 1_interior).  The
-weight lattice itself is the largest array of the package; cell_lattice
-refuses one larger than the memory available.
+indicator, kappa = total + tail - (crop correlated with 1_interior), and
+the symbol of the signed operators on that box is computed once per table
+(KernelTable.symbol).  The weight lattice itself is the largest array of the
+package; cell_lattice refuses one whose build needs more than the memory
+available.
 
 The normalization constant
 
@@ -40,30 +42,21 @@ is provided both in closed form and via direct quadrature of the defining
 integral (spherical reduction, log-substitution near 0, pi-length panels with
 an analytic remainder), the latter serving as an independent oracle.
 
-get_table is the one way any code reaches a table.  It memoizes each order
-per domain and, when FRACLAB_CACHE_DIR is set, keeps every table it serves
-in that directory, one file per domain and order; the file name carries the
-domain's cutoff radius.  The files use a binary format (save_kernel_table /
-load_kernel_table) whose header carries the key fields and a sha256 of the
-weights and kappa; a file that fails any check raises CacheMismatch, and
-get_table then rebuilds it with a warning.  The memo is keyed weakly by
-domain and a table holds its domain weakly, so a table serves its domain
-without keeping it alive: when the last reference to a domain goes, its
-tables go with it, by reference counting alone.
+get_table is the one way any code reaches a table.  It builds each order
+once per domain, in the process that uses it, and memoizes it.  The memo is
+keyed weakly by domain and a table holds its domain weakly, so a table serves
+its domain without keeping it alive: when the last reference to a domain
+goes, its tables go with it, by reference counting alone.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import os
-import struct
-import sys
-import tempfile
 import weakref
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sp_fft
@@ -79,17 +72,11 @@ __all__ = [
     "KernelTable",
     "build_kernel_table",
     "get_table",
-    "save_kernel_table",
-    "load_kernel_table",
-    "CacheMismatch",
     "origin_cell_moment",
     "cell_kernel_integrals",
     "cell_lattice",
     "available_memory",
 ]
-
-CACHE_MAGIC = b"FLKT"
-CACHE_VERSION = 3
 
 
 def sphere_area(d: int) -> float:
@@ -249,11 +236,12 @@ def cell_lattice(N: int, K: int, exponent: float, h: float, ball: bool) -> np.nd
     permutation and sign.  ball=True keeps only offsets with |z| <= K (zero
     beyond); the center entry is 0.
 
-    The lattice is the largest array of the package.  Its 8 (2K+1)^N bytes are
-    estimated first, and a lattice larger than the memory available is a
-    ConfigurationError that names the estimate.
+    The lattice is the largest array of the package.  The build peaks while the
+    lattice is mirrored from the orthant, at 8 ((2K+1)^N + (K+1)^N) bytes; that
+    estimate is made first, and one larger than the memory available is a
+    ConfigurationError that names it.
     """
-    need = 8 * (2 * K + 1) ** N
+    need = 8 * ((2 * K + 1) ** N + (K + 1) ** N)
     avail = available_memory()
     if avail is not None and need > avail:
         raise ConfigurationError(
@@ -267,6 +255,7 @@ def cell_lattice(N: int, K: int, exponent: float, h: float, ball: bool) -> np.nd
     orthant = np.zeros((K + 1,) * N)
     for perm in itertools.permutations(range(N)):
         orthant[tuple(z[:, k] for k in perm)] = vals
+    del z, vals  # only the orthant is alive beside the lattice, as the estimate assumes
     mirror = np.abs(np.arange(-K, K + 1))
     return orthant[np.ix_(*[mirror] * N)]
 
@@ -331,14 +320,12 @@ class KernelTable:
 
     _domain: weakref.ref = field(repr=False)
     sigma: float
-    cutoff_radius: float
     lattice_radius: int
     weights: np.ndarray
     total_weight: float
     tail: float
     norm_const: float | None
     kappa: np.ndarray
-    shape_hash: str
 
     @property
     def domain(self) -> GridDomain:
@@ -350,6 +337,13 @@ class KernelTable:
     def origin_moment(self, p: float) -> float:
         """Integral of |z|^{p-N-sigma} over the origin cell (requires p > sigma)."""
         return origin_cell_moment(self.domain.h, self.domain.dimension, p - self.domain.dimension - self.sigma)
+
+    @cached_property
+    def symbol(self) -> np.ndarray:
+        """The signed operator's symbol on the FFT box (_symbol), computed once per table; read-only."""
+        symbol = _symbol(self)
+        symbol.setflags(write=False)
+        return symbol
 
 
 def _crop(table: KernelTable) -> np.ndarray:
@@ -398,35 +392,29 @@ def _correlate(values: np.ndarray, kernel: np.ndarray, domain: GridDomain) -> np
     return _box_product(values, _spectrum(kernel, domain), domain)
 
 
-def _make_table(
-    domain: GridDomain, sigma: float, M: int, W: np.ndarray, kappa: np.ndarray | None = None
-) -> KernelTable:
-    """Complete a weight lattice with the tail, normalization and exterior mass.
+def _stride_coupling(table: KernelTable) -> float:
+    """c = I0(2)/(8 h^2): the weight of each stride-2 neighbour in the origin-cell term L0 (see operators)."""
+    return table.origin_moment(2.0) / (8.0 * table.domain.h**2)
 
-    Unless given (a cache load), kappa is the full-space mass less the pair
-    row sums, kappa = total + tail - (crop correlated with 1_interior), one
-    FFT correlation; it must be positive either way.
+
+def _diagonal(table: KernelTable) -> float:
+    """a (T + 2N c): the coefficient of u_i in the signed operator."""
+    return table.norm_const * (table.total_weight + table.tail + 2 * table.domain.dimension * _stride_coupling(table))
+
+
+def _symbol(table: KernelTable) -> np.ndarray:
+    """The signed operator's symbol on the FFT box: a [(T + 2N c) - W^(xi) - 2c sum_k cos 2 xi_k].
+
+    The operator is the correlation with the even kernel
+    a [(T + 2N c) delta_0 - w_z - c sum_k (delta_{2e_k} + delta_{-2e_k})], so its
+    transform is real.  It is positive, since |W^| <= total < T.
     """
-    N = domain.dimension
-    total = float(W.sum())
-    table = KernelTable(
-        _domain=weakref.ref(domain),
-        sigma=float(sigma),
-        cutoff_radius=domain.cutoff_radius,
-        lattice_radius=M,
-        weights=W,
-        total_weight=total,
-        tail=sphere_area(N - 1) * ((M + 0.5) * domain.h) ** (-sigma) / sigma,
-        norm_const=normalization_constant(N, sigma / 2.0) if sigma < 2.0 else None,
-        kappa=np.empty(0),
-        shape_hash=domain.shape_hash(),
-    )
-    if kappa is None:
-        kappa = total + table.tail - _correlate(domain.interior_mask.astype(float), _crop(table), domain)
-    table.kappa = kappa
-    if not np.all(table.kappa > 0):
-        raise ConfigurationError("exterior mass kappa must be positive on a bounded domain")
-    return table
+    dom = table.domain
+    shape = _box_shape(dom)
+    freqs = [sp_fft.fftfreq(L) for L in shape[:-1]] + [sp_fft.rfftfreq(shape[-1])]
+    stride = sum(np.cos(4.0 * np.pi * f) for f in np.meshgrid(*freqs, indexing="ij", sparse=True))
+    W = _spectrum(_crop(table), dom).real
+    return _diagonal(table) - table.norm_const * (W + 2.0 * _stride_coupling(table) * stride)
 
 
 def _check_order(N: int, sigma: float, allow_high_order: bool) -> None:
@@ -445,7 +433,22 @@ def build_kernel_table(domain: GridDomain, sigma: float, allow_high_order: bool 
     _check_order(N, sigma, allow_high_order)
     M = int(math.floor(domain.cutoff_radius / domain.h))
     W = cell_lattice(N, M, -(N + sigma), domain.h, ball=True)
-    return _make_table(domain, sigma, M, W)
+    total = float(W.sum())
+    table = KernelTable(
+        _domain=weakref.ref(domain),
+        sigma=float(sigma),
+        lattice_radius=M,
+        weights=W,
+        total_weight=total,
+        tail=sphere_area(N - 1) * ((M + 0.5) * domain.h) ** (-sigma) / sigma,
+        norm_const=normalization_constant(N, sigma / 2.0) if sigma < 2.0 else None,
+        kappa=np.empty(0),
+    )
+    # the full-space mass less the pair row sums, one FFT correlation
+    table.kappa = total + table.tail - _correlate(domain.interior_mask.astype(float), _crop(table), domain)
+    if not np.all(table.kappa > 0):
+        raise ConfigurationError("exterior mass kappa must be positive on a bounded domain")
+    return table
 
 
 # the tables of each live domain by order; an entry goes when its domain does
@@ -453,131 +456,17 @@ _MEMO: weakref.WeakKeyDictionary[GridDomain, dict] = weakref.WeakKeyDictionary()
 
 
 def get_table(domain: GridDomain, sigma: float, allow_high_order: bool = False) -> KernelTable:
-    """The table of order sigma on domain: memoized, then disk-cached, then built.
+    """The table of order sigma on domain, built on first use and memoized.
 
     Tables are immutable once built, so each order is built once per domain,
-    at the domain's cutoff radius.  When FRACLAB_CACHE_DIR is set, a table
-    missing from the memo is loaded from that directory, or built and saved
-    there; a cache file that fails its checks is rebuilt with a warning.  The order is checked before
-    the cache is read, so a high-order file never serves a call that did not
-    allow high orders.
+    at the domain's cutoff radius.  The order is checked before the memo is
+    read, so a high-order table never serves a call that did not allow high
+    orders.
     """
     _check_order(domain.dimension, sigma, allow_high_order)
     key = round(float(sigma), 14)
     memo = _MEMO.setdefault(domain, {})
     table = memo.get(key)
-    if table is not None:
-        return table
-    cache_dir = os.environ.get("FRACLAB_CACHE_DIR")
-    path = None
-    if cache_dir:
-        name = f"{domain.shape_hash()[:16]}_{float(sigma)!r}_{domain.cutoff_radius!r}_{domain.nodes_per_axis}.flkt"
-        path = Path(cache_dir) / name
-    if path is not None and path.exists():
-        try:
-            table = load_kernel_table(path, domain, sigma)
-        except CacheMismatch as exc:
-            print(f"warning: rebuilding kernel cache {path} ({exc})", file=sys.stderr)
     if table is None:
-        table = build_kernel_table(domain, sigma, allow_high_order)
-        if path is not None:
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                save_kernel_table(table, path)
-            except OSError as exc:
-                print(f"warning: could not write kernel cache {path} ({exc})", file=sys.stderr)
-    memo[key] = table
+        table = memo[key] = build_kernel_table(domain, sigma, allow_high_order)
     return table
-
-
-# ---------------------------------------------------------------------------
-# binary cache
-# ---------------------------------------------------------------------------
-
-
-class CacheMismatch(ValueError):
-    """Cache file is corrupted, has a wrong version, or keys a different table."""
-
-
-_HEADER = struct.Struct("<4sIIIdddII64s32s")
-
-
-def _payload_digest(W: np.ndarray, kappa: np.ndarray) -> bytes:
-    """sha256 of the little-endian payload bytes (both arrays are contiguous)."""
-    digest = hashlib.sha256(W)
-    digest.update(kappa)
-    return digest.digest()
-
-
-def save_kernel_table(table: KernelTable, path) -> None:
-    """Write the table in the binary cache format (bit-exact round trip).
-
-    The file is written under a temporary name in the same directory and then
-    renamed, so a reader never sees a partly written table.
-    """
-    W = np.ascontiguousarray(table.weights, dtype="<f8")
-    kap = np.ascontiguousarray(table.kappa, dtype="<f8")
-    header = _HEADER.pack(
-        CACHE_MAGIC,
-        CACHE_VERSION,
-        table.domain.dimension,
-        table.domain.nodes_per_axis,
-        table.sigma,
-        table.domain.h,
-        table.cutoff_radius,
-        table.lattice_radius,
-        len(kap),
-        table.shape_hash.encode(),
-        _payload_digest(W, kap),
-    )
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(memoryview(W).cast("B"))
-            fh.write(memoryview(kap).cast("B"))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def load_kernel_table(path, domain: GridDomain, sigma: float) -> KernelTable:
-    """Load a cached table; raises CacheMismatch unless all key fields and the payload digest agree."""
-    R = domain.cutoff_radius
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read(_HEADER.size)
-            if len(raw) != _HEADER.size:
-                raise CacheMismatch("truncated header")
-            (magic, version, N, n_axis, sig, h, Rfile, M, n_int, shash, digest) = _HEADER.unpack(raw)
-            if magic != CACHE_MAGIC:
-                raise CacheMismatch("bad magic")
-            if version != CACHE_VERSION:
-                raise CacheMismatch(f"version {version} != {CACHE_VERSION}")
-            key_ok = (
-                N == domain.dimension
-                and n_axis == domain.nodes_per_axis
-                and sig == float(sigma)
-                and h == domain.h
-                and Rfile == R
-                and M == math.floor(R / h)
-                and n_int == domain.interior_count
-                and shash.decode() == domain.shape_hash()
-            )
-            if not key_ok:
-                raise CacheMismatch("key fields do not match this domain/order")
-            W = np.empty((2 * M + 1,) * N, dtype="<f8")
-            kap = np.empty(n_int, dtype="<f8")
-            if fh.readinto(W) != W.nbytes or fh.readinto(kap) != kap.nbytes:
-                raise CacheMismatch("truncated payload")
-    except OSError as exc:
-        raise CacheMismatch(f"unreadable cache file: {exc}") from exc
-    if _payload_digest(W, kap) != digest:
-        raise CacheMismatch("payload sha256 does not match the header")
-
-    try:
-        return _make_table(domain, sigma, M, W, kap)
-    except ConfigurationError as exc:
-        raise CacheMismatch(str(exc)) from exc

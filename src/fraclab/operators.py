@@ -23,27 +23,24 @@ its q-th power generalization B_s^q use the same tables; their origin cell is
 absolutely integrable and approximated by |grad_h u|^{2 or q} * I0(2 or q).
 
 P is never formed: its entries depend on the node offset only.  A signed
-operator is a product with its real symbol on the FFT box (_symbol), the one
-path that poisson.StiffnessOperator uses too; D_s^2, the Riesz gradient and
-the Riesz potential are FFT correlations with a lattice cropped to offsets
-|z_k| <= n-1.  The p-power pair sums (B_s^q, Gagliardo) gather row slabs of P
-from that crop, pairs once each.
+operator is a product with its real symbol on the FFT box (KernelTable.symbol,
+computed once per table), the one path that poisson.StiffnessOperator uses
+too; D_s^2, the Riesz gradient and the Riesz potential are FFT correlations
+with a lattice cropped to offsets |z_k| <= n-1.  The p-power pair sums
+(B_s^q, Gagliardo) gather row slabs of P from that crop, pairs once each.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft as sp_fft
 
 from .errors import ParameterError, check_unit_interval
 from .grids import GridFunction
 from .kernels import (
     KernelTable,
     _box_product,
-    _box_shape,
     _correlate,
     _crop,
-    _spectrum,
     cell_lattice,
     get_table,
     normalization_constant,
@@ -88,33 +85,8 @@ def central_gradient(u: GridFunction) -> np.ndarray:
     return out
 
 
-def _stride_coupling(table: KernelTable) -> float:
-    """c = I0(2)/(8 h^2): the weight of each stride-2 neighbour in the origin-cell term L0."""
-    return table.origin_moment(2.0) / (8.0 * table.domain.h**2)
-
-
-def _diagonal(table: KernelTable) -> float:
-    """a (T + 2N c): the coefficient of u_i in the signed operator."""
-    return table.norm_const * (table.total_weight + table.tail + 2 * table.domain.dimension * _stride_coupling(table))
-
-
-def _symbol(table: KernelTable) -> np.ndarray:
-    """The signed operator's symbol on the FFT box: a [(T + 2N c) - W^(xi) - 2c sum_k cos 2 xi_k].
-
-    The operator is the correlation with the even kernel
-    a [(T + 2N c) delta_0 - w_z - c sum_k (delta_{2e_k} + delta_{-2e_k})], so its
-    transform is real.  It is positive, since |W^| <= total < T.
-    """
-    dom = table.domain
-    shape = _box_shape(dom)
-    freqs = [sp_fft.fftfreq(L) for L in shape[:-1]] + [sp_fft.rfftfreq(shape[-1])]
-    stride = sum(np.cos(4.0 * np.pi * f) for f in np.meshgrid(*freqs, indexing="ij", sparse=True))
-    W = _spectrum(_crop(table), dom).real
-    return _diagonal(table) - table.norm_const * (W + 2.0 * _stride_coupling(table) * stride)
-
-
 def _signed_apply(u: GridFunction, table: KernelTable) -> GridFunction:
-    return u.domain.from_interior(_box_product(u.values, _symbol(table), u.domain))
+    return u.domain.from_interior(_box_product(u.values, table.symbol, u.domain))
 
 
 def apply_frac_laplacian(u: GridFunction, s: float) -> GridFunction:

@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ParameterError, check_unit_interval
 from .grids import GridDomain, GridFunction, lp_norm
-from .kernels import _box_product, _crop, get_table
-from .operators import _diagonal, _symbol
+from .kernels import _box_product, _crop, _diagonal, get_table
 from .seminorms import gagliardo_double_sum
 
 __all__ = [
@@ -112,7 +111,7 @@ def assemble(domain: GridDomain, s: float) -> StiffnessOperator:
     # the off-diagonal entries are -a w_z, for w_z in the crop, and -a c
     if -table.norm_const * _crop(table).min() > 1e-14 * diag:
         raise ConsistencyError("stiffness off-diagonal entries must be nonpositive")
-    op = StiffnessOperator(domain=domain, s=s, symbol=_symbol(table))
+    op = StiffnessOperator(domain=domain, s=s, symbol=table.symbol)
     # A 1 is the vector of row sums
     if not np.all(op.matvec(np.ones(domain.interior_count)) > 0):
         raise ConsistencyError("stiffness rows must be strictly diagonally dominant")

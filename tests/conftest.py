@@ -84,12 +84,6 @@ def bump2d(dom2d):
     )
 
 
-@pytest.fixture(autouse=True)
-def no_kernel_cache(monkeypatch):
-    """Every test starts without a kernel cache directory; cache tests set their own."""
-    monkeypatch.delenv("FRACLAB_CACHE_DIR", raising=False)
-
-
 @pytest.fixture
 def table_builds(monkeypatch):
     """(sigma, cutoff radius) of every kernel table built during the test."""
@@ -98,7 +92,7 @@ def table_builds(monkeypatch):
 
     def counted(*args, **kwargs):
         table = build(*args, **kwargs)
-        builds.append((table.sigma, table.cutoff_radius))
+        builds.append((table.sigma, table.domain.cutoff_radius))
         return table
 
     monkeypatch.setattr(kernels, "build_kernel_table", counted)

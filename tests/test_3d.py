@@ -32,7 +32,7 @@ def test_3d_solve_and_energy_identity(setup3d):
     dom, tab = setup3d
     s = 0.6
     u = sample(lambda x, y, z: np.maximum(1 - (x * x + y * y + z * z) / 0.64, 0) ** 2, dom)
-    assert tab.cutoff_radius == 2.0 * dom.bbox_diameter
+    assert tab.lattice_radius == int(2.0 * dom.bbox_diameter / dom.h)
     op = assemble(dom, s)
     v = solve_poisson(op, u)
     assert v.interior.min() >= 0.0

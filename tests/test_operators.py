@@ -23,6 +23,7 @@ from fraclab import (
     solve_poisson,
 )
 from conftest import dense_pairs, dense_stiffness, lattice_gather
+from fraclab import kernels
 from fraclab.kernels import cell_lattice, origin_cell_moment
 from fraclab.operators import PAIR_BLOCK_ROWS, _pair_slabs, pair_power_sum
 
@@ -275,6 +276,27 @@ def test_fft_operators_match_dense_forms(N, n, margin, bounds):
     ]
     for (got, ref), bound in zip(pairs, bounds):
         assert np.abs(got.interior - ref).max() <= bound * np.abs(ref).max()
+
+
+def test_signed_operators_share_one_symbol_per_table(monkeypatch):
+    # a fresh domain: the symbol is computed once, on first use, and every signed operator reads it
+    calls = []
+    symbol = kernels._symbol
+
+    def counted(table):
+        calls.append(table.sigma)
+        return symbol(table)
+
+    monkeypatch.setattr(kernels, "_symbol", counted)
+    dom = build_domain(Ball(center=(0.0, 0.0), radius=1.0), 20, margin_cells=2)
+    u = sample(lambda x, y: np.maximum(1.0 - x**2 - y**2, 0.0), dom)
+    first = apply_frac_laplacian(u, S)
+    op = assemble(dom, S)
+    assert apply_frac_laplacian(u, S).values.tobytes() == first.values.tobytes()
+    assert op.symbol is get_table(dom, 2.0 * S).symbol
+    apply_frac_power(u, 0.5)
+    apply_frac_power(u, 0.5)
+    assert calls == [2.0 * S, 0.5]
 
 
 @pytest.fixture(scope="module")
