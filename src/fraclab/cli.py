@@ -20,6 +20,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -341,17 +342,27 @@ def _write_csv(path: Path, header: list[str], rows: list[list], cfg_hash: str, p
 
 
 def _interp_to(coarse: GridDomain, fine_u: GridFunction) -> np.ndarray:
-    """Linearly interpolate a fine-grid function onto coarse interior nodes."""
-    from scipy.interpolate import RegularGridInterpolator
+    """Multilinear interpolation of a fine-grid function at the coarse interior nodes.
 
-    fine = fine_u.domain
-    interp = RegularGridInterpolator(
-        tuple(fine.axis_centers),
-        fine_u.values,
-        bounds_error=False,
-        fill_value=0.0,
-    )
-    return interp(coarse.interior_coords)
+    A node outside the fine grid's node span on any axis gets 0.  The cell
+    search, the corner order and the summation are those of scipy's
+    RegularGridInterpolator (method "linear", fill_value 0.0), so the values
+    agree with it to the bit.
+    """
+    x = coarse.interior_coords
+    lower, frac = [], []
+    outside = np.zeros(len(x), dtype=bool)
+    for g, xk in zip(fine_u.domain.axis_centers, x.T):
+        i = np.clip(np.searchsorted(g, xk, side="right") - 1, 0, len(g) - 2)
+        lower.append(i)
+        frac.append((xk - g[i]) / (g[i + 1] - g[i]))
+        outside |= (xk < g[0]) | (xk > g[-1])
+    value = np.array([0.0])
+    for corner in itertools.product((0, 1), repeat=len(lower)):
+        weight = math.prod(y if c else 1 - y for c, y in zip(corner, frac))
+        value = value + fine_u.values[tuple(i + c for i, c in zip(lower, corner))] * weight
+    value[outside] = 0.0
+    return value
 
 
 def _problem_from_config(cfg: ExperimentConfig, domain: GridDomain, lam: float | None = None) -> ProblemSpec:

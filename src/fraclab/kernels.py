@@ -27,11 +27,12 @@ I x I array is ever formed: every interior sum that is linear in the data is
 one FFT correlation (_correlate) with the lattice cropped to offsets
 |z_k| <= n-1 (_crop), on a periodic box of side next_fast_len(2n-1) that keeps
 wrapped terms off the grid.  kappa is such a correlation with the interior
-indicator, kappa = total + tail - (crop correlated with 1_interior), and
-the symbol of the signed operators on that box is computed once per table
-(KernelTable.symbol).  The weight lattice itself is the largest array of the
-package; cell_lattice refuses one whose build needs more than the memory
-available.
+indicator, kappa = total + tail - (crop correlated with 1_interior).  The
+transform of the crop (KernelTable.spectrum), the symbol of the signed
+operators on that box (KernelTable.symbol) and the transform of the Riesz
+kernels (KernelTable.riesz_spectrum) are computed once per table.  The
+weight lattice itself is the largest array of the package; cell_lattice
+refuses one whose build needs more than the memory available.
 
 The normalization constant
 
@@ -339,11 +340,24 @@ class KernelTable:
         return origin_cell_moment(self.domain.h, self.domain.dimension, p - self.domain.dimension - self.sigma)
 
     @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The transform of the crop on the FFT box (_spectrum), computed once per table; read-only."""
+        return _read_only(_spectrum(_crop(self), self.domain))
+
+    @cached_property
     def symbol(self) -> np.ndarray:
         """The signed operator's symbol on the FFT box (_symbol), computed once per table; read-only."""
-        symbol = _symbol(self)
-        symbol.setflags(write=False)
-        return symbol
+        return _read_only(_symbol(self))
+
+    @cached_property
+    def riesz_spectrum(self) -> np.ndarray:
+        """The N-stack transform of the odd kernels z_k/|z| w_z on the crop, computed once per table; read-only."""
+        return _read_only(_riesz_spectrum(self))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _crop(table: KernelTable) -> np.ndarray:
@@ -413,8 +427,17 @@ def _symbol(table: KernelTable) -> np.ndarray:
     shape = _box_shape(dom)
     freqs = [sp_fft.fftfreq(L) for L in shape[:-1]] + [sp_fft.rfftfreq(shape[-1])]
     stride = sum(np.cos(4.0 * np.pi * f) for f in np.meshgrid(*freqs, indexing="ij", sparse=True))
-    W = _spectrum(_crop(table), dom).real
+    W = table.spectrum.real
     return _diagonal(table) - table.norm_const * (W + 2.0 * _stride_coupling(table) * stride)
+
+
+def _riesz_spectrum(table: KernelTable) -> np.ndarray:
+    """The transform of K_k(z) = z_k/|z| w_z on the crop, stacked over k = 1..N (see apply_riesz_gradient)."""
+    W = _crop(table)
+    z = np.indices(W.shape, dtype=float) - (table.domain.nodes_per_axis - 1)
+    r = np.sqrt((z**2).sum(axis=0))
+    np.maximum(r, 1e-300, out=r)
+    return _spectrum(z / r * W, table.domain)
 
 
 def _check_order(N: int, sigma: float, allow_high_order: bool) -> None:
@@ -445,7 +468,7 @@ def build_kernel_table(domain: GridDomain, sigma: float, allow_high_order: bool 
         kappa=np.empty(0),
     )
     # the full-space mass less the pair row sums, one FFT correlation
-    table.kappa = total + table.tail - _correlate(domain.interior_mask.astype(float), _crop(table), domain)
+    table.kappa = total + table.tail - _box_product(domain.interior_mask.astype(float), table.spectrum, domain)
     if not np.all(table.kappa > 0):
         raise ConfigurationError("exterior mass kappa must be positive on a bounded domain")
     return table

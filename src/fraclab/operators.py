@@ -26,7 +26,9 @@ P is never formed: its entries depend on the node offset only.  A signed
 operator is a product with its real symbol on the FFT box (KernelTable.symbol,
 computed once per table), the one path that poisson.StiffnessOperator uses
 too; D_s^2, the Riesz gradient and the Riesz potential are FFT correlations
-with a lattice cropped to offsets |z_k| <= n-1.  The p-power pair sums
+with a lattice cropped to offsets |z_k| <= n-1, and the transforms of the
+crop and of the Riesz kernels are kept on the table as well
+(KernelTable.spectrum, KernelTable.riesz_spectrum).  The p-power pair sums
 (B_s^q, Gagliardo) gather row slabs of P from that crop, pairs once each.
 """
 
@@ -140,7 +142,7 @@ def apply_D_s2(u: GridFunction, s: float) -> GridFunction:
     check_unit_interval("s", s)
     table = get_table(u.domain, 2.0 * s)
     ui = u.interior
-    Pu, Pu2 = _correlate(np.stack([u.values, u.values**2]), _crop(table), u.domain)
+    Pu, Pu2 = _box_product(np.stack([u.values, u.values**2]), table.spectrum, u.domain)
     grad = central_gradient(u)
     g2 = (grad**2).sum(axis=1)
     pair = ui**2 * (table.total_weight + table.tail) - 2.0 * ui * Pu + Pu2
@@ -181,14 +183,11 @@ def apply_riesz_gradient(u: GridFunction, s: float) -> np.ndarray:
     dropped by odd symmetry (kernel order sigma = s).  The u_i term vanishes by
     the same symmetry, leaving  sum_j K_k(z_j - z_i) u_j  with the odd kernel
     K_k(z) = z_k/|z| w_z.  That is a lattice correlation of the exterior-zero
-    grid function with K_k cropped to offsets |z_k| <= n-1, evaluated by FFT.
+    grid function with K_k cropped to offsets |z_k| <= n-1, evaluated by FFT
+    with the transform of the N kernels that the table keeps.
     """
     check_unit_interval("s", s)
-    W = _crop(get_table(u.domain, s))
-    z = np.indices(W.shape, dtype=float) - (u.domain.nodes_per_axis - 1)
-    r = np.sqrt((z**2).sum(axis=0))
-    np.maximum(r, 1e-300, out=r)
-    return _correlate(u.values, z / r * W, u.domain).T
+    return _box_product(u.values, get_table(u.domain, s).riesz_spectrum, u.domain).T
 
 
 def riesz_potential(g: GridFunction, lam: float) -> GridFunction:

@@ -1,13 +1,15 @@
 import os
 import subprocess
 import sys
+import types
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fraclab
-from fraclab import Ball, StiffnessOperator, build_domain, fixedpoint
+from fraclab import Ball, Box, StiffnessOperator, build_domain, fixedpoint, sample
 from fraclab import cli, kernels
 from fraclab.cli import ExperimentConfig, run
 
@@ -142,13 +144,80 @@ def test_precision_out_of_range_exit2(tmp_path, capsys, monkeypatch, digits):
     assert not (tmp_path / "out" / "solve.csv").exists()
 
 
-def test_import_cli_leaves_scipy_integrate_unloaded():
-    # scipy.integrate serves only the Hardy quadrature and is imported there;
-    # no module of the package uses scipy.linalg
-    code = "import sys, fraclab.cli; print('scipy.integrate' in sys.modules, 'scipy.linalg' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+# scipy.integrate serves only the Hardy quadrature; the grid subcommands need no
+# scipy beyond scipy.fft and scipy.special
+UNUSED_SCIPY = (
+    "scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.sparse", "scipy.optimize", "scipy.spatial",
+)
+
+
+def test_import_cli_leaves_scipy_integrate_unloaded(tmp_path):
+    args = []
+    for sub, text in (("solve", SOLVE_CFG), ("sweep", SWEEP_CFG), ("certify", CERTIFY_CFG)):
+        args += [sub, str(_write(tmp_path, f"{sub}.ini", text))]
+    code = (
+        "import sys, fraclab.cli\n"
+        f"unused = {UNUSED_SCIPY!r}\n"
+        "print(*[m for m in unused if m in sys.modules])\n"
+        "for sub, path in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+        "    assert fraclab.cli.run(sub, path, path + '.out') == 0, sub\n"
+        "print(*[m for m in unused if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.splitlines() == ["", ""]
+
+
+def _fine_and_coarse(N, shape):
+    """A fine function and the coarse nodes _interp_to must hit.
+
+    The function takes both signs, is -0.0 where x_1 > 0.2, and is nonzero
+    one node inside the edge of the grid, so a value extrapolated beyond the
+    node span would not be 0.  The coarse grids are three coarser grids on
+    the same shape and one on a larger shape, whose outer nodes lie beyond
+    the fine nodes.
+    """
+
+    def grid(n, scale=1.0):
+        if shape == "ball":
+            return build_domain(Ball(center=(0.0,) * N, radius=scale), n, margin_cells=1)
+        return build_domain(Box(lo=(-scale,) * N, hi=(0.5 * scale,) * N), n, margin_cells=1)
+
+    n_c = {1: 107, 2: 32, 3: 8}[N]
+    fine = grid(3 * n_c)
+
+    def f(*x):
+        return np.where(x[0] > 0.2, -0.0, np.sin(3.0 * sum((k + 1) * xk for k, xk in enumerate(x))) - 0.2)
+
+    u = sample(f, fine)
+    coarse = [grid(n_c), grid(n_c + 1), grid(2 * n_c - 1), grid(n_c, 1.3)]
+    # fine nodes, among them the first and the last, nodes just outside the span, and points between nodes
+    axes = [
+        np.concatenate([g[:3], g[-3:], [g[0] - 0.01, g[-1] + 0.01], np.linspace(g[0], g[-1], 7)])
+        for g in fine.axis_centers
+    ]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, N)
+    coarse.append(types.SimpleNamespace(interior_coords=nodes))
+    return u, coarse
+
+
+@pytest.mark.parametrize("shape", ["ball", "box"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_interp_to_matches_regular_grid_interpolator(N, shape):
+    from scipy.interpolate import RegularGridInterpolator  # the oracle; the package does not import it
+
+    u, coarse = _fine_and_coarse(N, shape)
+    axes = u.domain.axis_centers
+    oracle = RegularGridInterpolator(tuple(axes), u.values, bounds_error=False, fill_value=0.0)
+    first, last = np.array([g[0] for g in axes]), np.array([g[-1] for g in axes])
+    outside = 0
+    for dom in coarse:
+        got = cli._interp_to(dom, u)
+        assert got.tobytes() == oracle(dom.interior_coords).tobytes()  # sign of zero included
+        out = np.any((dom.interior_coords < first) | (dom.interior_coords > last), axis=1)
+        assert np.all(got[out] == 0.0)
+        outside += int(out.sum())
+    assert outside > 0
 
 
 def test_missing_config_exit2(tmp_path):

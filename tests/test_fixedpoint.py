@@ -10,6 +10,7 @@ from fraclab import (
     IterationConfig,
     ParameterError,
     ProblemSpec,
+    StiffnessOperator,
     apply_frac_power,
     assemble,
     ball_membership,
@@ -240,6 +241,23 @@ def test_picard_all_rhs_kinds_converge_small_lambda(small):
         rep = picard_iterate(spec, IterationConfig(tolerance=1e-10, max_iter=150), solver)
         assert rep.verdict == "converged", kw
         assert rep.final_residual <= 1e-8
+
+
+def test_picard_first_iterate_reuses_the_forcing_solve(small, monkeypatch):
+    # every rhs family vanishes at u = 0: the solve of lambda f that sets the
+    # divergence norm is the first iterate, so a converged run solves once per iteration
+    dom, solver = small
+    mu = sample(lambda x: np.full_like(x, 0.5), dom)
+    f = sample(lambda x: np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 2, dom)
+    rhs = []
+    solve = StiffnessOperator.solve_vector
+    monkeypatch.setattr(StiffnessOperator, "solve_vector", lambda self, b: rhs.append(b) or solve(self, b))
+    spec = ProblemSpec(rhs_kind="riesz_grad_q", s=S, lam=0.02, mu=mu, f=f, q=1.5)
+    rep = picard_iterate(spec, IterationConfig(tolerance=1e-10, max_iter=150), solver)
+    assert rep.verdict == "converged"
+    assert len(rhs) == rep.iterations
+    assert rhs[0].tobytes() == (spec.lam * f.interior).tobytes()
+    assert rep.iterates[0].interior.tobytes() == solve(solver, rhs[0]).tobytes()
 
 
 def _eager_history(spec, config, solver):

@@ -159,7 +159,7 @@ def test_get_table_memoizes(table_builds):
 
 def test_nonpositive_kappa_rejected(monkeypatch, dom1d):
     # pair row sums beyond the full-space mass leave no exterior mass
-    monkeypatch.setattr(kernels, "_correlate", lambda values, kernel, domain: np.full(domain.interior_count, np.inf))
+    monkeypatch.setattr(kernels, "_box_product", lambda values, spectrum, domain: np.full(domain.interior_count, np.inf))
     with pytest.raises(ConfigurationError, match="kappa must be positive"):
         build_kernel_table(dom1d, 1.2)
 

@@ -299,6 +299,30 @@ def test_signed_operators_share_one_symbol_per_table(monkeypatch):
     assert calls == [2.0 * S, 0.5]
 
 
+def test_kernel_transforms_computed_once_per_table(monkeypatch):
+    # a fresh domain: the crop transform serves kappa, the symbol and D_s^2, and the
+    # Riesz kernels are transformed once; repeated calls give the same bits
+    calls = []
+    spectrum = kernels._spectrum
+
+    def counted(kernel, domain):
+        calls.append(kernel.shape[: kernel.ndim - domain.dimension])
+        return spectrum(kernel, domain)
+
+    monkeypatch.setattr(kernels, "_spectrum", counted)
+    dom = build_domain(Ball(center=(0.0, 0.0), radius=1.0), 20, margin_cells=2)
+    u = sample(lambda x, y: np.maximum(1.0 - x**2 - y**2, 0.0) * (x + 0.3), dom)
+    first = apply_D_s2(u, S), apply_riesz_gradient(u, S)
+    assemble(dom, S)
+    again = apply_D_s2(u, S), apply_riesz_gradient(u, S)
+    assert first[0].values.tobytes() == again[0].values.tobytes()
+    assert first[1].tobytes() == again[1].tobytes()
+    # the D_s^2 table (order 2s), then the Riesz table (order s) and its 2-stack of kernels
+    assert calls == [(), (), (2,)]
+    table = get_table(dom, S)
+    assert not table.spectrum.flags.writeable and not table.riesz_spectrum.flags.writeable
+
+
 @pytest.fixture(scope="module")
 def dom2d_64():
     """The 2D disk of the Picard benchmark: n = 64, I = 2472."""
