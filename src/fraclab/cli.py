@@ -341,15 +341,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list], cfg_hash: str, p
             writer.writerow([_fmt(v, precision) for v in row])
 
 
-def _interp_to(coarse: GridDomain, fine_u: GridFunction) -> np.ndarray:
-    """Multilinear interpolation of a fine-grid function at the coarse interior nodes.
+def _interp_to(x: np.ndarray, fine_u: GridFunction) -> np.ndarray:
+    """Multilinear interpolation of a fine-grid function at the points x, shape (m, N).
 
-    A node outside the fine grid's node span on any axis gets 0.  The cell
+    A point outside the fine grid's node span on any axis gets 0.  The cell
     search, the corner order and the summation are those of scipy's
     RegularGridInterpolator (method "linear", fill_value 0.0), so the values
     agree with it to the bit.
     """
-    x = coarse.interior_coords
     lower, frac = [], []
     outside = np.zeros(len(x), dtype=bool)
     for g, xk in zip(fine_u.domain.axis_centers, x.T):
@@ -391,24 +390,24 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     if len(levels) < 2:
         raise ConfigurationError("solve needs at least two levels")
     s = cfg["problem"]["s"]
-    # each level keeps only its solution, so its operator is freed before the
-    # next level assembles
-    sols = []
+    # a coarser level keeps only its h, interior nodes and interior values, so
+    # its domain and kernel tables are freed before the next level builds
+    coarse = []
     for n in levels:
         dcfg["nodes_per_axis"] = n
         dom = _build_domain(dcfg)
         u = solve_poisson(assemble(dom, s), _field(cfg["problem"]["f"], dom))
-        sols.append((n, dom, u))
-    n_f, dom_f, u_f = sols[-1]
+        if n != levels[-1]:
+            coarse.append((n, dom.h, dom.interior_coords, u.interior))
+            del dom, u
     rows = []
     prev_err = None
-    for n, dom, u in sols[:-1]:
-        ref = _interp_to(dom, u_f)
-        err = float(np.sqrt(((u.interior - ref) ** 2).sum() * dom.h**dom.dimension))
+    for n, h, x, u_c in coarse:
+        err = float(np.sqrt(((u_c - _interp_to(x, u)) ** 2).sum() * h ** x.shape[1]))
         ratio = None if prev_err is None else prev_err / err
-        rows.append([n, dom.h, err, ratio])
+        rows.append([n, h, err, ratio])
         prev_err = err
-    rows.append([n_f, dom_f.h, 0.0, None])
+    rows.append([levels[-1], dom.h, 0.0, None])
     return ["level", "h", "l2_error_vs_finest", "ratio"], rows
 
 

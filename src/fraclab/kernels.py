@@ -31,8 +31,10 @@ indicator, kappa = total + tail - (crop correlated with 1_interior).  The
 transform of the crop (KernelTable.spectrum), the symbol of the signed
 operators on that box (KernelTable.symbol) and the transform of the Riesz
 kernels (KernelTable.riesz_spectrum) are computed once per table.  The
-weight lattice itself is the largest array of the package; cell_lattice
-refuses one whose build needs more than the memory available.
+transforms are numpy.fft's, taken in the passes and scaling of scipy.fft's
+pocketfft, so they give its bits (_rfftn, _irfftn).  The weight lattice
+itself is the largest array of the package; cell_lattice refuses one whose
+build needs more than the memory available.
 
 The normalization constant
 
@@ -60,8 +62,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sp_fft
-from scipy import special
 
 from .errors import ConfigurationError, ParameterError, check_unit_interval
 from .grids import GridDomain
@@ -116,8 +116,10 @@ def _sphere_slice(r: np.ndarray, N: int) -> np.ndarray:
 
 def _sphere_slice_closed(r: np.ndarray, N: int) -> np.ndarray:
     """psi_N(r) = |S^{N-1}| (1 - Gamma(N/2) (2/r)^{N/2-1} J_{N/2-1}(r)), for r >= pi."""
+    from scipy.special import jv
+
     nu = N / 2.0 - 1.0
-    return sphere_area(N - 1) * (1.0 - math.gamma(N / 2.0) * (2.0 / r) ** nu * special.jv(nu, r))
+    return sphere_area(N - 1) * (1.0 - math.gamma(N / 2.0) * (2.0 / r) ** nu * jv(nu, r))
 
 
 def normalization_constant_quadrature(
@@ -369,9 +371,51 @@ def _crop(table: KernelTable) -> np.ndarray:
     return table.weights[(slice(M - n + 1, M + n),) * table.domain.dimension]
 
 
+def _next_fast_len(n: int) -> int:
+    """The least 5-smooth integer >= n, as scipy.fft.next_fast_len(n, real=True) gives it."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least p35 2^a >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _rfftn(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """rfftn over the last len(shape) axes, zero-padded to shape.
+
+    The passes are those of scipy's pocketfft: a real transform along the last
+    axis, then complex transforms along the leading axes in increasing order.
+    """
+    out = np.fft.rfft(a, shape[-1], axis=-1)
+    for k, L in enumerate(shape[:-1], start=-len(shape)):
+        out = np.fft.fft(out, L, axis=k)
+    return out
+
+
+def _irfftn(a: np.ndarray, shape: tuple[int, ...], n: int) -> np.ndarray:
+    """The corner [:n] on every axis of irfftn over the last len(shape) axes.
+
+    The passes are those of scipy's pocketfft: complex transforms along the
+    leading axes in increasing order, then the real one along the last axis,
+    and the 1/prod(shape) scaling last, as a product.  Each line is transformed
+    on its own, so a pass that skips the lines outside the corner leaves the
+    corner's bits as they are.
+    """
+    N = len(shape)
+    for k in range(N - 1):
+        a = np.fft.ifft(a, shape[k], axis=k - N, norm="forward")
+        a = a[(Ellipsis, slice(0, n)) + (slice(None),) * (N - 1 - k)]
+    return np.fft.irfft(a, shape[-1], axis=-1, norm="forward")[..., :n] * (1.0 / math.prod(shape))
+
+
 def _box_shape(domain: GridDomain) -> tuple[int, ...]:
-    """The periodic FFT box, of side L = next_fast_len(2n-1) on every axis."""
-    return (sp_fft.next_fast_len(2 * domain.nodes_per_axis - 1, real=True),) * domain.dimension
+    """The periodic FFT box, of side L = _next_fast_len(2n-1) on every axis."""
+    return (_next_fast_len(2 * domain.nodes_per_axis - 1),) * domain.dimension
 
 
 def _spectrum(kernel: np.ndarray, domain: GridDomain) -> np.ndarray:
@@ -382,10 +426,10 @@ def _spectrum(kernel: np.ndarray, domain: GridDomain) -> np.ndarray:
     axes are kept.
     """
     N, n = domain.dimension, domain.nodes_per_axis
-    axes = tuple(range(-N, 0))
-    box = np.zeros(kernel.shape[: kernel.ndim - N] + _box_shape(domain))
+    shape = _box_shape(domain)
+    box = np.zeros(kernel.shape[: kernel.ndim - N] + shape)
     box[(Ellipsis,) + (slice(0, 2 * n - 1),) * N] = kernel[(Ellipsis,) + (slice(None, None, -1),) * N]
-    return sp_fft.rfftn(np.roll(box, 1 - n, axis=axes), axes=axes)
+    return _rfftn(np.roll(box, 1 - n, axis=tuple(range(-N, 0))), shape)
 
 
 def _box_product(values: np.ndarray, spectrum: np.ndarray, domain: GridDomain) -> np.ndarray:
@@ -396,9 +440,7 @@ def _box_product(values: np.ndarray, spectrum: np.ndarray, domain: GridDomain) -
     stack axes of either argument broadcast.
     """
     shape = _box_shape(domain)
-    axes = tuple(range(-len(shape), 0))
-    full = sp_fft.irfftn(spectrum * sp_fft.rfftn(values, shape, axes=axes), shape, axes=axes)
-    return full[(Ellipsis,) + (slice(0, domain.nodes_per_axis),) * domain.dimension][..., domain.interior_mask]
+    return _irfftn(spectrum * _rfftn(values, shape), shape, domain.nodes_per_axis)[..., domain.interior_mask]
 
 
 def _correlate(values: np.ndarray, kernel: np.ndarray, domain: GridDomain) -> np.ndarray:
@@ -425,7 +467,7 @@ def _symbol(table: KernelTable) -> np.ndarray:
     """
     dom = table.domain
     shape = _box_shape(dom)
-    freqs = [sp_fft.fftfreq(L) for L in shape[:-1]] + [sp_fft.rfftfreq(shape[-1])]
+    freqs = [np.fft.fftfreq(L) for L in shape[:-1]] + [np.fft.rfftfreq(shape[-1])]
     stride = sum(np.cos(4.0 * np.pi * f) for f in np.meshgrid(*freqs, indexing="ij", sparse=True))
     W = table.spectrum.real
     return _diagonal(table) - table.norm_const * (W + 2.0 * _stride_coupling(table) * stride)

@@ -42,7 +42,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, hyp2f1
 
 from .errors import ParameterError, QuadratureError, check_unit_interval
 from .grids import GridFunction, lp_norm, node_radii
@@ -170,6 +169,8 @@ def sobolev_check(u: GridFunction, s: float, p: float) -> SobolevCheckResult:
 
 def _phi_coeff(N: int, beta: float) -> float:
     # lim_{u->0} u^{1+ps} Phi(1-u) = |S^{N-2}| B((N-1)/2, beta-(N-1)/2) / 2
+    from scipy.special import betaln
+
     return sphere_area(N - 2) * 0.5 * math.exp(betaln((N - 1) / 2.0, beta - (N - 1) / 2.0))
 
 
@@ -257,8 +258,8 @@ def hardy_constant(N: int, s: float, p: float, tol: float = 1e-6) -> HardyResult
     return HardyResult(value=lam, error_estimate=err, N=N, s=s, p=p)
 
 
-def _phi_closed(N: int, beta: float, sigma: np.ndarray) -> np.ndarray:
-    """Closed forms of Phi for N in {2,3}, used only by the MC oracle."""
+def _phi_closed(N: int, beta: float, sigma: np.ndarray, hyp2f1) -> np.ndarray:
+    """Closed forms of Phi for N in {2,3}, used only by the MC oracle; N = 2 calls scipy.special.hyp2f1."""
     u = 1.0 - sigma
     if N == 2:
         ksq = 4.0 * sigma / np.maximum(u, 1e-150) ** 2
@@ -308,6 +309,8 @@ def hardy_constant_mc(
     any worker count.
     """
     check_hardy_mc_args(N, s, p, samples)
+    from scipy.special import hyp2f1  # imported here, so no worker thread runs an import
+
     beta = (N + p * s) / 2.0
     k = (N - p * s) / p
     ps = p * s
@@ -333,7 +336,7 @@ def hardy_constant_mc(
         F[far] = (
             sigma[far] ** (ps - 1.0)
             * np.abs(1.0 - sigma[far] ** k) ** p
-            * _phi_closed(N, beta, sigma[far])
+            * _phi_closed(N, beta, sigma[far], hyp2f1)
         )
         F[near] = k**p * cphi * np.maximum(u[near], 1e-300) ** (p - 1.0 - ps)
         vals[c0 : c0 + n] = 2.0 * F / dens

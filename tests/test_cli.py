@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import types
 import weakref
 from pathlib import Path
 
@@ -144,32 +143,35 @@ def test_precision_out_of_range_exit2(tmp_path, capsys, monkeypatch, digits):
     assert not (tmp_path / "out" / "solve.csv").exists()
 
 
-# scipy.integrate serves only the Hardy quadrature; the grid subcommands need no
-# scipy beyond scipy.fft and scipy.special
-UNUSED_SCIPY = (
-    "scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.sparse", "scipy.optimize", "scipy.spatial",
-)
-
-
+# the grid subcommands run on numpy alone: the FFTs are numpy.fft's, and scipy
+# serves only the oracles, which import scipy.special and scipy.integrate on
+# first use
 def test_import_cli_leaves_scipy_integrate_unloaded(tmp_path):
+    iterate_cfg = SWEEP_CFG.replace("lambda_sweep = 0.05,0.1", "")
     args = []
-    for sub, text in (("solve", SOLVE_CFG), ("sweep", SWEEP_CFG), ("certify", CERTIFY_CFG)):
+    for sub, text in (
+        ("solve", SOLVE_CFG), ("sweep", SWEEP_2D_CFG), ("certify", CERTIFY_CFG), ("iterate", iterate_cfg),
+        ("probe", PROBE_CFG),
+    ):
         args += [sub, str(_write(tmp_path, f"{sub}.ini", text))]
     code = (
         "import sys, fraclab.cli\n"
-        f"unused = {UNUSED_SCIPY!r}\n"
-        "print(*[m for m in unused if m in sys.modules])\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "print(*scipy_modules())\n"
         "for sub, path in zip(sys.argv[1::2], sys.argv[2::2]):\n"
         "    assert fraclab.cli.run(sub, path, path + '.out') == 0, sub\n"
-        "print(*[m for m in unused if m in sys.modules])\n"
+        "print(*scipy_modules())\n"
+        "fraclab.hardy_constant_mc(2, 0.6, 2.0, samples=1000)\n"
+        "print('scipy.special' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["", ""]
+    assert proc.stdout.splitlines() == ["", "", "True"]
 
 
 def _fine_and_coarse(N, shape):
-    """A fine function and the coarse nodes _interp_to must hit.
+    """A fine function and the coarse node sets _interp_to must hit.
 
     The function takes both signs, is -0.0 where x_1 > 0.2, and is nonzero
     one node inside the edge of the grid, so a value extrapolated beyond the
@@ -190,14 +192,13 @@ def _fine_and_coarse(N, shape):
         return np.where(x[0] > 0.2, -0.0, np.sin(3.0 * sum((k + 1) * xk for k, xk in enumerate(x))) - 0.2)
 
     u = sample(f, fine)
-    coarse = [grid(n_c), grid(n_c + 1), grid(2 * n_c - 1), grid(n_c, 1.3)]
+    coarse = [g.interior_coords for g in (grid(n_c), grid(n_c + 1), grid(2 * n_c - 1), grid(n_c, 1.3))]
     # fine nodes, among them the first and the last, nodes just outside the span, and points between nodes
     axes = [
         np.concatenate([g[:3], g[-3:], [g[0] - 0.01, g[-1] + 0.01], np.linspace(g[0], g[-1], 7)])
         for g in fine.axis_centers
     ]
-    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, N)
-    coarse.append(types.SimpleNamespace(interior_coords=nodes))
+    coarse.append(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, N))
     return u, coarse
 
 
@@ -211,10 +212,10 @@ def test_interp_to_matches_regular_grid_interpolator(N, shape):
     oracle = RegularGridInterpolator(tuple(axes), u.values, bounds_error=False, fill_value=0.0)
     first, last = np.array([g[0] for g in axes]), np.array([g[-1] for g in axes])
     outside = 0
-    for dom in coarse:
-        got = cli._interp_to(dom, u)
-        assert got.tobytes() == oracle(dom.interior_coords).tobytes()  # sign of zero included
-        out = np.any((dom.interior_coords < first) | (dom.interior_coords > last), axis=1)
+    for x in coarse:
+        got = cli._interp_to(x, u)
+        assert got.tobytes() == oracle(x).tobytes()  # sign of zero included
+        out = np.any((x < first) | (x > last), axis=1)
         assert np.all(got[out] == 0.0)
         outside += int(out.sum())
     assert outside > 0

@@ -392,3 +392,29 @@ def test_available_memory_falls_back_to_sysconf(monkeypatch):
 
     monkeypatch.setattr(kernels.os, "sysconf", unknown)
     assert kernels.available_memory() is None
+
+
+@pytest.mark.parametrize("N, n_max", [(1, 69), (2, 69), (3, 23)])
+def test_fft_helpers_match_scipy_fft_bits(N, n_max):
+    import scipy.fft as sp_fft  # the oracle; the package does not import it
+
+    rng = np.random.default_rng(N)
+    for n in range(3, n_max + 1):
+        shape = (kernels._next_fast_len(2 * n - 1),) * N
+        axes = tuple(range(-N, 0))
+        # grid values zero-padded to the box, with and without a stack axis
+        for lead in ((), (N,)):
+            values = rng.standard_normal(lead + (n,) * N)
+            got = kernels._rfftn(values, shape)
+            assert got.tobytes() == sp_fft.rfftn(values, shape, axes=axes).tobytes()
+            spec = got * rng.standard_normal(got.shape[-N:])
+            want = sp_fft.irfftn(spec, shape, axes=axes)[(Ellipsis,) + (slice(0, n),) * N]
+            assert kernels._irfftn(spec, shape, n).tobytes() == want.tobytes()
+
+
+def test_next_fast_len_matches_scipy():
+    import scipy.fft as sp_fft
+
+    assert [kernels._next_fast_len(n) for n in range(1, 5000)] == [
+        sp_fft.next_fast_len(n, real=True) for n in range(1, 5000)
+    ]

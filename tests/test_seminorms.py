@@ -165,6 +165,8 @@ def test_hardy_functions_share_argument_check(fn):
 def _one_shot_mc(N, s, p, samples, seed):
     # the estimator as a single pass over all samples, both inverse CDFs
     # evaluated everywhere; the chunked oracle must reproduce its bits
+    from scipy.special import hyp2f1
+
     rng = np.random.default_rng(seed)
     beta = (N + p * s) / 2.0
     k = (N - p * s) / p
@@ -184,7 +186,7 @@ def _one_shot_mc(N, s, p, samples, seed):
     F[far] = (
         sigma[far] ** (ps - 1.0)
         * np.abs(1.0 - sigma[far] ** k) ** p
-        * seminorms._phi_closed(N, beta, sigma[far])
+        * seminorms._phi_closed(N, beta, sigma[far], hyp2f1)
     )
     F[near] = k**p * cphi * np.maximum(u[near], 1e-300) ** (p - 1.0 - ps)
     vals = 2.0 * F / dens
