@@ -11,7 +11,13 @@ averaging (exact antiderivatives in 1D, tensor-midpoint subdivision in 2D/3D)
 keeps every weight positive and symmetric, which is what gives the assembled
 operators their M-matrix structure and discrete maximum principle.  A cell
 integral depends only on the sorted absolute offset, so each sorted offset
-0 <= z_1 <= ... <= z_N is integrated once and mirrored into the lattice.
+0 <= z_1 <= ... <= z_N is integrated once (_cell_crop).  The grid reaches
+only offsets |z_k| <= n-1, so only those are mirrored, into the crop of side
+2n-1 that a table keeps as its weights; the rest enter the total weight
+alone, each times the number of offsets it stands for.  The sorted offsets
+are generated and integrated in chunks of their largest entry, so the
+(2M+1)^N lattice out to M = floor(R/h), or an array of all the sorted
+offsets, is never formed.
 
 The per-node exterior mass
 
@@ -24,17 +30,18 @@ precision by construction, because every module reads the same weights.
 
 The interior pair weights w(z_i - z_j) depend on the node offset only, so no
 I x I array is ever formed: every interior sum that is linear in the data is
-one FFT correlation (_correlate) with the lattice cropped to offsets
-|z_k| <= n-1 (_crop), on a periodic box of side next_fast_len(2n-1) that keeps
-wrapped terms off the grid.  kappa is such a correlation with the interior
-indicator, kappa = total + tail - (crop correlated with 1_interior).  The
-transform of the crop (KernelTable.spectrum), the symbol of the signed
-operators on that box (KernelTable.symbol) and the transform of the Riesz
-kernels (KernelTable.riesz_spectrum) are computed once per table.  The
-transforms are numpy.fft's, taken in the passes and scaling of scipy.fft's
-pocketfft, so they give its bits (_rfftn, _irfftn).  The weight lattice
-itself is the largest array of the package; cell_lattice refuses one whose
-build needs more than the memory available.
+one FFT correlation (_correlate) with the crop, on a periodic box of side
+next_fast_len(2n-1) that keeps wrapped terms off the grid.  kappa is such a
+correlation with the interior indicator, kappa = total + tail - (crop
+correlated with 1_interior).  The transform of the crop
+(KernelTable.spectrum), the symbol of the signed operators on that box
+(KernelTable.symbol) and the transform of the Riesz kernels
+(KernelTable.riesz_spectrum) are computed once per table.  The transforms
+are numpy.fft's, taken in the passes and scaling of scipy.fft's pocketfft,
+so they give its bits (_rfftn, _irfftn).  A build whose
+estimated peak (_build_bytes: one chunk of offsets with its quadrature
+temporaries, or the crop with the FFT box) exceeds the memory available is
+refused before it allocates.
 
 The normalization constant
 
@@ -75,7 +82,6 @@ __all__ = [
     "get_table",
     "origin_cell_moment",
     "cell_kernel_integrals",
-    "cell_lattice",
     "available_memory",
 ]
 
@@ -166,6 +172,8 @@ def normalization_constant_quadrature(
 # ---------------------------------------------------------------------------
 
 _SUBDIV_SCHEDULE = ((32, 1), (16, 3), (8, 8), (4, 24), (2, np.inf))
+# quadrature points per pass of cell_kernel_integrals, which bounds its temporaries
+QUAD_POINTS = 2**16
 
 
 def _subdiv_for(rinf: np.ndarray) -> np.ndarray:
@@ -180,8 +188,8 @@ def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.
 
     1D uses exact antiderivatives; higher dimensions use tensor-midpoint
     subdivision graded by the max-norm distance of the cell.  The integral
-    depends only on the sorted absolute offsets, and callers that need a whole
-    lattice pass each sorted offset once (see cell_lattice).
+    depends only on the sorted absolute offsets, and _cell_crop passes each
+    sorted offset once.
     """
     offsets = np.asarray(offsets, dtype=int)
     if offsets.ndim == 1:
@@ -209,8 +217,7 @@ def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.
         grids = np.meshgrid(*([off1] * ndim), indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=1)
         out = np.zeros(len(zg))
-        # 2^16 quadrature points per chunk keep the temporaries small beside the lattice
-        chunk = max(1, 2**16 // len(pts))
+        chunk = max(1, QUAD_POINTS // len(pts))
         for i in range(0, len(zg), chunk):
             y = (zg[i : i + chunk, None, :] + pts[None, :, :]) * h
             r2 = (y**2).sum(axis=-1)
@@ -219,48 +226,127 @@ def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.
     return vals
 
 
-def _sorted_offsets(N: int, K: int) -> np.ndarray:
-    """Rows 0 <= z_1 <= ... <= z_N <= K in lexicographic order; the first is the origin."""
-    z = np.arange(K + 1)[:, None]
-    for _ in range(N - 1):
-        last = z[:, -1]
-        counts = K + 1 - last
-        starts = np.cumsum(counts) - counts
-        step = np.arange(counts.sum()) - np.repeat(starts, counts)
-        z = np.column_stack([np.repeat(z, counts, axis=0), np.repeat(last, counts) + step])
+# sorted offsets per cell_kernel_integrals call; a chunk takes whole layers of
+# one largest coordinate, so it exceeds this only when one layer does
+OFFSET_CHUNK_ROWS = 2**14
+
+
+def _ends(N: int, K: int) -> np.ndarray:
+    """comb(m + N - 1, N) for m = 0..K+1: how many of the sorted offsets have z_N < m."""
+    m = np.arange(K + 2)
+    ends = np.ones(K + 2, dtype=int)
+    for k in range(1, N + 1):
+        ends = ends * (m - 1 + k) // k
+    return ends
+
+
+def _layers(prefixes: np.ndarray, ends: np.ndarray, m0: int, m1: int, radius: int | None = None) -> np.ndarray:
+    """The sorted offsets with m0 <= z_N < m1, from the (N-1)-row sorted offsets and _ends(N, .).
+
+    Layer m appends m to the first ends[m+1] - ends[m] prefixes, those with
+    largest entry <= m.  A radius keeps only the offsets with |z| <= radius.
+    """
+    sizes = np.diff(ends[m0 : m1 + 1])
+    m = np.repeat(np.arange(m0, m1), sizes)
+    # the row of each offset among its layer's prefixes
+    idx = np.arange(len(m)) - np.repeat(ends[m0:m1] - ends[m0], sizes)
+    z = np.column_stack([prefixes[idx], m])
+    if radius is not None:
+        z = z[(z * z).sum(axis=1) <= radius * radius]
     return z
 
 
-def cell_lattice(N: int, K: int, exponent: float, h: float, ball: bool) -> np.ndarray:
-    """Cell integrals of |y|^exponent on the offset lattice |z_k| <= K, shape (2K+1,)*N.
+def _sorted_offsets(N: int, K: int) -> np.ndarray:
+    """Rows 0 <= z_1 <= ... <= z_N <= K, ordered by z_N and within it in this order.
 
-    Mirrored cells share one value, so cell_kernel_integrals runs once per
-    sorted offset 0 <= z_1 <= ... <= z_N and the values are copied to every
-    permutation and sign.  ball=True keeps only offsets with |z| <= K (zero
-    beyond); the center entry is 0.
-
-    The lattice is the largest array of the package.  The build peaks while the
-    lattice is mirrored from the orthant, at 8 ((2K+1)^N + (K+1)^N) bytes; that
-    estimate is made first, and one larger than the memory available is a
-    ConfigurationError that names it.
+    The first row is the origin, and the rows with z_N < m are the first comb(m + N - 1, N).
     """
-    need = 8 * ((2 * K + 1) ** N + (K + 1) ** N)
+    z = np.zeros((1, 0), dtype=int)
+    for d in range(1, N + 1):
+        z = _layers(z, _ends(d, K), 0, K + 1)
+    return z
+
+
+def _offset_chunks(N: int, M: int, ball: bool):
+    """Yield the sorted offsets 0 <= z_1 <= ... <= z_N <= M but the origin, in _sorted_offsets order, by chunks.
+
+    A chunk is a run of whole layers of z_N that spans at most
+    OFFSET_CHUNK_ROWS rows before ball filtering, or one larger layer, so
+    only the (N-1)-row prefixes and one chunk are alive at a time.
+    ball=True keeps only offsets with |z| <= M.
+    """
+    prefixes, ends = _sorted_offsets(N - 1, M), _ends(N, M)
+    m0 = 1
+    while m0 <= M:
+        m1 = max(m0 + 1, int(np.searchsorted(ends, ends[m0] + OFFSET_CHUNK_ROWS, side="right")) - 1)
+        yield _layers(prefixes, ends, m0, m1, M if ball else None)
+        m0 = m1
+
+
+def _multiplicity(z: np.ndarray) -> np.ndarray:
+    """How many lattice offsets each sorted offset stands for: its distinct permutations times 2^(nonzero entries)."""
+    N = z.shape[1]
+    # N! over the product of the factorials of the lengths of the runs of equal entries
+    run, repeats = np.ones(len(z)), np.ones(len(z))
+    for k in range(1, N):
+        run = np.where(z[:, k] == z[:, k - 1], run + 1.0, 1.0)
+        repeats *= run
+    return math.factorial(N) / repeats * 2.0 ** np.count_nonzero(z, axis=1)
+
+
+def _build_bytes(N: int, n: int, M: int) -> int:
+    """An upper estimate of the peak bytes of _cell_crop and of one FFT correlation with its crop.
+
+    The offset walk holds the orthant of side n, two arrays over the layers,
+    the comb(M + N - 1, N - 1) prefixes of _offset_chunks and one chunk of R
+    rows, which _layers, cell_kernel_integrals and the mirroring copy several
+    times over, beside the quadrature temporaries.  A chunk exceeds
+    OFFSET_CHUNK_ROWS only by one layer, and no layer has more rows than there
+    are prefixes.  The FFT correlation holds the crop, two grid arrays and
+    four half spectra of the box.  2^16 words more cover the small allocations.
+    """
+    prefixes = math.comb(M + N - 1, N - 1)
+    R = min(max(OFFSET_CHUNK_ROWS, prefixes), math.comb(M + N, N) - 1)
+    quad = (2 * N + 2) * QUAD_POINTS + 2 * N * _SUBDIV_SCHEDULE[0][0] ** N if N > 1 else 0
+    walk = n**N + 2 * (M + 2) + N * prefixes + (3 * N + 6) * R + quad
+    L = _next_fast_len(2 * n - 1)
+    fft = (2 * n - 1) ** N + 2 * n**N + 8 * L ** (N - 1) * (L // 2 + 1)
+    return 8 * (max(walk, fft) + 2**16)
+
+
+def _cell_crop(domain: GridDomain, exponent: float, M: int, ball: bool) -> tuple[np.ndarray, float]:
+    """Cell integrals of |y|^exponent on the offsets |z_k| <= n-1, and their sum over the offsets |z_k| <= M.
+
+    The crop has shape (2n-1,)*N with the zero offset at the center, where it
+    is 0.  Mirrored cells share one value, so cell_kernel_integrals runs once
+    per sorted offset 0 <= z_1 <= ... <= z_N <= M, chunk by chunk
+    (_offset_chunks), and only those with z_N <= n-1 are mirrored into the
+    crop.  The sum counts each sorted offset with its multiplicity; it is
+    summed layer by layer of z_N, so it does not depend on the chunks.
+    ball=True keeps only offsets with |z| <= M, in the crop as in the sum.
+
+    The estimate of the peak (_build_bytes) is made first, and one larger than
+    the memory available is a ConfigurationError that names it.
+    """
+    N, K = domain.dimension, domain.nodes_per_axis - 1
+    need = _build_bytes(N, K + 1, M)
     avail = available_memory()
     if avail is not None and need > avail:
         raise ConfigurationError(
-            f"the {N}D weight lattice of side {2 * K + 1} needs {need / 2**20:.3g} MB, but only "
+            f"the {N}D kernel table at n = {K + 1}, lattice radius {M}, needs {need / 2**20:.3g} MB, but only "
             f"{avail / 2**20:.3g} MB of memory is available; use fewer nodes or a smaller cutoff_factor"
         )
-    z = _sorted_offsets(N, K)[1:]
-    if ball:
-        z = z[(z * z).sum(axis=1) <= K * K]
-    vals = cell_kernel_integrals(z, exponent, h)
     orthant = np.zeros((K + 1,) * N)
-    for perm in itertools.permutations(range(N)):
-        orthant[tuple(z[:, k] for k in perm)] = vals
-    del z, vals  # only the orthant is alive beside the lattice, as the estimate assumes
+    layer_sums = np.zeros(M + 1)
+    for z in _offset_chunks(N, M, ball):
+        vals = cell_kernel_integrals(z, exponent, domain.h)
+        near = np.searchsorted(z[:, -1], K, side="right")
+        for perm in itertools.permutations(range(N)):
+            orthant[tuple(z[:near, k] for k in perm)] = vals[:near]
+        starts = np.flatnonzero(np.diff(z[:, -1], prepend=0))
+        layer_sums[z[starts, -1]] = np.add.reduceat(vals * _multiplicity(z), starts)
     mirror = np.abs(np.arange(-K, K + 1))
-    return orthant[np.ix_(*[mirror] * N)]
+    return orthant[np.ix_(*[mirror] * N)], float(layer_sums.sum())
 
 
 def available_memory() -> int | None:
@@ -314,9 +400,11 @@ def origin_cell_moment(h: float, N: int, power: float) -> float:
 class KernelTable:
     """Cell-averaged weights of the kernel |y|^-(N+sigma) on one grid.
 
-    weights is a dense offset array of shape (2M+1,)*N with the zero offset at
-    the center index and value 0 there; kappa holds the exterior mass of every
-    interior node, already including the analytic tail.  The table refers to
+    weights holds the offsets the grid reaches, |z_k| <= n-1: an array of
+    shape (2n-1,)*N with the zero offset at the center index and value 0
+    there.  total_weight is the sum over the whole ball |z| <= lattice_radius
+    = floor(R/h), and tail the analytic mass beyond it; kappa holds the
+    exterior mass of every interior node, already including the tail.  The table refers to
     its domain weakly; once the domain is gone, reading domain raises
     ParameterError.
     """
@@ -344,7 +432,7 @@ class KernelTable:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """The transform of the crop on the FFT box (_spectrum), computed once per table; read-only."""
-        return _read_only(_spectrum(_crop(self), self.domain))
+        return _read_only(_spectrum(self.weights, self.domain))
 
     @cached_property
     def symbol(self) -> np.ndarray:
@@ -360,15 +448,6 @@ class KernelTable:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _crop(table: KernelTable) -> np.ndarray:
-    """The weights on offsets |z_k| <= n-1, shape (2n-1,)*N, zero offset at the center."""
-    n = table.domain.nodes_per_axis
-    M = table.lattice_radius
-    # the cutoff is at least the bbox diameter plus one cell, so M > n
-    assert M >= n - 1, f"lattice radius {M} does not cover grid offsets up to {n - 1}"
-    return table.weights[(slice(M - n + 1, M + n),) * table.domain.dimension]
 
 
 def _next_fast_len(n: int) -> int:
@@ -475,7 +554,7 @@ def _symbol(table: KernelTable) -> np.ndarray:
 
 def _riesz_spectrum(table: KernelTable) -> np.ndarray:
     """The transform of K_k(z) = z_k/|z| w_z on the crop, stacked over k = 1..N (see apply_riesz_gradient)."""
-    W = _crop(table)
+    W = table.weights
     z = np.indices(W.shape, dtype=float) - (table.domain.nodes_per_axis - 1)
     r = np.sqrt((z**2).sum(axis=0))
     np.maximum(r, 1e-300, out=r)
@@ -497,8 +576,7 @@ def build_kernel_table(domain: GridDomain, sigma: float, allow_high_order: bool 
     N = domain.dimension
     _check_order(N, sigma, allow_high_order)
     M = int(math.floor(domain.cutoff_radius / domain.h))
-    W = cell_lattice(N, M, -(N + sigma), domain.h, ball=True)
-    total = float(W.sum())
+    W, total = _cell_crop(domain, -(N + sigma), M, ball=True)
     table = KernelTable(
         _domain=weakref.ref(domain),
         sigma=float(sigma),

@@ -26,8 +26,9 @@ P is never formed: its entries depend on the node offset only.  A signed
 operator is a product with its real symbol on the FFT box (KernelTable.symbol,
 computed once per table), the one path that poisson.StiffnessOperator uses
 too; D_s^2, the Riesz gradient and the Riesz potential are FFT correlations
-with a lattice cropped to offsets |z_k| <= n-1, and the transforms of the
-crop and of the Riesz kernels are kept on the table as well
+with weights on the offsets |z_k| <= n-1 (the table's crop, or for the Riesz
+potential a crop built the same way), and the transforms of the crop and of
+the Riesz kernels are kept on the table as well
 (KernelTable.spectrum, KernelTable.riesz_spectrum).  The p-power pair sums
 (B_s^q, Gagliardo) gather row slabs of P from that crop, pairs once each.
 """
@@ -41,9 +42,8 @@ from .grids import GridFunction
 from .kernels import (
     KernelTable,
     _box_product,
+    _cell_crop,
     _correlate,
-    _crop,
-    cell_lattice,
     get_table,
     normalization_constant,
     origin_cell_moment,
@@ -105,7 +105,7 @@ def apply_frac_power(u: GridFunction, t: float) -> GridFunction:
 
 def _pair_slabs(table: KernelTable):
     """Yield (i0, i1, w): pair weights of slab (i0:i1, i0:), gathered from the crop into one reused buffer."""
-    crop = _crop(table)
+    crop = table.weights
     lin = np.ravel_multi_index(table.domain.interior_index.T, crop.shape)
     crop, n = crop.ravel(), len(lin)
     buf = np.empty(min(PAIR_BLOCK_ROWS, n) * n)
@@ -195,12 +195,13 @@ def riesz_potential(g: GridFunction, lam: float) -> GridFunction:
 
     The coincident cell is included; it is integrable since lam < N.  The
     cell integrals depend only on the node offset, so the sum is a correlation
-    with the cell-integral lattice on offsets |z_k| <= n-1.
+    with the cell integrals on offsets |z_k| <= n-1, a crop built as a
+    table's is (kernels._cell_crop).
     """
     dom = g.domain
     if not 0.0 < lam < dom.dimension:
         raise ParameterError(f"lambda must lie in (0,N)=(0,{dom.dimension}), got {lam}")
     N, K = dom.dimension, dom.nodes_per_axis - 1
-    W = cell_lattice(N, K, -lam, dom.h, ball=False)
+    W, _ = _cell_crop(dom, -lam, K, ball=False)
     W[(K,) * N] = origin_cell_moment(dom.h, N, -lam)
     return dom.from_interior(_correlate(g.values, W, dom))

@@ -22,12 +22,13 @@ O(I log I); no I x I array is formed anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError, check_unit_interval
 from .grids import GridDomain, GridFunction, lp_norm
-from .kernels import _box_product, _crop, _diagonal, get_table
+from .kernels import _box_product, _diagonal, _read_only, get_table
 from .seminorms import gagliardo_double_sum
 
 __all__ = [
@@ -57,6 +58,11 @@ class StiffnessOperator:
         full[self.domain.interior_mask] = v
         return _box_product(full, symbol, self.domain)
 
+    @cached_property
+    def inverse_symbol(self) -> np.ndarray:
+        """1/symbol, the preconditioner's symbol, computed once per operator; read-only."""
+        return _read_only(1.0 / self.symbol)
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """A v, as the fractional Laplacian of the exterior-zero extension of v."""
         return self._box_apply(self.symbol, v)
@@ -82,12 +88,11 @@ class StiffnessOperator:
         x = np.zeros_like(rhs)
         if not rhs.any():
             return x
-        inverse = 1.0 / self.symbol
         stop = PCG_RTOL * np.linalg.norm(rhs)
         r = rhs.copy()
         p, rz = np.zeros_like(rhs), 1.0  # with p = 0 the first direction is z
         for _ in range(PCG_MAX_ITER):
-            z = self._box_apply(inverse, r)
+            z = self._box_apply(self.inverse_symbol, r)
             rz, rz_prev = r @ z, rz
             p = z + (rz / rz_prev) * p
             Ap = self.matvec(p)
@@ -109,7 +114,7 @@ def assemble(domain: GridDomain, s: float) -> StiffnessOperator:
     if not 0.0 < diag < np.inf:
         raise ConsistencyError("stiffness diagonal must be positive and finite")
     # the off-diagonal entries are -a w_z, for w_z in the crop, and -a c
-    if -table.norm_const * _crop(table).min() > 1e-14 * diag:
+    if -table.norm_const * table.weights.min() > 1e-14 * diag:
         raise ConsistencyError("stiffness off-diagonal entries must be nonpositive")
     op = StiffnessOperator(domain=domain, s=s, symbol=table.symbol)
     # A 1 is the vector of row sums

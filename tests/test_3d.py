@@ -25,6 +25,7 @@ def test_3d_table_invariants(setup3d):
     dom, tab = setup3d
     assert np.all(tab.kappa > 0)
     W = tab.weights
+    assert W.shape == (2 * dom.nodes_per_axis - 1,) * 3
     assert np.allclose(W, W[::-1, ::-1, ::-1], rtol=0, atol=0)
 
 

@@ -66,11 +66,11 @@ def test_rerun_bit_reproducible(tmp_path):
 
 
 def test_dense_array_beyond_memory_exit2(tmp_path, monkeypatch, capsys):
-    # the weight lattice, of side 2M+1 with M = 4n, and its orthant are the largest
-    # arrays: levels 40 and 80 need 3.9 and 7.7 KB for them, level 160 needs 15.4 KB
-    monkeypatch.setattr(kernels, "available_memory", lambda: 8000)
+    # the table build's peak estimate, at lattice radius M = 4n: levels 40 and 80
+    # need 538728 and 553128 bytes, level 160 needs 581928
+    monkeypatch.setattr(kernels, "available_memory", lambda: 553128)
     assert run("solve", _write(tmp_path, "solve.ini", SOLVE_CFG), tmp_path / "out") == 2
-    assert "the 1D weight lattice of side 1281 needs 0.0147 MB" in capsys.readouterr().err
+    assert "the 1D kernel table at n = 160, lattice radius 640, needs 0.555 MB" in capsys.readouterr().err
     assert not (tmp_path / "out" / "solve.csv").exists()
 
 

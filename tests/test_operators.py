@@ -24,7 +24,7 @@ from fraclab import (
 )
 from conftest import dense_pairs, dense_stiffness, lattice_gather
 from fraclab import kernels
-from fraclab.kernels import cell_lattice, origin_cell_moment
+from fraclab.kernels import _cell_crop, origin_cell_moment
 from fraclab.operators import PAIR_BLOCK_ROWS, _pair_slabs, pair_power_sum
 
 S = 0.6
@@ -403,8 +403,7 @@ def test_pair_matrix_equals_offset_indexing(N, n):
     table = get_table(dom, 0.9)
     ij = dom.interior_index
     d = ij[:, None, :] - ij[None, :, :]
-    M = table.lattice_radius
-    expected = table.weights[tuple(d[..., k] + M for k in range(N))]
+    expected = table.weights[tuple(d[..., k] + n - 1 for k in range(N))]
     assert not np.any(np.diag(expected))
     starts = []
     for i0, i1, w in _pair_slabs(table):
@@ -429,8 +428,8 @@ def test_riesz_potential_matrix_matches_offset_rows(N, n, lam, origin_offset):
     vals[nonzero] = cell_kernel_integrals(flat[nonzero], -lam, dom.h)
     vals[~nonzero] = origin_cell_moment(dom.h, N, -lam)
     V = vals.reshape(len(ij), len(ij))
-    # the cell-integral lattice riesz_potential correlates with, gathered
-    W = cell_lattice(N, n - 1, -lam, dom.h, ball=False)
+    # the cell-integral crop riesz_potential correlates with, gathered
+    W, _ = _cell_crop(dom, -lam, n - 1, ball=False)
     W[(n - 1,) * N] = origin_cell_moment(dom.h, N, -lam)
     assert np.array_equal(lattice_gather(W, ij), V)
     g = dom.from_interior(np.cos(3.0 * dom.interior_coords).prod(axis=1))

@@ -170,8 +170,8 @@ def test_assemble_bit_identical_to_reference(dim, dom1d, dom2d):
 def _doctored(table, how):
     # a weight and its mirror change together: the weights stay symmetric
     W = table.weights.copy()
-    M, N = table.lattice_radius, table.domain.dimension
-    near = ([M - 1, M + 1],) + (M,) * (N - 1)
+    c, N = table.domain.nodes_per_axis - 1, table.domain.dimension
+    near = ([c - 1, c + 1],) + (c,) * (N - 1)
     if how == "negative_weight":
         W[near] = -W[near]
     elif how == "tiny_negative_weight":  # inside the 1e-14 off-diagonal tolerance
@@ -258,6 +258,16 @@ def test_pcg_matches_dense_solve(N, n, s, bound):
     ref = np.linalg.solve(dense_stiffness(get_table(dom, 2.0 * s)), rhs)
     got = assemble(dom, s).solve_vector(rhs)
     assert np.abs(got - ref).max() <= bound * np.abs(ref).max()
+
+
+def test_preconditioner_symbol_computed_once(dom1d):
+    op = assemble(dom1d, S)
+    rhs = np.ones(dom1d.interior_count)
+    first = op.solve_vector(rhs)
+    inverse = op.inverse_symbol
+    assert op.solve_vector(rhs).tobytes() == first.tobytes()
+    assert op.inverse_symbol is inverse and not inverse.flags.writeable
+    assert inverse.tobytes() == (1.0 / op.symbol).tobytes()
 
 
 def test_pcg_past_iteration_cap_is_consistency_error(dom1d, monkeypatch):
