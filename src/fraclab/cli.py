@@ -41,7 +41,7 @@ from .grids import Annulus, Ball, Box, GridDomain, GridFunction, build_domain, n
 from .nonexistence import bump_family, certify as certify_family, lambda_star_star
 from .operators import apply_D_s2, apply_frac_laplacian, central_gradient
 from .poisson import assemble, solve_poisson
-from .regularity import PROPOSITIONS, exponent_range, regularity_probe
+from .regularity import PROPOSITIONS, PROPOSITIONS_WITH_T, exponent_range, regularity_probe
 from .seminorms import check_hardy_mc_args, hardy_constant, hardy_constant_mc
 
 __all__ = ["main", "run", "ExperimentConfig"]
@@ -109,6 +109,8 @@ def _field_spec(spec: str) -> tuple[str, float]:
         raise ConfigurationError(f"field spec {spec!r} needs a number after {kind}:") from None
     if kind == "bump" and not v > 0.0:
         raise ConfigurationError(f"bump radius must be positive, got {spec!r}")
+    if not math.isfinite(v):
+        raise ConfigurationError(f"field spec {spec!r} needs a finite number after {kind}:")
     return kind, v
 
 
@@ -495,8 +497,7 @@ def _run_exponents(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     m_values = [_rat(m) for m in run["m_values"]]
     rows = []
     for prop in props:
-        takes_t = prop in ("P3.1", "P-cr2", "P-cr3", "P-rg1")
-        for t in t_values if takes_t else [None]:
+        for t in t_values if prop in PROPOSITIONS_WITH_T else [None]:
             for m in m_values:
                 try:
                     r = exponent_range(prop, N, s, t, m)

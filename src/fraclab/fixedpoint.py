@@ -1,7 +1,8 @@
 """Picard iteration for the nonlocal fixed-point problems and their constants.
 
 The driver realizes successive substitution  u_{k+1} = S(rhs(u_k)),  u_0 = 0,
-for five right-hand-side families built from the nonlocal operators:
+for five right-hand-side families built from the nonlocal operators, each of
+which vanishes at u = 0, so the first iterate is u_1 = S(lambda f):
 
     D_s2:              mu * D_s^2(u)             + lambda f
     u_times_D_s2:      mu * u * D_s^2(u)         + lambda f
@@ -20,8 +21,8 @@ closed-form root of
     g(t) = a^p (b t + c*)^p - t,   c* = (p-1)/p * (1/(p a^p b))^{1/(p-1)}
 
 drives the smallness thresholds: lambda* is the largest forcing scale for
-which g keeps a root, and l = t* is the invariant-ball radius parameter used
-by the membership checks.
+which g keeps a root, and l = t* is the invariant-ball radius parameter; a
+caller tests an iterate against that ball with seminorms.ball_membership.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .operators import (
     apply_riesz_gradient,
 )
 from .poisson import StiffnessOperator
-from .seminorms import ball_membership
 
 __all__ = [
     "RHS_KINDS",
@@ -87,6 +87,9 @@ class ProblemSpec:
             raise ParameterError(f"lambda must be positive, got {self.lam}")
         if self.mu.domain is not self.f.domain:
             raise ParameterError("mu and f must live on the same domain")
+        for name in ("mu", "f"):
+            if not np.isfinite(getattr(self, name).values).all():
+                raise ParameterError(f"{name} must be finite at every node")
         if self.rhs_kind == "abs_frac_power_q":
             if self.t is None or not 0.0 < self.t < 1.0:
                 raise ParameterError(f"abs_frac_power_q requires t in (0,1), got {self.t}")
@@ -139,9 +142,6 @@ class IterationReport:
     successive_diffs: list[float]
     spec: ProblemSpec = field(repr=False)
     solver: StiffnessOperator = field(repr=False)
-    ball_member: bool | None = None
-    ball_seminorm: float | None = None
-    ball_radius: float | None = None
 
     @cached_property
     def history(self) -> dict[str, list[float]]:
@@ -177,7 +177,6 @@ class ThresholdConstants:
     lambda_star: float | None = None
     l: float | None = None
     c_star: float | None = None
-    t_star: float | None = None
     identity_residual: float | None = None
 
 
@@ -247,16 +246,14 @@ def threshold_from_constants(constants: ThresholdConstants, scheme: str) -> Thre
         b = c.omega_measure**e * c.mu_inf
         p = c.q
 
-    c_star, t_star = lemma_g_root(a, b, p)
+    c_star, l = lemma_g_root(a, b, p)  # l is the root t*
     lam_star = c_star / c.f_norm
-    l = t_star
     residual = abs(a * (b * l + lam_star * c.f_norm) - l ** (1.0 / p)) / l ** (1.0 / p)
     return replace(
         c,
         lambda_star=lam_star,
         l=l,
         c_star=c_star,
-        t_star=t_star,
         identity_residual=residual,
     )
 
@@ -297,13 +294,13 @@ def picard_iterate(
     spec: ProblemSpec,
     config: IterationConfig,
     solver: StiffnessOperator,
-    ball_check: tuple[float, float, float] | None = None,
 ) -> IterationReport:
     """Run u_{k+1} = S(rhs(u_k)) from u_0 = 0 until the verdict is decided.
 
-    ball_check, when given, is (epsilon, r, radius): after the loop the final
-    iterate is tested for membership in the invariant ball of seminorm order
-    s + epsilon, power r and the given radius.
+    With mu finite, which ProblemSpec checks, every rhs family equals lambda f
+    at u = 0, so u_1 = S(lambda f): the solve that sets the default divergence
+    norm is the first iterate, and zero forcing converges at u = 0 after 0
+    iterations.
     """
     if solver.domain is not spec.domain:
         raise ParameterError("solver and problem live on different domains")
@@ -315,8 +312,8 @@ def picard_iterate(
     dom = spec.domain
 
     forcing = spec.lam * spec.f.interior
-    base = solver.solve_vector(forcing)
-    base_sup = float(np.abs(base).max()) if base.size else 0.0
+    v = solver.solve_vector(forcing)
+    base_sup = float(np.abs(v).max()) if v.size else 0.0
     div_norm = (
         config.divergence_norm
         if config.divergence_norm is not None
@@ -326,9 +323,7 @@ def picard_iterate(
     iterates: list[GridFunction] = []
     diffs: list[float] = []
     u = dom.zeros()
-
-    rhs0 = _rhs_eval(spec, u)
-    if not np.any(rhs0):
+    if not forcing.any():
         return IterationReport(
             verdict="converged",
             iterations=0,
@@ -341,41 +336,31 @@ def picard_iterate(
             solver=solver,
         )
 
-    verdict = "max_iter"
-    iterations = config.max_iter
-    rhs = rhs0
+    verdict, iterations, final_residual = "max_iter", config.max_iter, None
     for k in range(1, config.max_iter + 1):
         if k > 1:
             rhs = _rhs_eval(spec, u)
-        if not np.all(np.isfinite(rhs)):
-            verdict, iterations = "diverged", k
-            break
-        # every rhs family vanishes at u = 0, so the first rhs is the forcing, already solved as base
-        v = base if k == 1 and rhs.tobytes() == forcing.tobytes() else solver.solve_vector(rhs)
+            # a non-finite rhs fails the finite check below without a solve
+            v = solver.solve_vector(rhs) if np.all(np.isfinite(rhs)) else rhs
         if not np.all(np.isfinite(v)):
             verdict, iterations = "diverged", k
             break
-        u_new = dom.from_interior(v)
         sup = float(np.abs(v).max())
         diff = float(np.abs(v - u.interior).max()) / max(sup, 1e-300)
-        iterates.append(u_new)
+        u = dom.from_interior(v)
+        iterates.append(u)
         diffs.append(diff)
-        u = u_new
         if sup > div_norm:
             verdict, iterations = "diverged", k
             break
         if diff <= config.tolerance:
             verdict, iterations = "converged", k
+            rhs = _rhs_eval(spec, u)
+            num = float(np.linalg.norm(solver.matvec(u.interior) - rhs))
+            final_residual = num / max(float(np.linalg.norm(rhs)), 1e-300)
             break
 
-    final_residual = None
-    if verdict == "converged":
-        rhs = _rhs_eval(spec, u)
-        num = float(np.linalg.norm(solver.matvec(u.interior) - rhs))
-        den = float(np.linalg.norm(rhs))
-        final_residual = num / max(den, 1e-300)
-
-    report = IterationReport(
+    return IterationReport(
         verdict=verdict,
         iterations=iterations,
         final_residual=final_residual,
@@ -386,13 +371,6 @@ def picard_iterate(
         spec=spec,
         solver=solver,
     )
-    if ball_check is not None:
-        eps, r, radius = ball_check
-        member, value = ball_membership(u, spec.s, eps, r, radius)
-        report.ball_member = member
-        report.ball_seminorm = value
-        report.ball_radius = radius
-    return report
 
 
 def manufacture_forcing(spec: ProblemSpec, u_star: GridFunction, solver: StiffnessOperator) -> GridFunction:

@@ -67,9 +67,6 @@ class StiffnessOperator:
         """A v, as the fractional Laplacian of the exterior-zero extension of v."""
         return self._box_apply(self.symbol, v)
 
-    def apply(self, u: GridFunction) -> GridFunction:
-        return self.domain.from_interior(self.matvec(u.interior))
-
     def energy(self, u: GridFunction) -> float:
         """<A u, u>_h; equals (a/2) * gagliardo d_omega sum by weight sharing."""
         ui = u.interior

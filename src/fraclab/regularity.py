@@ -32,6 +32,7 @@ from .seminorms import gagliardo_double_sum
 
 __all__ = [
     "PROPOSITIONS",
+    "PROPOSITIONS_WITH_T",
     "ExponentRange",
     "exponent_range",
     "applicable_ranges",
@@ -52,6 +53,8 @@ PROPOSITIONS = (
     "L-LPPS",   # L^p range of v itself
     "L-AP",     # W^{1,p} range of v
 )
+# the statements that take an order t; every other one is evaluated at t = None
+PROPOSITIONS_WITH_T = ("P3.1", "P-cr2", "P-cr3", "P-rg1")
 
 INF = math.inf
 
@@ -103,7 +106,7 @@ def _common_checks(N: int, s: Fraction, m: Fraction) -> None:
 def exponent_range(proposition: str, N: int, s, t=None, m=1) -> ExponentRange:
     """Exact admissible exponent range of one regularity statement.
 
-    t is required by P3.1, P-cr2, P-cr3 and P-rg1; Cor-t=s fixes t = s and the
+    t is required by PROPOSITIONS_WITH_T; Cor-t=s fixes t = s and the
     remaining statements have no t.  Strictness follows the statements: strict
     upper bounds for m = 1 and for the m >= N/2s cases, inclusive bounds for
     the interior 1 < m cases.
@@ -203,7 +206,7 @@ def applicable_ranges(N: int, s, t=None, m=1) -> list[ExponentRange]:
     """
     out = []
     for prop in PROPOSITIONS:
-        t_arg = t if prop in ("P3.1", "P-cr2", "P-cr3", "P-rg1") else None
+        t_arg = t if prop in PROPOSITIONS_WITH_T else None
         try:
             out.append(exponent_range(prop, N, s, t_arg, m))
         except HypothesisViolation:

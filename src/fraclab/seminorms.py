@@ -11,8 +11,8 @@ exterior-zero functions the full-space value coincides with d_omega.  Because
 the weights, kappa and the origin moment are shared with the operator module,
 the decomposition identity against the nonlocal gradient square and the
 operator energy identity hold to machine precision.  ball_membership sums
-the same pairs at orders up to N+2 for the invariant-ball check of the
-fixed-point driver.
+the same pairs at orders up to N+2; it is the invariant-ball check that a
+caller applies to an iterate of the fixed-point driver.
 
 The sharp Hardy constant is evaluated from its one-dimensional double
 integral
@@ -342,15 +342,10 @@ def hardy_constant_mc(
         vals[c0 : c0 + n] = 2.0 * F / dens
 
     starts = range(0, samples, MC_CHUNK)
-    workers = min(_usable_cpus(), len(starts))
-    if workers == 1:
-        for c0 in starts:
-            chunk(c0)
-    else:
-        # hyp2f1 and the numpy ufuncs release the GIL; each chunk fills its
-        # own slice of vals, and the reduction below is over the whole array
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(chunk, starts))
+    # hyp2f1 and the numpy ufuncs release the GIL; each chunk fills its
+    # own slice of vals, and the reduction below is over the whole array
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
+        list(pool.map(chunk, starts))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 

@@ -134,6 +134,17 @@ def test_nonpositive_bump_radius_exit2(tmp_path, capsys, monkeypatch, spec):
     assert not (tmp_path / "out" / "solve.csv").exists()
 
 
+@pytest.mark.parametrize("spec", ["power:nan", "power:inf", "power:-inf", "const:inf", "const:-inf", "bump:inf"])
+@pytest.mark.parametrize("key", ["mu", "f"])
+def test_nonfinite_field_number_exit2(tmp_path, capsys, monkeypatch, key, spec):
+    # a non-finite mu makes mu * D_s^2(0) a NaN, so the number is refused before any domain is built
+    monkeypatch.setattr(cli, "_build_domain", _no_computation)
+    text = SWEEP_CFG.replace({"mu": "mu = const:1.0", "f": "f = bump:0.9"}[key], f"{key} = {spec}")
+    assert run("sweep", _write(tmp_path, "bad.ini", text), tmp_path / "out") == 2
+    assert f"field spec {spec!r} needs a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("digits", ["-3", "0", "18"])
 def test_precision_out_of_range_exit2(tmp_path, capsys, monkeypatch, digits):
     monkeypatch.setattr(cli, "_build_domain", _no_computation)

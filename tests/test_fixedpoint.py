@@ -139,14 +139,32 @@ def test_threshold_scheme_mismatch():
         threshold_from_constants(c, "nope")
 
 
-def test_picard_zero_forcing_converges_at_zero(small):
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["mu", "f"])
+def test_problem_spec_refuses_nonfinite_fields(small, name, value):
+    # rhs(0) = lambda f holds only for finite mu: a non-finite mu makes mu * 0 a NaN
+    dom, _ = small
+    fields = {"mu": dom.from_interior(np.ones(dom.interior_count)), "f": dom.zeros()}
+    bad = np.ones(dom.interior_count)
+    bad[dom.interior_count // 2] = value
+    fields[name] = dom.from_interior(bad)
+    with pytest.raises(ParameterError, match=f"^{name} must be finite at every node$"):
+        ProblemSpec(rhs_kind="D_s2", s=S, lam=0.3, **fields)
+
+
+def test_picard_zero_forcing_converges_at_zero(small, monkeypatch):
+    # zero forcing is read off lambda f: no operator is applied, one solve sets the divergence norm
     dom, solver = small
     mu = sample(lambda x: np.ones_like(x), dom)
     spec = ProblemSpec(rhs_kind="D_s2", s=S, lam=0.3, mu=mu, f=dom.zeros())
+    rhs_calls, solves = _count_calls(monkeypatch)
     rep = picard_iterate(spec, IterationConfig(), solver)
     assert rep.verdict == "converged"
     assert rep.iterations == 0
+    assert rep.final_residual == 0.0
     assert np.all(rep.u_final.values == 0.0)
+    assert rhs_calls == []
+    assert len(solves) == 1
 
 
 def test_picard_manufactured_recovery(small):
@@ -243,21 +261,38 @@ def test_picard_all_rhs_kinds_converge_small_lambda(small):
         assert rep.final_residual <= 1e-8
 
 
+def _count_calls(monkeypatch):
+    """Lists that record each _rhs_eval call and each solve's right-hand side."""
+    from fraclab import fixedpoint
+
+    rhs_calls, solves = [], []
+    rhs_eval = fixedpoint._rhs_eval
+    solve = StiffnessOperator.solve_vector
+    monkeypatch.setattr(fixedpoint, "_rhs_eval", lambda spec, u: rhs_calls.append(u) or rhs_eval(spec, u))
+    monkeypatch.setattr(StiffnessOperator, "solve_vector", lambda self, b: solves.append(b) or solve(self, b))
+    return rhs_calls, solves
+
+
 def test_picard_first_iterate_reuses_the_forcing_solve(small, monkeypatch):
     # every rhs family vanishes at u = 0: the solve of lambda f that sets the
-    # divergence norm is the first iterate, so a converged run solves once per iteration
+    # divergence norm is the first iterate, so a run solves once per iteration
+    # and evaluates the rhs once per later iterate, plus once for the residual
     dom, solver = small
     mu = sample(lambda x: np.full_like(x, 0.5), dom)
     f = sample(lambda x: np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 2, dom)
-    rhs = []
     solve = StiffnessOperator.solve_vector
-    monkeypatch.setattr(StiffnessOperator, "solve_vector", lambda self, b: rhs.append(b) or solve(self, b))
-    spec = ProblemSpec(rhs_kind="riesz_grad_q", s=S, lam=0.02, mu=mu, f=f, q=1.5)
-    rep = picard_iterate(spec, IterationConfig(tolerance=1e-10, max_iter=150), solver)
-    assert rep.verdict == "converged"
-    assert len(rhs) == rep.iterations
-    assert rhs[0].tobytes() == (spec.lam * f.interior).tobytes()
-    assert rep.iterates[0].interior.tobytes() == solve(solver, rhs[0]).tobytes()
+    rhs_calls, solves = _count_calls(monkeypatch)
+    for lam, max_iter, verdict in [(0.02, 150, "converged"), (0.02, 3, "max_iter"), (5.0, 150, "diverged")]:
+        rhs_calls.clear()
+        solves.clear()
+        spec = ProblemSpec(rhs_kind="riesz_grad_q", s=S, lam=lam, mu=mu, f=f, q=1.5)
+        rep = picard_iterate(spec, IterationConfig(tolerance=1e-10, max_iter=max_iter), solver)
+        k = rep.iterations
+        assert rep.verdict == verdict
+        assert len(rhs_calls) == (k if verdict == "converged" else k - 1)
+        assert len(solves) == len(rep.iterates) == k
+        assert solves[0].tobytes() == (spec.lam * f.interior).tobytes()
+        assert rep.iterates[0].interior.tobytes() == solve(solver, solves[0]).tobytes()
 
 
 def _eager_history(spec, config, solver):
@@ -358,12 +393,8 @@ def test_converged_iterate_in_derived_ball(small):
     mu = sample(lambda x: np.ones_like(x), dom)
     f = sample(lambda x: 0.05 * np.maximum(1.0 - x**2, 0.0) ** 2, dom)
     spec = ProblemSpec(rhs_kind="D_s2", s=S, lam=min(0.05, done.lambda_star), mu=mu, f=f)
-    rep = picard_iterate(
-        spec,
-        IterationConfig(tolerance=1e-10, max_iter=100),
-        solver,
-        ball_check=(0.05, 2.0, done.l),
-    )
+    rep = picard_iterate(spec, IterationConfig(tolerance=1e-10, max_iter=100), solver)
     assert rep.verdict == "converged"
-    assert rep.ball_member is True
-    assert rep.ball_seminorm <= done.l
+    member, seminorm = ball_membership(rep.u_final, S, 0.05, 2.0, done.l)
+    assert member is True
+    assert seminorm <= done.l

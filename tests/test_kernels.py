@@ -136,7 +136,9 @@ def test_domain_cutoff_reaches_every_table_reader(table_builds):
     gagliardo_double_sum(u, 1.8, 0.6)
     ball_membership(u, 0.6, 0.1, 3.0, 1.0)
     spec = ProblemSpec(rhs_kind="riesz_grad_q", s=0.6, lam=0.02, mu=u, f=u, q=1.5)
-    picard_iterate(spec, IterationConfig(max_iter=5), solver, ball_check=(0.2, 2.0, 1.0)).history
+    rep = picard_iterate(spec, IterationConfig(max_iter=5), solver)
+    rep.history
+    ball_membership(rep.u_final, 0.6, 0.2, 2.0, 1.0)
     orders = [1.2, 0.8, 0.5, 0.7, 0.6 * 1.5, 0.45, 0.6 * 1.8, (0.6 + 0.1) * 3.0, 0.6, (0.6 + 0.2) * 2.0]
     assert sorted(table_builds) == sorted((sigma, 6.0 * dom.bbox_diameter) for sigma in orders)
 
