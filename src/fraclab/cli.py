@@ -80,12 +80,15 @@ def _levels(v: str) -> list[int]:
     return xs
 
 
+def _positive_float(v: str) -> float:
+    x = float(v)
+    if not 0.0 < x < math.inf:
+        raise ConfigurationError(f"must be positive and finite, got {x}")
+    return x
+
+
 def _positive_floats(v: str) -> list[float]:
-    xs = _floats(v)
-    for x in xs:
-        if not x > 0.0:
-            raise ConfigurationError(f"every entry must be positive, got {x}")
-    return xs
+    return [_positive_float(x) for x in v.split(",") if x.strip()]
 
 
 def _precision(v: str) -> int:
@@ -138,7 +141,7 @@ _DOMAIN_SCHEMA = {
 _PROBLEM_SCHEMA = {
     "s": (float, REQ),
     "rhs_kind": (str, "D_s2"),
-    "lambda": (float, 0.1),
+    "lambda": (_positive_float, 0.1),
     "mu": (_field_str, "const:1.0"),
     "f": (_field_str, "const:1.0"),
     "m": (float, None),
@@ -199,7 +202,7 @@ SCHEMAS: dict[str, dict[str, dict]] = {
         "domain": _DOMAIN_SCHEMA,
         "problem": {"s": (float, REQ), "f": (_field_str, "const:1.0"), "mu1": (float, 1.0)},
         "run": {
-            "lambda_values": (_floats, REQ),
+            "lambda_values": (_positive_floats, REQ),
             "bump_centers": (int, 3),
             "bump_rhos": (_positive_floats, [0.3, 0.5, 0.7]),
         },

@@ -83,8 +83,8 @@ class ProblemSpec:
         if self.rhs_kind not in RHS_KINDS:
             raise ParameterError(f"rhs_kind must be one of {RHS_KINDS}, got {self.rhs_kind!r}")
         check_unit_interval("s", self.s)
-        if self.lam <= 0.0:
-            raise ParameterError(f"lambda must be positive, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise ParameterError(f"lambda must be positive and finite, got {self.lam}")
         if self.mu.domain is not self.f.domain:
             raise ParameterError("mu and f must live on the same domain")
         for name in ("mu", "f"):

@@ -171,16 +171,11 @@ def normalization_constant_quadrature(
 # cell integrals
 # ---------------------------------------------------------------------------
 
+# (nsub, up): a cell whose max-norm offset lies above the previous up and at most up
+# is integrated at nsub^N midpoints
 _SUBDIV_SCHEDULE = ((32, 1), (16, 3), (8, 8), (4, 24), (2, np.inf))
 # quadrature points per pass of cell_kernel_integrals, which bounds its temporaries
 QUAD_POINTS = 2**16
-
-
-def _subdiv_for(rinf: np.ndarray) -> np.ndarray:
-    out = np.full(rinf.shape, 2, dtype=int)
-    for nsub, up in reversed(_SUBDIV_SCHEDULE):
-        out[rinf <= up] = nsub
-    return out
 
 
 def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.ndarray:
@@ -190,6 +185,17 @@ def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.
     subdivision graded by the max-norm distance of the cell.  The integral
     depends only on the sorted absolute offsets, and _cell_crop passes each
     sorted offset once.
+
+    The cells of one subdivision class are taken in chunks of rows, so that
+    a chunk has at most QUAD_POINTS midpoints.  r^2 at the nsub^N midpoints
+    of the chunk's cells is one array of shape (nsub, ..., nsub, rows), the
+    rows last so that each pass runs along them.  Axis k adds the squares
+    ((z_k + o) h)^2 of its nsub midpoint offsets o, computed once per row and
+    broadcast along the other axes, to r^2 in axis order: the order in which
+    a sum over the N coordinates of each midpoint adds them, so r^2 has the
+    bits of that sum, with no array of midpoint coordinates.  r^2 is raised
+    to exponent/2 in place, and each cell's midpoints, copied to one
+    contiguous row, are summed by numpy's pairwise sum over that row.
     """
     offsets = np.asarray(offsets, dtype=int)
     if offsets.ndim == 1:
@@ -208,21 +214,24 @@ def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.
         return (hi**e1 - lo**e1) / e1
 
     canon = np.sort(np.abs(offsets), axis=1)
-    subdiv = _subdiv_for(canon[:, -1])
+    rinf = canon[:, -1]
     vals = np.empty(len(canon))
-    for nsub in np.unique(subdiv):
-        sel = subdiv == nsub
-        zg = canon[sel].astype(float)
+    prev_up = 0
+    for nsub, up in _SUBDIV_SCHEDULE:
+        idx = np.flatnonzero((rinf > prev_up) & (rinf <= up))
+        prev_up = up
         off1 = (np.arange(nsub) + 0.5) / nsub - 0.5
-        grids = np.meshgrid(*([off1] * ndim), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        out = np.zeros(len(zg))
-        chunk = max(1, QUAD_POINTS // len(pts))
-        for i in range(0, len(zg), chunk):
-            y = (zg[i : i + chunk, None, :] + pts[None, :, :]) * h
-            r2 = (y**2).sum(axis=-1)
-            out[i : i + chunk] = (r2 ** (exponent / 2.0)).sum(axis=1) * (h / nsub) ** ndim
-        vals[sel] = out
+        chunk = max(1, QUAD_POINTS // nsub**ndim)
+        for i in range(0, len(idx), chunk):
+            rows = idx[i : i + chunk]
+            r2 = np.zeros((nsub,) * ndim + (len(rows),))
+            for k in range(ndim):
+                y = off1[:, None] + canon[rows, k]
+                y *= h
+                y *= y
+                r2 += y.reshape((1,) * k + (nsub,) + (1,) * (ndim - 1 - k) + (len(rows),))
+            r2 **= exponent / 2.0
+            vals[rows] = r2.reshape(-1, len(rows)).T.copy().sum(axis=1) * (h / nsub) ** ndim
     return vals
 
 
@@ -240,20 +249,21 @@ def _ends(N: int, K: int) -> np.ndarray:
     return ends
 
 
-def _layers(prefixes: np.ndarray, ends: np.ndarray, m0: int, m1: int, radius: int | None = None) -> np.ndarray:
+def _layers(prefixes: np.ndarray, ends: np.ndarray, m0: int, m1: int, room: np.ndarray | None = None) -> np.ndarray:
     """The sorted offsets with m0 <= z_N < m1, from the (N-1)-row sorted offsets and _ends(N, .).
 
     Layer m appends m to the first ends[m+1] - ends[m] prefixes, those with
-    largest entry <= m.  A radius keeps only the offsets with |z| <= radius.
+    largest entry <= m.  A room per prefix keeps only the offsets whose
+    appended m has m^2 <= room, before any offset is formed.
     """
     sizes = np.diff(ends[m0 : m1 + 1])
     m = np.repeat(np.arange(m0, m1), sizes)
     # the row of each offset among its layer's prefixes
     idx = np.arange(len(m)) - np.repeat(ends[m0:m1] - ends[m0], sizes)
-    z = np.column_stack([prefixes[idx], m])
-    if radius is not None:
-        z = z[(z * z).sum(axis=1) <= radius * radius]
-    return z
+    if room is not None:
+        keep = m * m <= room[idx]
+        m, idx = m[keep], idx[keep]
+    return np.column_stack([prefixes[idx], m])
 
 
 def _sorted_offsets(N: int, K: int) -> np.ndarray:
@@ -276,10 +286,12 @@ def _offset_chunks(N: int, M: int, ball: bool):
     ball=True keeps only offsets with |z| <= M.
     """
     prefixes, ends = _sorted_offsets(N - 1, M), _ends(N, M)
+    # |z|^2 <= M^2 leaves each prefix M^2 - |prefix|^2 for the square of its last entry
+    room = M * M - (prefixes * prefixes).sum(axis=1) if ball else None
     m0 = 1
     while m0 <= M:
         m1 = max(m0 + 1, int(np.searchsorted(ends, ends[m0] + OFFSET_CHUNK_ROWS, side="right")) - 1)
-        yield _layers(prefixes, ends, m0, m1, M if ball else None)
+        yield _layers(prefixes, ends, m0, m1, room)
         m0 = m1
 
 
@@ -298,17 +310,22 @@ def _build_bytes(N: int, n: int, M: int) -> int:
     """An upper estimate of the peak bytes of _cell_crop and of one FFT correlation with its crop.
 
     The offset walk holds the orthant of side n, two arrays over the layers,
-    the comb(M + N - 1, N - 1) prefixes of _offset_chunks and one chunk of R
-    rows, which _layers, cell_kernel_integrals and the mirroring copy several
-    times over, beside the quadrature temporaries.  A chunk exceeds
-    OFFSET_CHUNK_ROWS only by one layer, and no layer has more rows than there
-    are prefixes.  The FFT correlation holds the crop, two grid arrays and
-    four half spectra of the box.  2^16 words more cover the small allocations.
+    the comb(M + N - 1, N - 1) prefixes of _offset_chunks and the arrays of
+    chunks of R rows.  It peaks either in _layers, which builds a chunk while
+    the last one and its values are held and the mirroring copies them, at
+    (3N + 6) R words, or in cell_kernel_integrals, which holds the chunk, its
+    sorted copy, class masks, row indices and values and the last chunk's
+    values, (2N + 4) R words, beside r^2 at QUAD_POINTS points, its
+    transposed copy and the squares of the last axis (QUAD_POINTS / 2^(N-1)).
+    A chunk exceeds OFFSET_CHUNK_ROWS only by one layer, and no layer has more
+    rows than there are prefixes.  The FFT correlation holds the crop, two
+    grid arrays and four half spectra of the box.  2^16 words more cover the
+    small allocations.
     """
     prefixes = math.comb(M + N - 1, N - 1)
     R = min(max(OFFSET_CHUNK_ROWS, prefixes), math.comb(M + N, N) - 1)
-    quad = (2 * N + 2) * QUAD_POINTS + 2 * N * _SUBDIV_SCHEDULE[0][0] ** N if N > 1 else 0
-    walk = n**N + 2 * (M + 2) + N * prefixes + (3 * N + 6) * R + quad
+    quad = 2 * QUAD_POINTS + 2 * QUAD_POINTS // 2**N if N > 1 else 0
+    walk = n**N + 2 * (M + 2) + N * prefixes + max((3 * N + 6) * R, (2 * N + 4) * R + quad)
     L = _next_fast_len(2 * n - 1)
     fft = (2 * n - 1) ** N + 2 * n**N + 8 * L ** (N - 1) * (L // 2 + 1)
     return 8 * (max(walk, fft) + 2**16)

@@ -121,8 +121,34 @@ def test_lambda_sweep_checked_before_any_picard_run(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "picard_iterate", _no_computation)
     text = SWEEP_CFG.replace("lambda_sweep = 0.05,0.1", "lambda_sweep = 0.1,-0.2,0")
     assert run("sweep", _write(tmp_path, "bad.ini", text), tmp_path / "out") == 2
-    assert "[run] lambda_sweep: '0.1,-0.2,0' (every entry must be positive, got -0.2)" in capsys.readouterr().err
+    assert "[run] lambda_sweep: '0.1,-0.2,0' (must be positive and finite, got -0.2)" in capsys.readouterr().err
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, key, value, bad",
+    [
+        ("iterate", "lambda", "nan", "nan"),
+        ("iterate", "lambda", "inf", "inf"),
+        ("sweep", "lambda_sweep", "0.1,inf", "inf"),
+        ("certify", "lambda_values", "-1.0,inf", "-1.0"),
+        ("certify", "lambda_values", "1.0,nan", "nan"),
+    ],
+)
+def test_nonpositive_or_nonfinite_lambda_exit2(tmp_path, capsys, monkeypatch, subcommand, key, value, bad):
+    # these loaded: iterate and sweep then failed in the first solve with a misleading
+    # message, and certify wrote a row for each
+    monkeypatch.setattr(cli, "_build_domain", _no_computation)
+    if subcommand == "certify":
+        text = CERTIFY_CFG.replace("lambda_values = 1.0", f"lambda_values = {value}")
+    elif subcommand == "sweep":
+        text = SWEEP_CFG.replace("lambda_sweep = 0.05,0.1", f"lambda_sweep = {value}")
+    else:
+        text = SWEEP_CFG.replace("lambda_sweep = 0.05,0.1", "").replace("f = bump:0.9", f"f = bump:0.9\nlambda = {value}")
+    assert run(subcommand, _write(tmp_path, "bad.ini", text), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"{key}: {value!r} (must be positive and finite, got {bad})" in err
+    assert not (tmp_path / "out" / f"{subcommand}.csv").exists()
 
 
 @pytest.mark.parametrize("spec", ["bump:0", "bump:-0.5", "bump:nan"])
@@ -156,7 +182,7 @@ def test_precision_out_of_range_exit2(tmp_path, capsys, monkeypatch, digits):
 
 # the grid subcommands run on numpy alone: the FFTs are numpy.fft's, and scipy
 # serves only the oracles, which import scipy.special and scipy.integrate on
-# first use
+# first use; nor do they load numpy.ma, which np.unique imports (16 ms, 1.3 MB)
 def test_import_cli_leaves_scipy_integrate_unloaded(tmp_path):
     iterate_cfg = SWEEP_CFG.replace("lambda_sweep = 0.05,0.1", "")
     args = []
@@ -173,12 +199,13 @@ def test_import_cli_leaves_scipy_integrate_unloaded(tmp_path):
         "for sub, path in zip(sys.argv[1::2], sys.argv[2::2]):\n"
         "    assert fraclab.cli.run(sub, path, path + '.out') == 0, sub\n"
         "print(*scipy_modules())\n"
+        "print('numpy.ma' in sys.modules)\n"
         "fraclab.hardy_constant_mc(2, 0.6, 2.0, samples=1000)\n"
         "print('scipy.special' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["", "", "True"]
+    assert proc.stdout.splitlines() == ["", "", "False", "True"]
 
 
 def _fine_and_coarse(N, shape):
@@ -476,7 +503,7 @@ def test_certify_names_a_nonpositive_radius(tmp_path, capsys, monkeypatch, rho):
     text = CERTIFY_CFG.replace("lambda_values = 1.0", f"lambda_values = 1.0\nbump_rhos = 0.3,{rho}")
     assert run("certify", _write(tmp_path, "c.ini", text), tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert "bump_rhos" in err and f"must be positive, got {float(rho)}" in err
+    assert "bump_rhos" in err and f"must be positive and finite, got {float(rho)}" in err
     assert "clipped" not in err
 
 

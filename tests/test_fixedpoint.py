@@ -152,6 +152,14 @@ def test_problem_spec_refuses_nonfinite_fields(small, name, value):
         ProblemSpec(rhs_kind="D_s2", s=S, lam=0.3, **fields)
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.3, math.nan, math.inf])
+def test_problem_spec_refuses_nonpositive_or_nonfinite_lambda(small, lam):
+    # a NaN or infinite lambda used to pass, and failed only in the first solve
+    dom, _ = small
+    with pytest.raises(ParameterError, match="^lambda must be positive and finite"):
+        ProblemSpec(rhs_kind="D_s2", s=S, lam=lam, mu=dom.from_interior(np.ones(dom.interior_count)), f=dom.zeros())
+
+
 def test_picard_zero_forcing_converges_at_zero(small, monkeypatch):
     # zero forcing is read off lambda f: no operator is applied, one solve sets the divergence norm
     dom, solver = small

@@ -327,14 +327,28 @@ def test_chunked_build_equals_unchunked(N, n, monkeypatch):
     assert chunked.kappa.tobytes() == whole.kappa.tobytes()
 
 
+# max-norms on both sides of every edge of the subdivision classes, and two far ones
+CLASS_EDGES = (1, 2, 3, 4, 8, 9, 24, 25, 100, 1000)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_cell_integrals_match_deduplicated_reference(N):
     rng = np.random.default_rng(N)
     offsets = rng.integers(-30, 31, size=(400, N))
     offsets = offsets[np.any(offsets != 0, axis=1)]
     offsets = np.concatenate([offsets, -offsets[:, ::-1]])  # mirrored duplicates
-    got = cell_kernel_integrals(offsets, -(N + 1.1), 0.05)
-    assert np.array_equal(got, _ref_cell_kernel_integrals(offsets, -(N + 1.1), 0.05))
+    edges = rng.integers(-1000, 1001, size=(40 * len(CLASS_EDGES), N))
+    m = np.repeat(CLASS_EDGES, 40)
+    edges = np.clip(edges, -m[:, None], m[:, None])
+    edges[np.arange(len(m)), rng.integers(0, N, size=len(m))] = m * rng.choice([-1, 1], size=len(m))
+    # more far-class rows (max-norm > 24) than one pass of QUAD_POINTS points takes
+    far = rng.integers(-400, 401, size=(kernels.QUAD_POINTS // 2**N + 500, N))
+    far[:, 0] = rng.integers(25, 401, size=len(far)) * rng.choice([-1, 1], size=len(far))
+    offsets = np.concatenate([offsets, edges, far])
+    # table orders 0.3, 1.2 and 1.9, ball_membership's high order N + 1.5, riesz_potential's 0.5 and N - 0.2
+    for exponent in (-(N + 0.3), -(N + 1.2), -(N + 1.9), -(2 * N + 1.5), -0.5, -(N - 0.2)):
+        got = cell_kernel_integrals(offsets, exponent, 0.05)
+        assert np.array_equal(got, _ref_cell_kernel_integrals(offsets, exponent, 0.05))
 
 
 def _ref_normalization_quadrature(N, s, r_min=1e-6, r_max=400.0, panel_order=32):
@@ -399,9 +413,9 @@ def test_dense_array_refused_beyond_available_memory(monkeypatch):
     dom = build_domain(Ball(center=(0.0, 0.0), radius=1.0), 40, margin_cells=4)
     M = int(math.floor(dom.cutoff_radius / dom.h))
     need = kernels._build_bytes(2, 40, M)
-    assert (M, need) == (226, 5295728)
+    assert (M, need) == (226, 2903664)
     monkeypatch.setattr(kernels, "available_memory", lambda: need - 1)
-    with pytest.raises(ConfigurationError, match="the 2D kernel table at n = 40, lattice radius 226, needs 5.05 MB"):
+    with pytest.raises(ConfigurationError, match="the 2D kernel table at n = 40, lattice radius 226, needs 2.77 MB"):
         build_kernel_table(dom, 1.2)
     with pytest.raises(ConfigurationError, match="needs"):
         assemble(dom, 0.6)
@@ -416,8 +430,8 @@ def test_dense_array_refused_beyond_available_memory(monkeypatch):
 
 @pytest.mark.parametrize("N,n", [(1, 20000), (2, 128), (3, 10), (3, 20)])
 def test_table_build_peak_matches_refusal_estimate(N, n):
-    # the estimate bounds the traced peak from above: measured 1.16 (1D), 1.33 (2D),
-    # 1.21 and 1.21 (3D) times the peak; 1.04 (2D) as a process's first build, which
+    # the estimate bounds the traced peak from above: measured 1.16 (1D), 1.24 (2D),
+    # 1.33 and 1.22 (3D) times the peak; 1.19 (2D) as a process's first build, which
     # also imports numpy.fft
     dom = build_domain(Ball(center=(0.0,) * N, radius=1.0), n, margin_cells=2)
     need = kernels._build_bytes(N, n, int(math.floor(dom.cutoff_radius / dom.h)))
