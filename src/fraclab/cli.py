@@ -37,16 +37,14 @@ from .errors import (
     QuadratureError,
 )
 from .fixedpoint import IterationConfig, ProblemSpec, picard_iterate
-from .grids import Annulus, Ball, Box, GridDomain, GridFunction, build_domain, node_radii, sample
-from .nonexistence import bump_family, certify as certify_family, lambda_star_star
+from .grids import Annulus, Ball, Box, GridDomain, GridFunction, build_domain, centered_ball_domain, node_radii, sample
+from .nonexistence import bump_family, certify as certify_family, radial_bump
 from .operators import apply_D_s2, apply_frac_laplacian, central_gradient
 from .poisson import assemble, solve_poisson
 from .regularity import PROPOSITIONS, PROPOSITIONS_WITH_T, exponent_range, regularity_probe
 from .seminorms import check_hardy_mc_args, hardy_constant, hardy_constant_mc
 
 __all__ = ["main", "run", "ExperimentConfig"]
-
-SUBCOMMANDS = ("solve", "iterate", "sweep", "hardy", "exponents", "certify", "probe", "limits")
 
 REQ = object()  # sentinel: key is required
 
@@ -87,6 +85,13 @@ def _positive_float(v: str) -> float:
     return x
 
 
+def _dimension(v: str) -> int:
+    N = int(v)
+    if N not in (1, 2, 3):
+        raise ConfigurationError(f"dimension must be 1, 2 or 3, got {N}")
+    return N
+
+
 def _positive_floats(v: str) -> list[float]:
     return [_positive_float(x) for x in v.split(",") if x.strip()]
 
@@ -125,7 +130,7 @@ def _field_str(v: str) -> str:
 
 _DOMAIN_SCHEMA = {
     "shape": (str, "ball"),
-    "dimension": (int, 1),
+    "dimension": (_dimension, 1),
     "nodes_per_axis": (int, REQ),
     "margin_cells": (int, 2),
     "origin_offset": (_bool, False),
@@ -209,7 +214,7 @@ SCHEMAS: dict[str, dict[str, dict]] = {
         "output": _OUTPUT_SCHEMA,
     },
     "probe": {
-        "domain": {"dimension": (int, 1), "radius": (float, 1.0)},
+        "domain": {"dimension": (_dimension, 1), "radius": (float, 1.0)},
         "run": {
             "beta": (float, REQ),
             "s": (float, REQ),
@@ -321,8 +326,7 @@ def _field(spec: str, domain: GridDomain) -> GridFunction:
         return sample(lambda *cs: np.full_like(cs[0], v), domain)
     if kind == "power":
         return domain.from_interior(node_radii(domain) ** (-v))
-    r2 = (domain.interior_coords**2).sum(axis=1)  # bump of radius v
-    return domain.from_interior(np.maximum(1.0 - r2 / v**2, 0.0) ** 2)
+    return radial_bump(domain, np.zeros(domain.dimension), v)
 
 
 def _fmt(x, precision: int) -> str:
@@ -482,10 +486,6 @@ def _run_hardy(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     return ["N", "s", "p", "lambda_quad", "error_estimate", "lambda_mc", "mc_stderr", "rel_diff"], rows
 
 
-def _rat(x: str) -> Fraction:
-    return Fraction(x)
-
-
 def _run_exponents(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     run = cfg["run"]
     props = run["propositions"]
@@ -495,9 +495,9 @@ def _run_exponents(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
         if prop not in PROPOSITIONS:
             raise ConfigurationError(f"unknown proposition {prop!r}")
     N = run["dimension"]
-    s = _rat(run["s"])
-    t_values = [(_rat(t) if t else None) for t in run["t_values"]] or [None]
-    m_values = [_rat(m) for m in run["m_values"]]
+    s = Fraction(run["s"])
+    t_values = [(Fraction(t) if t else None) for t in run["t_values"]] or [None]
+    m_values = [Fraction(m) for m in run["m_values"]]
     rows = []
     for prop in props:
         for t in t_values if prop in PROPOSITIONS_WITH_T else [None]:
@@ -585,7 +585,7 @@ def _run_limits(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     run = cfg["run"]
     radius = run["radius"]
     n = run["nodes_per_axis"]
-    dom = build_domain(Ball(center=(0.0,), radius=radius), n, margin_cells=max(1, n // 10))
+    dom = centered_ball_domain(1, n, radius)
     half = radius / 2.0
     u = sample(lambda x: np.maximum(1.0 - (x / half) ** 2, 0.0) ** 3, dom)
     h = dom.h
@@ -637,7 +637,7 @@ def run(subcommand: str, config_path, out_dir=".") -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fraclab", description=__doc__)
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_DRIVERS)
     parser.add_argument("--config", required=True, help="path to an INI config file")
     parser.add_argument("--out", default=".", help="output directory for CSV files")
     args = parser.parse_args(argv)

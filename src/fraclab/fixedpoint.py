@@ -90,16 +90,11 @@ class ProblemSpec:
         for name in ("mu", "f"):
             if not np.isfinite(getattr(self, name).values).all():
                 raise ParameterError(f"{name} must be finite at every node")
-        if self.rhs_kind == "abs_frac_power_q":
-            if self.t is None or not 0.0 < self.t < 1.0:
-                raise ParameterError(f"abs_frac_power_q requires t in (0,1), got {self.t}")
-            if self.q is None or self.q <= 1.0:
-                raise ParameterError(f"abs_frac_power_q requires q > 1, got {self.q}")
-        if self.rhs_kind == "riesz_grad_q" and (self.q is None or self.q <= 1.0):
-            raise ParameterError(f"riesz_grad_q requires q > 1, got {self.q}")
+        if self.rhs_kind == "abs_frac_power_q" and (self.t is None or not 0.0 < self.t < 1.0):
+            raise ParameterError(f"abs_frac_power_q requires t in (0,1), got {self.t}")
+        if self.rhs_kind in ("abs_frac_power_q", "riesz_grad_q", "B_sq_alpha") and (self.q is None or self.q <= 1.0):
+            raise ParameterError(f"{self.rhs_kind} requires q > 1, got {self.q}")
         if self.rhs_kind == "B_sq_alpha":
-            if self.q is None or self.q <= 1.0:
-                raise ParameterError(f"B_sq_alpha requires q > 1, got {self.q}")
             if self.alpha is None or not 1.0 < self.alpha <= self.q:
                 raise ParameterError(
                     f"B_sq_alpha requires 1 < alpha <= q, got alpha={self.alpha}"
@@ -355,9 +350,7 @@ def picard_iterate(
             break
         if diff <= config.tolerance:
             verdict, iterations = "converged", k
-            rhs = _rhs_eval(spec, u)
-            num = float(np.linalg.norm(solver.matvec(u.interior) - rhs))
-            final_residual = num / max(float(np.linalg.norm(rhs)), 1e-300)
+            final_residual = solver.relative_residual(u.interior, _rhs_eval(spec, u))
             break
 
     return IterationReport(

@@ -15,6 +15,7 @@ nodes.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ __all__ = [
     "GridDomain",
     "GridFunction",
     "build_domain",
+    "centered_ball_domain",
+    "available_memory",
     "node_radii",
     "sample",
     "integrate",
@@ -89,6 +92,46 @@ class Annulus:
 Shape = Ball | Box | Annulus
 
 
+def available_memory() -> int | None:
+    """Bytes of memory available to a new allocation, or None where it cannot be read.
+
+    Reads MemAvailable from /proc/meminfo and falls back to the free physical
+    pages that os.sysconf reports.
+    """
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, AttributeError):
+        return None
+
+
+def _check_memory(need: int, what: str, remedy: str) -> None:
+    """The memory refusal: a ConfigurationError naming what needs more bytes than available_memory() reports."""
+    avail = available_memory()
+    if avail is not None and need > avail:
+        raise ConfigurationError(
+            f"{what} needs {need / 2**20:.3g} MB, but only {avail / 2**20:.3g} MB of memory is available; {remedy}"
+        )
+
+
+def _grid_bytes(N: int, n: int) -> int:
+    """An upper estimate of the peak bytes of GridDomain.__init__ on n^N nodes.
+
+    The peak is in the shape predicate, which holds the N coordinate arrays of
+    the mesh, the point array and up to three temporaries of the same size
+    (the norm of a Ball or Annulus: the centred points, their conjugate and
+    their squares), 5N words per node, beside the radii and the mask.  2^16
+    words more cover the small allocations.
+    """
+    return 8 * ((5 * N + 2) * n**N + 2**16)
+
+
 class GridDomain:
     """Immutable uniform grid over a cube bounding box with an interior mask.
 
@@ -117,6 +160,7 @@ class GridDomain:
             raise ConfigurationError("bounding box must yield identical spacing on all axes")
         if spacings[0] <= 0:
             raise ConfigurationError("bounding box is degenerate")
+        _check_memory(_grid_bytes(len(lo), n), f"the {len(lo)}D grid at n = {n}", "use fewer nodes")
 
         self.dimension = len(lo)
         self.lo = lo
@@ -247,6 +291,8 @@ def build_domain(
     if n - 2 * margin_cells < 1:
         raise ConfigurationError("margin_cells leaves no interior cells")
     s_lo, s_hi = shape.bounds()
+    if s_lo.size == 0:
+        raise ConfigurationError("shape has no dimensions")
     extent = float(np.max(s_hi - s_lo))
     if extent <= 0:
         raise ConfigurationError("shape has zero extent")
@@ -259,6 +305,11 @@ def build_domain(
         lo = lo + h / 2.0
         hi = hi + h / 2.0
     return GridDomain(shape, lo, hi, n, cutoff_factor * float(np.linalg.norm(hi - lo)))
+
+
+def centered_ball_domain(N: int, n: int, radius: float) -> GridDomain:
+    """The ball of the given radius about the origin in R^N, on n nodes per axis with a margin of n // 10 cells (at least 1)."""
+    return build_domain(Ball(center=(0.0,) * N, radius=radius), n, margin_cells=max(1, n // 10))
 
 
 def node_radii(domain: GridDomain) -> np.ndarray:

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -71,7 +70,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError, check_unit_interval
-from .grids import GridDomain
+from .grids import GridDomain, _check_memory
 
 __all__ = [
     "normalization_constant",
@@ -82,7 +81,6 @@ __all__ = [
     "get_table",
     "origin_cell_moment",
     "cell_kernel_integrals",
-    "available_memory",
 ]
 
 
@@ -179,12 +177,14 @@ QUAD_POINTS = 2**16
 
 
 def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.ndarray:
-    """Integrals of |y|^exponent over cells centered at offsets*h (no origin cell).
+    """Integrals of |y|^exponent over cells centered at offsets*h.
 
-    1D uses exact antiderivatives; higher dimensions use tensor-midpoint
-    subdivision graded by the max-norm distance of the cell.  The integral
-    depends only on the sorted absolute offsets, and _cell_crop passes each
-    sorted offset once.
+    Each row of offsets is a sorted absolute offset 0 <= z_1 <= ... <= z_N,
+    not the origin (whose cell origin_cell_moment integrates), and is taken
+    as given: the integral depends only on that sorted offset, and
+    _cell_crop passes each one once, as the offset walk yields it.  1D uses
+    exact antiderivatives; higher dimensions use tensor-midpoint subdivision
+    graded by the max-norm distance z_N of the cell.
 
     The cells of one subdivision class are taken in chunks of rows, so that
     a chunk has at most QUAD_POINTS midpoints.  r^2 at the nsub^N midpoints
@@ -201,11 +201,8 @@ def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.
     if offsets.ndim == 1:
         offsets = offsets[:, None]
     ndim = offsets.shape[1]
-    if np.any(np.all(offsets == 0, axis=1)):
-        raise ParameterError("origin cell must be handled via origin_cell_moment")
-
     if ndim == 1:
-        z = np.abs(offsets[:, 0]).astype(float)
+        z = offsets[:, 0].astype(float)
         lo = (z - 0.5) * h
         hi = (z + 0.5) * h
         e1 = exponent + 1.0
@@ -213,9 +210,8 @@ def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.
             return np.log(hi / lo)
         return (hi**e1 - lo**e1) / e1
 
-    canon = np.sort(np.abs(offsets), axis=1)
-    rinf = canon[:, -1]
-    vals = np.empty(len(canon))
+    rinf = offsets[:, -1]
+    vals = np.empty(len(offsets))
     prev_up = 0
     for nsub, up in _SUBDIV_SCHEDULE:
         idx = np.flatnonzero((rinf > prev_up) & (rinf <= up))
@@ -226,7 +222,7 @@ def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.
             rows = idx[i : i + chunk]
             r2 = np.zeros((nsub,) * ndim + (len(rows),))
             for k in range(ndim):
-                y = off1[:, None] + canon[rows, k]
+                y = off1[:, None] + offsets[rows, k]
                 y *= h
                 y *= y
                 r2 += y.reshape((1,) * k + (nsub,) + (1,) * (ndim - 1 - k) + (len(rows),))
@@ -313,9 +309,9 @@ def _build_bytes(N: int, n: int, M: int) -> int:
     the comb(M + N - 1, N - 1) prefixes of _offset_chunks and the arrays of
     chunks of R rows.  It peaks either in _layers, which builds a chunk while
     the last one and its values are held and the mirroring copies them, at
-    (3N + 6) R words, or in cell_kernel_integrals, which holds the chunk, its
-    sorted copy, class masks, row indices and values and the last chunk's
-    values, (2N + 4) R words, beside r^2 at QUAD_POINTS points, its
+    (3N + 6) R words, or in cell_kernel_integrals, which holds the chunk,
+    class masks, row indices and values and the last chunk's values,
+    (N + 4) R words, beside r^2 at QUAD_POINTS points, its
     transposed copy and the squares of the last axis (QUAD_POINTS / 2^(N-1)).
     A chunk exceeds OFFSET_CHUNK_ROWS only by one layer, and no layer has more
     rows than there are prefixes.  The FFT correlation holds the crop, two
@@ -325,7 +321,7 @@ def _build_bytes(N: int, n: int, M: int) -> int:
     prefixes = math.comb(M + N - 1, N - 1)
     R = min(max(OFFSET_CHUNK_ROWS, prefixes), math.comb(M + N, N) - 1)
     quad = 2 * QUAD_POINTS + 2 * QUAD_POINTS // 2**N if N > 1 else 0
-    walk = n**N + 2 * (M + 2) + N * prefixes + max((3 * N + 6) * R, (2 * N + 4) * R + quad)
+    walk = n**N + 2 * (M + 2) + N * prefixes + max((3 * N + 6) * R, (N + 4) * R + quad)
     L = _next_fast_len(2 * n - 1)
     fft = (2 * n - 1) ** N + 2 * n**N + 8 * L ** (N - 1) * (L // 2 + 1)
     return 8 * (max(walk, fft) + 2**16)
@@ -346,13 +342,11 @@ def _cell_crop(domain: GridDomain, exponent: float, M: int, ball: bool) -> tuple
     the memory available is a ConfigurationError that names it.
     """
     N, K = domain.dimension, domain.nodes_per_axis - 1
-    need = _build_bytes(N, K + 1, M)
-    avail = available_memory()
-    if avail is not None and need > avail:
-        raise ConfigurationError(
-            f"the {N}D kernel table at n = {K + 1}, lattice radius {M}, needs {need / 2**20:.3g} MB, but only "
-            f"{avail / 2**20:.3g} MB of memory is available; use fewer nodes or a smaller cutoff_factor"
-        )
+    _check_memory(
+        _build_bytes(N, K + 1, M),
+        f"the {N}D kernel table at n = {K + 1}, lattice radius {M},",
+        "use fewer nodes or a smaller cutoff_factor",
+    )
     orthant = np.zeros((K + 1,) * N)
     layer_sums = np.zeros(M + 1)
     for z in _offset_chunks(N, M, ball):
@@ -364,25 +358,6 @@ def _cell_crop(domain: GridDomain, exponent: float, M: int, ball: bool) -> tuple
         layer_sums[z[starts, -1]] = np.add.reduceat(vals * _multiplicity(z), starts)
     mirror = np.abs(np.arange(-K, K + 1))
     return orthant[np.ix_(*[mirror] * N)], float(layer_sums.sum())
-
-
-def available_memory() -> int | None:
-    """Bytes of memory available to a new allocation, or None where it cannot be read.
-
-    Reads MemAvailable from /proc/meminfo and falls back to the free physical
-    pages that os.sysconf reports.
-    """
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError):
-        pass
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, ValueError, AttributeError):
-        return None
 
 
 def origin_cell_moment(h: float, N: int, power: float) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, check_unit_interval
-from .grids import Ball, GridDomain, GridFunction, build_domain, integrate, sample
+from .grids import GridDomain, GridFunction, centered_ball_domain, integrate, sample
 from .seminorms import gagliardo_double_sum, hardy_ratio
 
 __all__ = [
@@ -146,11 +146,7 @@ def optimality_obstruction(
     radii = [float(r) for r in radii]
     if not radii:
         raise ParameterError("radii list is empty")
-    dom = build_domain(
-        Ball(center=(0.0,) * N, radius=max(radii)),
-        nodes_per_axis,
-        margin_cells=max(1, nodes_per_axis // 10),
-    )
+    dom = centered_ball_domain(N, nodes_per_axis, max(radii))
     table = []
     for r in radii:
         phi = radial_bump(dom, np.zeros(N), r)

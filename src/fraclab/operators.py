@@ -21,6 +21,8 @@ holds to machine precision, not just asymptotically.
 The squared gradient  D_s^2(u) = (a/2) int |u(x)-u(y)|^2 |x-y|^-(N+2s) dy  and
 its q-th power generalization B_s^q use the same tables; their origin cell is
 absolutely integrable and approximated by |grad_h u|^{2 or q} * I0(2 or q).
+B_s^q and the Gagliardo sums read their per-node terms from one function,
+_d_omega_integrand: the pair sums, the kappa block and the origin cell.
 
 P is never formed: its entries depend on the node offset only.  A signed
 operator is a product with its real symbol on the FFT box (KernelTable.symbol,
@@ -150,28 +152,30 @@ def apply_D_s2(u: GridFunction, s: float) -> GridFunction:
     return u.domain.from_interior(np.maximum(out, 0.0))
 
 
+def _d_omega_integrand(u: GridFunction, table: KernelTable, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-node terms of the p-power pair sum over D_Omega with the table's weights.
+
+    Returns sum_j |u_i - u_j|^p w_ij over interior j, the exterior block
+    |u_i|^p kappa_i and the origin cell |grad_h u_i|^p I0(p): the one
+    integrand of B_s^q and of the Gagliardo sums.
+    """
+    ui = u.interior
+    gp = ((central_gradient(u) ** 2).sum(axis=1)) ** (p / 2.0)
+    return pair_power_sum(table, ui, p), np.abs(ui) ** p * table.kappa, gp * table.origin_moment(p)
+
+
 def apply_B_sq(u: GridFunction, s: float, q: float) -> GridFunction:
     """q-th root nonlocal gradient B_s^q(u); reduces to sqrt(D_s^2) at q = 2.
 
-    Uses the kernel of order s*q (exponent N + s*q), so s*q < 2 is required.
+    Uses the kernel of order s*q (exponent N + s*q), so s*q < 2 is required;
+    get_table refuses larger orders.
     """
     check_unit_interval("s", s)
     if q <= 1.0:
         raise ParameterError(f"q must exceed 1, got {q}")
-    sigma = s * q
-    if sigma >= 2.0:
-        raise ParameterError(f"kernel order s*q = {sigma} is outside (0,2)")
-    table = get_table(u.domain, sigma)
-    ui = u.interior
+    pairs, exterior, origin = _d_omega_integrand(u, get_table(u.domain, s * q), q)
     norm = normalization_constant(u.domain.dimension, s)
-    grad = central_gradient(u)
-    gq = ((grad**2).sum(axis=1)) ** (q / 2.0)
-    body = (
-        pair_power_sum(table, ui, q)
-        + np.abs(ui) ** q * table.kappa
-        + gq * table.origin_moment(q)
-    )
-    out = (norm / q * body) ** (1.0 / q)
+    out = (norm / q * (pairs + exterior + origin)) ** (1.0 / q)
     return u.domain.from_interior(out)
 
 

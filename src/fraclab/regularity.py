@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HypothesisViolation, ParameterError, check_unit_interval
-from .grids import Ball, GridDomain, GridFunction, build_domain, node_radii
+from .grids import GridDomain, GridFunction, centered_ball_domain, node_radii
 from .operators import apply_frac_power
 from .poisson import assemble, solve_poisson
 from .seminorms import gagliardo_double_sum
@@ -163,37 +163,20 @@ def exponent_range(proposition: str, N: int, s, t=None, m=1) -> ExponentRange:
             raise HypothesisViolation("m < N/s")
         return rng(1, m * N / (N - m * (2 * s - t_f)), False)
 
+    # P-rg1, Cor-rg1, L-LPPS and L-AP are one rule in d = 2s-t, s, 2s, 2s-1:
+    # m = 1: N/(N-d), strict; 1 < m < N/d: mN/(N-md), inclusive; m >= N/d: unbounded
     if proposition == "P-rg1":
         if t_f is None or not 0 < t_f <= s:
             raise HypothesisViolation("t in (0, s]")
-        if m == 1:
-            return rng(1, N / (N - (2 * s - t_f)), False)
-        if m < Fraction(N) / (2 * s - t_f):
-            return rng(2, m * N / (N - m * (2 * s - t_f)), True)
-        return rng(3, INF, False)
-
-    if t_f is not None:
+        d = 2 * s - t_f
+    elif t_f is not None:
         raise HypothesisViolation(f"{proposition} takes no t parameter")
-
-    if proposition == "Cor-rg1":
-        if m == 1:
-            return rng(1, N / (N - s), False)
-        if m < Fraction(N) / s:
-            return rng(2, m * N / (N - m * s), True)
-        return rng(3, INF, False)
-
-    if proposition == "L-LPPS":
-        if m == 1:
-            return rng(1, N / (N - 2 * s), False)
-        if m < Fraction(N) / (2 * s):
-            return rng(2, m * N / (N - 2 * m * s), True)
-        return rng(3, INF, False)
-
-    # L-AP
+    else:
+        d = {"Cor-rg1": s, "L-LPPS": 2 * s, "L-AP": 2 * s - 1}[proposition]
     if m == 1:
-        return rng(1, N / (N - (2 * s - 1)), False)
-    if m < Fraction(N) / (2 * s - 1):
-        return rng(2, m * N / (N - m * (2 * s - 1)), True)
+        return rng(1, N / (N - d), False)
+    if m < Fraction(N) / d:
+        return rng(2, m * N / (N - m * d), True)
     return rng(3, INF, False)
 
 
@@ -281,11 +264,6 @@ def power_law_cell_average(domain: GridDomain, beta: float) -> GridFunction:
     return domain.from_interior(vals)
 
 
-def _probe_domain(N: int, n: int, radius: float) -> GridDomain:
-    margin = max(1, n // 10)
-    return build_domain(Ball(center=(0.0,) * N, radius=radius), n, margin_cells=margin)
-
-
 def regularity_probe(
     beta: float,
     s: float,
@@ -318,7 +296,7 @@ def regularity_probe(
 
     values = []
     for n in node_counts:
-        dom = _probe_domain(N, n, radius)
+        dom = centered_ball_domain(N, n, radius)
         if beta > 0:
             f = power_law_cell_average(dom, beta)
         else:

@@ -9,6 +9,7 @@ Regions: "omega_omega" integrates over interior x interior only; "d_omega"
 adds both exterior blocks (each contributing |u_i|^p kappa_i once); for
 exterior-zero functions the full-space value coincides with d_omega.  Because
 the weights, kappa and the origin moment are shared with the operator module,
+and the per-node terms come from its one integrand (operators._d_omega_integrand),
 the decomposition identity against the nonlocal gradient square and the
 operator energy identity hold to machine precision.  ball_membership sums
 the same pairs at orders up to N+2; it is the invariant-ball check that a
@@ -46,7 +47,7 @@ import numpy as np
 from .errors import ParameterError, QuadratureError, check_unit_interval
 from .grids import GridFunction, lp_norm, node_radii
 from .kernels import get_table, sphere_area
-from .operators import central_gradient, pair_power_sum
+from .operators import _d_omega_integrand
 
 __all__ = [
     "REGIONS",
@@ -87,35 +88,24 @@ class SobolevCheckResult:
 
 def _pair_seminorm(u: GridFunction, p: float, order: float, region: str, allow_high_order: bool) -> float:
     dom = u.domain
-    table = get_table(dom, order, allow_high_order)
-    ui = u.interior
-    pairs = float(pair_power_sum(table, ui, p).sum())
-    grad = central_gradient(u)
-    gp = ((grad**2).sum(axis=1)) ** (p / 2.0)
-    origin = float((gp * table.origin_moment(p)).sum())
-    kap = 0.0
-    if region in ("d_omega", "full_space"):
-        kap = 2.0 * float((np.abs(ui) ** p * table.kappa).sum())
-    return (pairs + kap + origin) * dom.h**dom.dimension
+    pairs, exterior, origin = _d_omega_integrand(u, get_table(dom, order, allow_high_order), p)
+    # each exterior block holds |u_i|^p kappa_i once
+    kap = 2.0 * float(exterior.sum()) if region in ("d_omega", "full_space") else 0.0
+    return (float(pairs.sum()) + kap + float(origin.sum())) * dom.h**dom.dimension
 
 
 def gagliardo_double_sum(u: GridFunction, p: float, s: float, region: str = "d_omega") -> float:
     """Discrete Gagliardo p-power sum of order s over the given pair region.
 
-    Requires kernel order s*p < 2; higher orders are rejected (the invariant-
-    ball check, ball_membership, sums them directly).
+    Requires kernel order s*p < 2; get_table rejects higher orders (the
+    invariant-ball check, ball_membership, sums them directly).
     """
     check_unit_interval("s", s)
     if p < 1.0:
         raise ParameterError(f"p must be >= 1, got {p}")
     if region not in REGIONS:
         raise ParameterError(f"region must be one of {REGIONS}, got {region!r}")
-    order = s * p
-    if order >= 2.0:
-        raise ParameterError(
-            f"kernel order s*p = {order} is outside the supported range (0,2)"
-        )
-    return _pair_seminorm(u, p, order, region, False)
+    return _pair_seminorm(u, p, s * p, region, False)
 
 
 def ball_membership(
@@ -128,7 +118,7 @@ def ball_membership(
     """Test the invariant-ball condition [u]^r_{s+eps, r, D_Omega} <= radius^{r/2}.
 
     Kernel order (s+eps)*r may exceed 2 here (direct pairwise summation with
-    cell-averaged weights); orders up to N+2 are supported.
+    cell-averaged weights); get_table refuses orders from N+2 up.
     """
     if eps <= 0.0 or not 0.0 < s + eps < 1.0:
         raise ParameterError(f"need 0 < s+eps < 1, got s+eps = {s + eps}")
@@ -136,13 +126,7 @@ def ball_membership(
         raise ParameterError(f"r must be >= 1, got {r}")
     if radius <= 0.0:
         raise ParameterError(f"radius must be positive, got {radius}")
-    order = (s + eps) * r
-    N = u.domain.dimension
-    if order >= N + 2.0:
-        raise ParameterError(
-            f"kernel order (s+eps)*r = {order} exceeds the supported bound N+2 = {N + 2}"
-        )
-    value = _pair_seminorm(u, r, order, "d_omega", True)
+    value = _pair_seminorm(u, r, (s + eps) * r, "d_omega", True)
     return value <= radius ** (r / 2.0), value
 
 

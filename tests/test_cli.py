@@ -9,7 +9,7 @@ import pytest
 
 import fraclab
 from fraclab import Ball, Box, StiffnessOperator, build_domain, fixedpoint, sample
-from fraclab import cli, kernels
+from fraclab import cli, grids
 from fraclab.cli import ExperimentConfig, run
 
 
@@ -68,10 +68,39 @@ def test_rerun_bit_reproducible(tmp_path):
 def test_dense_array_beyond_memory_exit2(tmp_path, monkeypatch, capsys):
     # the table build's peak estimate, at lattice radius M = 4n: levels 40 and 80
     # need 538728 and 553128 bytes, level 160 needs 581928
-    monkeypatch.setattr(kernels, "available_memory", lambda: 553128)
+    monkeypatch.setattr(grids, "available_memory", lambda: 553128)
     assert run("solve", _write(tmp_path, "solve.ini", SOLVE_CFG), tmp_path / "out") == 2
     assert "the 1D kernel table at n = 160, lattice radius 640, needs 0.555 MB" in capsys.readouterr().err
     assert not (tmp_path / "out" / "solve.csv").exists()
+
+
+@pytest.mark.parametrize("dimension", ["0", "4"])
+@pytest.mark.parametrize("subcommand", ["solve", "iterate", "sweep", "certify", "probe"])
+def test_domain_dimension_outside_1_to_3_exit2(tmp_path, capsys, table_builds, subcommand, dimension):
+    # 0 ended in a numpy traceback (exit 1); 4 built a 4D table, then failed in origin_cell_moment
+    text = {
+        "solve": SOLVE_CFG,
+        "iterate": SWEEP_CFG.replace("lambda_sweep = 0.05,0.1", ""),
+        "sweep": SWEEP_CFG,
+        "certify": CERTIFY_CFG,
+        "probe": PROBE_CFG,
+    }[subcommand].replace("dimension = 1", f"dimension = {dimension}")
+    assert run(subcommand, _write(tmp_path, "bad.ini", text), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"[domain] dimension: '{dimension}' (dimension must be 1, 2 or 3, got {dimension})" in err
+    assert not (tmp_path / "out" / f"{subcommand}.csv").exists()
+    assert table_builds == []
+
+
+def test_oversized_grid_refused_before_allocation_exit2(tmp_path, capsys, monkeypatch, table_builds):
+    # the 2D mesh at n = 10^6 was allocated before any estimate: numpy's _ArrayMemoryError, exit 1
+    monkeypatch.setattr(grids, "available_memory", lambda: 2**33)
+    text = SOLVE_CFG.replace("dimension = 1", "dimension = 2").replace("levels = 40,80,160", "levels = 1000000,2000000")
+    assert run("solve", _write(tmp_path, "big.ini", text), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "the 2D grid at n = 1000000 needs 9.16e+07 MB, but only 8.19e+03 MB of memory is available" in err
+    assert not (tmp_path / "out" / "solve.csv").exists()
+    assert table_builds == []
 
 
 def test_invalid_s_exit2(tmp_path, capsys):

@@ -160,6 +160,29 @@ def test_problem_spec_refuses_nonpositive_or_nonfinite_lambda(small, lam):
         ProblemSpec(rhs_kind="D_s2", s=S, lam=lam, mu=dom.from_interior(np.ones(dom.interior_count)), f=dom.zeros())
 
 
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("abs_frac_power_q", {"t": 0.5}, "abs_frac_power_q requires q > 1, got None"),
+        ("abs_frac_power_q", {"t": 0.5, "q": 1.0}, "abs_frac_power_q requires q > 1, got 1.0"),
+        ("riesz_grad_q", {}, "riesz_grad_q requires q > 1, got None"),
+        ("riesz_grad_q", {"q": 0.5}, "riesz_grad_q requires q > 1, got 0.5"),
+        ("B_sq_alpha", {"alpha": 1.2}, "B_sq_alpha requires q > 1, got None"),
+        ("B_sq_alpha", {"q": 1.0, "alpha": 1.2}, "B_sq_alpha requires q > 1, got 1.0"),
+        ("abs_frac_power_q", {"q": 1.5}, r"abs_frac_power_q requires t in \(0,1\), got None"),
+        ("abs_frac_power_q", {"t": 0.0, "q": 1.5}, r"abs_frac_power_q requires t in \(0,1\), got 0.0"),
+        ("abs_frac_power_q", {"t": 1.0, "q": 0.5}, r"abs_frac_power_q requires t in \(0,1\), got 1.0"),
+        ("B_sq_alpha", {"q": 1.5}, "B_sq_alpha requires 1 < alpha <= q, got alpha=None"),
+        ("B_sq_alpha", {"q": 1.5, "alpha": 1.0}, "B_sq_alpha requires 1 < alpha <= q, got alpha=1.0"),
+        ("B_sq_alpha", {"q": 1.5, "alpha": 1.6}, "B_sq_alpha requires 1 < alpha <= q, got alpha=1.6"),
+    ],
+)
+def test_problem_spec_refuses_each_kinds_parameters(small, kind, params, message):
+    dom, _ = small
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        ProblemSpec(rhs_kind=kind, s=S, lam=0.3, mu=dom.from_interior(np.ones(dom.interior_count)), f=dom.zeros(), **params)
+
+
 def test_picard_zero_forcing_converges_at_zero(small, monkeypatch):
     # zero forcing is read off lambda f: no operator is applied, one solve sets the divergence norm
     dom, solver = small

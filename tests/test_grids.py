@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fraclab import (
     power_law_cell_average,
     sample,
 )
+from fraclab import grids
 from fraclab.grids import node_radii
 
 
@@ -46,6 +48,38 @@ def test_margin_enforced():
     # interior node on the outer layer must be rejected
     with pytest.raises(ConfigurationError):
         GridDomain(Ball(center=(0.0,), radius=2.0), [-1.0], [1.0], 9)
+
+
+@pytest.mark.parametrize("shape", [Ball(center=(), radius=1.0), Box(lo=(), hi=())])
+def test_zero_dimensional_shape_refused(shape):
+    with pytest.raises(ConfigurationError, match="shape has no dimensions"):
+        build_domain(shape, 10)
+
+
+@pytest.mark.parametrize("N, n", [(1, 200000), (2, 400), (3, 40)])
+@pytest.mark.parametrize(
+    "shape",
+    [lambda N: Ball((0.0,) * N, 1.0), lambda N: Box((-1.0,) * N, (1.0,) * N), lambda N: Annulus(0.3, 1.0, (0.0,) * N)],
+    ids=["ball", "box", "annulus"],
+)
+def test_grid_peak_matches_refusal_estimate(N, n, shape):
+    # measured 1.05-1.20 (1D), 1.20-1.24 (2D) and 1.29-1.42 (3D) times the traced peak
+    need = grids._grid_bytes(N, n)
+    tracemalloc.start()
+    try:
+        build_domain(shape(N), n, margin_cells=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= need <= 1.5 * peak
+
+
+def test_grid_refused_before_allocation(monkeypatch):
+    # the estimate is checked before the mesh and the point array are allocated
+    monkeypatch.setattr(grids, "available_memory", lambda: grids._grid_bytes(2, 400) - 1)
+    with pytest.raises(ConfigurationError, match=r"^the 2D grid at n = 400 needs 15.1 MB, but only 15.1 MB"):
+        build_domain(Ball((0.0, 0.0), 1.0), 400)
+    assert build_domain(Ball((0.0, 0.0), 1.0), 399).nodes_per_axis == 399
 
 
 def test_mask_idempotent(dom2d):

@@ -32,7 +32,7 @@ from fraclab import (
     sphere_area,
 )
 from conftest import dense_pairs
-from fraclab import kernels
+from fraclab import grids, kernels
 from fraclab.kernels import cell_kernel_integrals
 
 
@@ -151,6 +151,26 @@ def test_order_out_of_range_rejected(dom1d):
     # high-order escape hatch for the seminorm machinery
     tab = build_kernel_table(dom1d, 2.4, allow_high_order=True)
     assert tab.norm_const is None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u: apply_B_sq(u, 0.9, 2.5),  # s*q >= 2
+        lambda u: apply_B_sq(u, 0.8, 2.5),  # s*q rounds to 2
+        lambda u: gagliardo_double_sum(u, 2.5, 0.8),  # s*p >= 2
+        lambda u: gagliardo_double_sum(u, 4.0, 0.5, "omega_omega"),  # s*p = 2
+        lambda u: ball_membership(u, 0.6, 0.1, 5.0, 1.0),  # (s+eps)*r = 3.5 >= N+2
+        lambda u: ball_membership(u, 0.5, 0.25, 4.0, 1.0),  # (s+eps)*r = N+2
+    ],
+    ids=["B_sq", "B_sq_at_2", "gagliardo", "gagliardo_at_2", "ball", "ball_at_N+2"],
+)
+def test_pair_sum_orders_refused_before_any_build(call, table_builds):
+    # the kernel-order check is get_table's alone; it runs before the memo is read
+    u = sample(lambda x: 1.0 - x**2, _small_domain())
+    with pytest.raises(ParameterError, match="kernel order sigma must lie in"):
+        call(u)
+    assert table_builds == []
 
 
 def _small_domain():
@@ -321,6 +341,8 @@ def test_chunked_build_equals_unchunked(N, n, monkeypatch):
     monkeypatch.setattr(kernels, "OFFSET_CHUNK_ROWS", 50)
     chunks = list(kernels._offset_chunks(N, M, True))
     assert len(chunks) > 3 and np.array_equal(np.concatenate(chunks), rows)
+    # cell_kernel_integrals takes the rows as given: sorted, nonnegative, never the origin
+    assert rows.min() >= 0 and np.all(np.diff(rows, axis=1) >= 0) and np.all(rows[:, -1] > 0)
     chunked = build_kernel_table(dom, 1.2)
     assert chunked.weights.tobytes() == whole.weights.tobytes()
     assert chunked.total_weight == whole.total_weight
@@ -347,7 +369,7 @@ def test_cell_integrals_match_deduplicated_reference(N):
     offsets = np.concatenate([offsets, edges, far])
     # table orders 0.3, 1.2 and 1.9, ball_membership's high order N + 1.5, riesz_potential's 0.5 and N - 0.2
     for exponent in (-(N + 0.3), -(N + 1.2), -(N + 1.9), -(2 * N + 1.5), -0.5, -(N - 0.2)):
-        got = cell_kernel_integrals(offsets, exponent, 0.05)
+        got = cell_kernel_integrals(np.sort(np.abs(offsets), axis=1), exponent, 0.05)
         assert np.array_equal(got, _ref_cell_kernel_integrals(offsets, exponent, 0.05))
 
 
@@ -413,25 +435,25 @@ def test_dense_array_refused_beyond_available_memory(monkeypatch):
     dom = build_domain(Ball(center=(0.0, 0.0), radius=1.0), 40, margin_cells=4)
     M = int(math.floor(dom.cutoff_radius / dom.h))
     need = kernels._build_bytes(2, 40, M)
-    assert (M, need) == (226, 2903664)
-    monkeypatch.setattr(kernels, "available_memory", lambda: need - 1)
-    with pytest.raises(ConfigurationError, match="the 2D kernel table at n = 40, lattice radius 226, needs 2.77 MB"):
+    assert (M, need) == (226, 2641520)
+    monkeypatch.setattr(grids, "available_memory", lambda: need - 1)
+    with pytest.raises(ConfigurationError, match="the 2D kernel table at n = 40, lattice radius 226, needs 2.52 MB"):
         build_kernel_table(dom, 1.2)
     with pytest.raises(ConfigurationError, match="needs"):
         assemble(dom, 0.6)
     # riesz_potential builds its crop the same way, out to radius n-1
     g = dom.from_interior(np.ones(dom.interior_count))
-    monkeypatch.setattr(kernels, "available_memory", lambda: kernels._build_bytes(2, 40, 39) - 1)
+    monkeypatch.setattr(grids, "available_memory", lambda: kernels._build_bytes(2, 40, 39) - 1)
     with pytest.raises(ConfigurationError, match="lattice radius 39"):
         riesz_potential(g, 0.5)
-    monkeypatch.setattr(kernels, "available_memory", lambda: need)
+    monkeypatch.setattr(grids, "available_memory", lambda: need)
     assert build_kernel_table(dom, 1.2).weights.shape == (79, 79)
 
 
 @pytest.mark.parametrize("N,n", [(1, 20000), (2, 128), (3, 10), (3, 20)])
 def test_table_build_peak_matches_refusal_estimate(N, n):
     # the estimate bounds the traced peak from above: measured 1.16 (1D), 1.24 (2D),
-    # 1.33 and 1.22 (3D) times the peak; 1.19 (2D) as a process's first build, which
+    # 1.39 and 1.23 (3D) times the peak; 1.19 (2D) as a process's first build, which
     # also imports numpy.fft
     dom = build_domain(Ball(center=(0.0,) * N, radius=1.0), n, margin_cells=2)
     need = kernels._build_bytes(N, n, int(math.floor(dom.cutoff_radius / dom.h)))
@@ -445,21 +467,21 @@ def test_table_build_peak_matches_refusal_estimate(N, n):
 
 
 def test_available_memory_falls_back_to_sysconf(monkeypatch):
-    assert kernels.available_memory() > 0
+    assert grids.available_memory() > 0
 
     def unreadable(*args, **kwargs):
         raise OSError("no /proc here")
 
-    monkeypatch.setattr(kernels, "open", unreadable, raising=False)
+    monkeypatch.setattr(grids, "open", unreadable, raising=False)
     pages = {"SC_AVPHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}
-    monkeypatch.setattr(kernels.os, "sysconf", lambda name: pages[name])
-    assert kernels.available_memory() == 4096 * 1000
+    monkeypatch.setattr(grids.os, "sysconf", lambda name: pages[name])
+    assert grids.available_memory() == 4096 * 1000
 
     def unknown(name):
         raise ValueError(f"unrecognized configuration name {name}")
 
-    monkeypatch.setattr(kernels.os, "sysconf", unknown)
-    assert kernels.available_memory() is None
+    monkeypatch.setattr(grids.os, "sysconf", unknown)
+    assert grids.available_memory() is None
 
 
 @pytest.mark.parametrize("N, n_max", [(1, 69), (2, 69), (3, 23)])

@@ -425,7 +425,7 @@ def test_riesz_potential_matrix_matches_offset_rows(N, n, lam, origin_offset):
     flat = (ij[:, None, :] - ij[None, :, :]).reshape(-1, N)
     nonzero = np.any(flat != 0, axis=1)
     vals = np.zeros(len(flat))
-    vals[nonzero] = cell_kernel_integrals(flat[nonzero], -lam, dom.h)
+    vals[nonzero] = cell_kernel_integrals(np.sort(np.abs(flat[nonzero]), axis=1), -lam, dom.h)
     vals[~nonzero] = origin_cell_moment(dom.h, N, -lam)
     V = vals.reshape(len(ij), len(ij))
     # the cell-integral crop riesz_potential correlates with, gathered
