@@ -45,20 +45,15 @@ from .operators import (
 )
 from .seminorms import (
     HardyResult,
-    SobolevCheckResult,
     ball_membership,
     gagliardo_double_sum,
     hardy_constant,
     hardy_constant_mc,
-    hardy_phi_weight,
     hardy_ratio,
-    sobolev_check,
 )
 from .poisson import (
-    ContinuityReport,
     StiffnessOperator,
     assemble,
-    solution_operator_continuity,
     solve_poisson,
 )
 from .fixedpoint import (
@@ -75,8 +70,6 @@ from .fixedpoint import (
 from .regularity import (
     ExponentRange,
     ProbeReport,
-    applicable_ranges,
-    counterexample_data,
     exponent_range,
     p31_case1_threshold,
     power_law_cell_average,

@@ -37,7 +37,7 @@ from .errors import (
     QuadratureError,
 )
 from .fixedpoint import IterationConfig, ProblemSpec, picard_iterate
-from .grids import Annulus, Ball, Box, GridDomain, GridFunction, build_domain, centered_ball_domain, node_radii, sample
+from .grids import Annulus, Ball, Box, GridDomain, GridFunction, build_domain, centered_ball_domain, check_dimension, node_radii, sample
 from .nonexistence import bump_family, certify as certify_family, radial_bump
 from .operators import apply_D_s2, apply_frac_laplacian, central_gradient
 from .poisson import assemble, solve_poisson
@@ -58,8 +58,15 @@ def _bool(v: str) -> bool:
     raise ConfigurationError(f"expected a boolean, got {v!r}")
 
 
+def _finite_float(v: str) -> float:
+    x = float(v)
+    if not math.isfinite(x):
+        raise ConfigurationError(f"must be finite, got {x}")
+    return x
+
+
 def _floats(v: str) -> list[float]:
-    return [float(x) for x in v.split(",") if x.strip()]
+    return [_finite_float(x) for x in v.split(",") if x.strip()]
 
 
 def _ints(v: str) -> list[int]:
@@ -86,10 +93,7 @@ def _positive_float(v: str) -> float:
 
 
 def _dimension(v: str) -> int:
-    N = int(v)
-    if N not in (1, 2, 3):
-        raise ConfigurationError(f"dimension must be 1, 2 or 3, got {N}")
-    return N
+    return check_dimension(int(v))
 
 
 def _positive_floats(v: str) -> list[float]:
@@ -134,25 +138,25 @@ _DOMAIN_SCHEMA = {
     "nodes_per_axis": (int, REQ),
     "margin_cells": (int, 2),
     "origin_offset": (_bool, False),
-    "radius": (float, 1.0),
-    "r_inner": (float, 0.5),
-    "r_outer": (float, 1.0),
+    "radius": (_positive_float, 1.0),
+    "r_inner": (_finite_float, 0.5),
+    "r_outer": (_finite_float, 1.0),
     "lo": (_floats, [-1.0]),
     "hi": (_floats, [1.0]),
     "center": (_floats, None),
-    "cutoff_factor": (float, 4.0),
+    "cutoff_factor": (_positive_float, 4.0),
 }
 
 _PROBLEM_SCHEMA = {
-    "s": (float, REQ),
+    "s": (_finite_float, REQ),
     "rhs_kind": (str, "D_s2"),
     "lambda": (_positive_float, 0.1),
     "mu": (_field_str, "const:1.0"),
     "f": (_field_str, "const:1.0"),
-    "m": (float, None),
-    "t": (float, None),
-    "q": (float, None),
-    "alpha": (float, None),
+    "m": (_finite_float, None),
+    "t": (_finite_float, None),
+    "q": (_finite_float, None),
+    "alpha": (_finite_float, None),
 }
 
 _OUTPUT_SCHEMA = {"precision": (_precision, 17)}
@@ -160,7 +164,7 @@ _OUTPUT_SCHEMA = {"precision": (_precision, 17)}
 SCHEMAS: dict[str, dict[str, dict]] = {
     "solve": {
         "domain": _DOMAIN_SCHEMA,
-        "problem": {"s": (float, REQ), "f": (_field_str, "const:1.0")},
+        "problem": {"s": (_finite_float, REQ), "f": (_field_str, "const:1.0")},
         "run": {"levels": (_levels, REQ)},
         "output": _OUTPUT_SCHEMA,
     },
@@ -168,9 +172,9 @@ SCHEMAS: dict[str, dict[str, dict]] = {
         "domain": _DOMAIN_SCHEMA,
         "problem": _PROBLEM_SCHEMA,
         "run": {
-            "tolerance": (float, 1e-9),
+            "tolerance": (_positive_float, 1e-9),
             "max_iter": (int, 200),
-            "divergence_norm": (float, None),
+            "divergence_norm": (_positive_float, None),
         },
         "output": _OUTPUT_SCHEMA,
     },
@@ -178,7 +182,7 @@ SCHEMAS: dict[str, dict[str, dict]] = {
         "domain": _DOMAIN_SCHEMA,
         "problem": _PROBLEM_SCHEMA,
         "run": {
-            "tolerance": (float, 1e-9),
+            "tolerance": (_positive_float, 1e-9),
             "max_iter": (int, 200),
             "lambda_sweep": (_positive_floats, REQ),
         },
@@ -187,7 +191,7 @@ SCHEMAS: dict[str, dict[str, dict]] = {
     "hardy": {
         "run": {
             "triples": (_strs, REQ),  # entries N:s:p
-            "tol": (float, 1e-6),
+            "tol": (_positive_float, 1e-6),
             "mc_samples": (int, 2_000_000),
             "seed": (int, 20240801),
         },
@@ -205,7 +209,7 @@ SCHEMAS: dict[str, dict[str, dict]] = {
     },
     "certify": {
         "domain": _DOMAIN_SCHEMA,
-        "problem": {"s": (float, REQ), "f": (_field_str, "const:1.0"), "mu1": (float, 1.0)},
+        "problem": {"s": (_finite_float, REQ), "f": (_field_str, "const:1.0"), "mu1": (_positive_float, 1.0)},
         "run": {
             "lambda_values": (_positive_floats, REQ),
             "bump_centers": (int, 3),
@@ -214,13 +218,13 @@ SCHEMAS: dict[str, dict[str, dict]] = {
         "output": _OUTPUT_SCHEMA,
     },
     "probe": {
-        "domain": {"dimension": (_dimension, 1), "radius": (float, 1.0)},
+        "domain": {"dimension": (_dimension, 1), "radius": (_positive_float, 1.0)},
         "run": {
-            "beta": (float, REQ),
-            "s": (float, REQ),
-            "t": (float, REQ),
-            "p": (float, REQ),
-            "m": (float, 1.0),
+            "beta": (_finite_float, REQ),
+            "s": (_finite_float, REQ),
+            "t": (_finite_float, REQ),
+            "p": (_finite_float, REQ),
+            "m": (_finite_float, 1.0),
             "levels": (_levels, REQ),
         },
         "output": _OUTPUT_SCHEMA,
@@ -229,7 +233,7 @@ SCHEMAS: dict[str, dict[str, dict]] = {
         "run": {
             "s_values": (_floats, [0.8, 0.9, 0.95]),
             "nodes_per_axis": (int, 3000),
-            "radius": (float, 5.0),
+            "radius": (_positive_float, 5.0),
         },
         "output": _OUTPUT_SCHEMA,
     },
@@ -421,14 +425,14 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 
 
 def _run_iterate(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
-    dom = _build_domain(cfg["domain"])
-    spec = _problem_from_config(cfg, dom)
-    solver = assemble(dom, spec.s)
     it = IterationConfig(
         tolerance=cfg["run"]["tolerance"],
         max_iter=cfg["run"]["max_iter"],
         divergence_norm=cfg["run"]["divergence_norm"],
     )
+    dom = _build_domain(cfg["domain"])
+    spec = _problem_from_config(cfg, dom)
+    solver = assemble(dom, spec.s)
     rep = picard_iterate(spec, it, solver)
     rows = []
     n_hist = len(rep.history["sup_norm"])
@@ -452,10 +456,10 @@ def _run_iterate(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
+    it = IterationConfig(tolerance=cfg["run"]["tolerance"], max_iter=cfg["run"]["max_iter"])
     dom = _build_domain(cfg["domain"])
     s = cfg["problem"]["s"]
     solver = assemble(dom, s)
-    it = IterationConfig(tolerance=cfg["run"]["tolerance"], max_iter=cfg["run"]["max_iter"])
     rows = []
     for lam in cfg["run"]["lambda_sweep"]:
         spec = _problem_from_config(cfg, dom, lam=lam)

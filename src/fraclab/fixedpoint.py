@@ -92,14 +92,14 @@ class ProblemSpec:
                 raise ParameterError(f"{name} must be finite at every node")
         if self.rhs_kind == "abs_frac_power_q" and (self.t is None or not 0.0 < self.t < 1.0):
             raise ParameterError(f"abs_frac_power_q requires t in (0,1), got {self.t}")
-        if self.rhs_kind in ("abs_frac_power_q", "riesz_grad_q", "B_sq_alpha") and (self.q is None or self.q <= 1.0):
+        if self.rhs_kind in ("abs_frac_power_q", "riesz_grad_q", "B_sq_alpha") and (self.q is None or not self.q > 1.0):
             raise ParameterError(f"{self.rhs_kind} requires q > 1, got {self.q}")
         if self.rhs_kind == "B_sq_alpha":
             if self.alpha is None or not 1.0 < self.alpha <= self.q:
                 raise ParameterError(
                     f"B_sq_alpha requires 1 < alpha <= q, got alpha={self.alpha}"
                 )
-        if self.m is not None and self.m < 1.0:
+        if self.m is not None and not self.m >= 1.0:
             raise ParameterError(f"integrability label m must be >= 1, got {self.m}")
 
     @property
@@ -114,10 +114,13 @@ class IterationConfig:
     divergence_norm: float | None = None  # None: 1e6 * ||S(lambda f)||_inf
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ParameterError("tolerance must be positive")
+        # written so that NaN fails each check
+        if not 0.0 < self.tolerance < math.inf:
+            raise ParameterError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iter < 1:
             raise ParameterError("max_iter must be >= 1")
+        if self.divergence_norm is not None and not 0.0 < self.divergence_norm < math.inf:
+            raise ParameterError(f"divergence_norm must be positive and finite, got {self.divergence_norm}")
 
 
 @dataclass

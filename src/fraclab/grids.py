@@ -30,6 +30,7 @@ __all__ = [
     "GridFunction",
     "build_domain",
     "centered_ball_domain",
+    "check_dimension",
     "available_memory",
     "node_radii",
     "sample",
@@ -120,6 +121,13 @@ def _check_memory(need: int, what: str, remedy: str) -> None:
         )
 
 
+def check_dimension(N: int) -> int:
+    """N itself if it is 1, 2 or 3, the dimensions whose grids and tables are modelled; ConfigurationError otherwise."""
+    if N not in (1, 2, 3):
+        raise ConfigurationError(f"dimension must be 1, 2 or 3, got {N}")
+    return N
+
+
 def _grid_bytes(N: int, n: int) -> int:
     """An upper estimate of the peak bytes of GridDomain.__init__ on n^N nodes.
 
@@ -152,6 +160,7 @@ class GridDomain:
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ConfigurationError("bounding box corners must be 1-d and equal length")
+        check_dimension(len(lo))
         n = int(nodes_per_axis)
         if n < 3:
             raise ConfigurationError(f"nodes_per_axis must be >= 3, got {n}")
@@ -169,6 +178,8 @@ class GridDomain:
         self.h = float(spacings[0])
         self.shape = shape
         R = 4.0 * self.bbox_diameter if cutoff_radius is None else float(cutoff_radius)
+        if not math.isfinite(R):
+            raise ConfigurationError(f"cutoff radius must be finite, got {R}")
         if not R >= self.bbox_diameter + self.h:
             raise ConfigurationError(
                 f"cutoff radius {R:.4g} smaller than bounding-box diameter + one cell"

@@ -15,6 +15,7 @@ weight-exponent excess over 2s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,11 @@ class Certificate:
     denominator: float  # int f phi^2
 
 
+def _check_mu1(mu1: float) -> None:
+    if not 0.0 < mu1 < math.inf:
+        raise ParameterError(f"mu1 must be positive and finite, got {mu1}")
+
+
 def lambda_star_star(
     phi: GridFunction,
     f: GridFunction,
@@ -50,8 +56,7 @@ def lambda_star_star(
     phi_id: str = "phi",
 ) -> Certificate:
     """Certificate threshold for one test function; invariant under phi -> c phi."""
-    if mu1 <= 0.0:
-        raise ParameterError(f"mu1 must be positive, got {mu1}")
+    _check_mu1(mu1)
     if f.domain is not phi.domain:
         raise ParameterError("f and phi must live on the same domain")
     num = gagliardo_double_sum(phi, 2.0, s, "d_omega")
@@ -81,8 +86,11 @@ def certify(
 
     family yields (id, GridFunction) pairs; members with nonpositive pairing
     are skipped.  An empty family, or one whose pairings are all nonpositive,
-    is an error.
+    is an error.  mu1 and s are checked before the first member, so a bad
+    value is reported as such rather than skipped with every member.
     """
+    _check_mu1(mu1)
+    check_unit_interval("s", s)
     best: Certificate | None = None
     members = 0
     for phi_id, phi in family:

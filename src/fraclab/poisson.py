@@ -27,16 +27,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError, check_unit_interval
-from .grids import GridDomain, GridFunction, lp_norm
+from .grids import GridDomain, GridFunction
 from .kernels import _box_product, _diagonal, _read_only, get_table
-from .seminorms import gagliardo_double_sum
 
 __all__ = [
     "StiffnessOperator",
     "assemble",
     "solve_poisson",
-    "solution_operator_continuity",
-    "ContinuityReport",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -134,38 +131,3 @@ def solve_poisson(solver: StiffnessOperator, h: GridFunction) -> GridFunction:
     if res > RESIDUAL_TOL:
         raise ConsistencyError(f"solver residual {res:.3e} exceeds {RESIDUAL_TOL}")
     return solver.domain.from_interior(v)
-
-
-@dataclass
-class ContinuityReport:
-    """Seminorm gaps of S(h_n) against S(h_limit) for a data sequence."""
-
-    p_values: tuple[float, ...]
-    data_l1_gaps: list[float]
-    seminorm_gaps: list[dict[float, float]]
-
-
-def solution_operator_continuity(
-    solver: StiffnessOperator,
-    h_sequence: list[GridFunction],
-    h_limit: GridFunction,
-    p_values: tuple[float, ...] | None = None,
-) -> ContinuityReport:
-    """Diagnostic: W-seminorm convergence of solutions under L^1 data convergence."""
-    dom = solver.domain
-    N, s = dom.dimension, solver.s
-    if p_values is None:
-        p_cap = N / (N - s)
-        p_values = (1.0, 0.5 * (1.0 + p_cap))
-    for p in p_values:
-        if p >= N / (N - s):
-            raise ParameterError(f"sampled p must satisfy p < N/(N-s) = {N / (N - s):.4g}")
-    v_limit = solve_poisson(solver, h_limit)
-    gaps = []
-    data_gaps = []
-    for h_n in h_sequence:
-        v_n = solve_poisson(solver, h_n)
-        diff = v_n - v_limit
-        data_gaps.append(lp_norm(h_n - h_limit, 1.0))
-        gaps.append({p: gagliardo_double_sum(diff, p, s, "d_omega") for p in p_values})
-    return ContinuityReport(p_values=tuple(p_values), data_l1_gaps=data_gaps, seminorm_gaps=gaps)

@@ -35,11 +35,9 @@ __all__ = [
     "PROPOSITIONS_WITH_T",
     "ExponentRange",
     "exponent_range",
-    "applicable_ranges",
     "p31_case1_threshold",
     "ProbeReport",
     "regularity_probe",
-    "counterexample_data",
     "power_law_cell_average",
 ]
 
@@ -180,23 +178,6 @@ def exponent_range(proposition: str, N: int, s, t=None, m=1) -> ExponentRange:
     return rng(3, INF, False)
 
 
-def applicable_ranges(N: int, s, t=None, m=1) -> list[ExponentRange]:
-    """All statements whose hypotheses hold at (N, s, t, m), with their ranges.
-
-    Where several statements cover the same target with different bounds
-    (P3.1 case 3 vs P-cr2 on their overlap window) both rows are returned;
-    no winner is chosen.
-    """
-    out = []
-    for prop in PROPOSITIONS:
-        t_arg = t if prop in PROPOSITIONS_WITH_T else None
-        try:
-            out.append(exponent_range(prop, N, s, t_arg, m))
-        except HypothesisViolation:
-            continue
-    return out
-
-
 def p31_case1_threshold(N: int, s: float, t: float) -> float:
     """Float value of the m = 1 bound N/(N-(2s-t)), without hypothesis gating.
 
@@ -331,21 +312,3 @@ def regularity_probe(
         growth_factors=factors,
         classification=classification,
     )
-
-
-def counterexample_data(N: int, s: float, m: float, eps: float, domain: GridDomain) -> GridFunction:
-    """Sample the obstruction data f = |x|^-(N-eps)/m at interior nodes.
-
-    Requires eps in (0,1), the origin inside the domain shape, and no node at
-    the origin; the returned samples are finite everywhere.
-    """
-    check_unit_interval("eps", eps)
-    if m < 1.0:
-        raise ParameterError(f"m must be >= 1, got {m}")
-    if domain.dimension != N:
-        raise ParameterError(f"domain has dimension {domain.dimension}, expected {N}")
-    origin = np.zeros((1, N))
-    if not bool(domain.shape.contains(origin)[0]):
-        raise ParameterError("the origin must lie inside the domain shape")
-    beta = (N - eps) / m
-    return domain.from_interior(node_radii(domain) ** (-beta))

@@ -1,4 +1,4 @@
-"""Gagliardo seminorms, the Sobolev quotient, and the sharp Hardy constant.
+"""Gagliardo seminorms and the sharp Hardy constant.
 
 The discrete Gagliardo p-power sum over a pair region uses the same
 cell-averaged tables as the operators, at kernel order sigma = s*p:
@@ -45,25 +45,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, QuadratureError, check_unit_interval
-from .grids import GridFunction, lp_norm, node_radii
+from .grids import GridFunction, node_radii
 from .kernels import get_table, sphere_area
 from .operators import _d_omega_integrand
 
 __all__ = [
     "REGIONS",
     "HardyResult",
-    "SobolevCheckResult",
     "gagliardo_double_sum",
     "ball_membership",
-    "sobolev_check",
     "hardy_constant",
     "hardy_constant_mc",
     "check_hardy_mc_args",
     "hardy_ratio",
-    "hardy_phi_weight",
 ]
 
-REGIONS = ("omega_omega", "d_omega", "full_space")
+REGIONS = ("omega_omega", "d_omega")
 
 _U_SWITCH = 1e-8  # 1 - sigma below which the endpoint asymptotics take over
 MC_CHUNK = 1 << 16  # samples per independent chunk of the Monte-Carlo oracle
@@ -78,19 +75,11 @@ class HardyResult:
     p: float
 
 
-@dataclass(frozen=True)
-class SobolevCheckResult:
-    ratio: float
-    critical_exponent: float
-    s: float
-    p: float
-
-
 def _pair_seminorm(u: GridFunction, p: float, order: float, region: str, allow_high_order: bool) -> float:
     dom = u.domain
     pairs, exterior, origin = _d_omega_integrand(u, get_table(dom, order, allow_high_order), p)
     # each exterior block holds |u_i|^p kappa_i once
-    kap = 2.0 * float(exterior.sum()) if region in ("d_omega", "full_space") else 0.0
+    kap = 2.0 * float(exterior.sum()) if region == "d_omega" else 0.0
     return (float(pairs.sum()) + kap + float(origin.sum())) * dom.h**dom.dimension
 
 
@@ -130,22 +119,6 @@ def ball_membership(
     return value <= radius ** (r / 2.0), value
 
 
-def sobolev_check(u: GridFunction, s: float, p: float) -> SobolevCheckResult:
-    """Empirical Sobolev quotient ||u||_{p_s*} / [u]_{s,p} with p_s* = Np/(N-sp)."""
-    N = u.domain.dimension
-    check_unit_interval("s", s)
-    if p < 1.0:
-        raise ParameterError(f"p must be >= 1, got {p}")
-    if s * p >= N:
-        raise ParameterError(f"sobolev_check requires s*p < N, got s*p = {s * p}")
-    p_star = N * p / (N - s * p)
-    semi = gagliardo_double_sum(u, p, s, "d_omega")
-    if semi == 0.0:
-        raise ParameterError("seminorm vanishes; u must be nonzero")
-    ratio = lp_norm(u, p_star) / semi ** (1.0 / p)
-    return SobolevCheckResult(ratio=ratio, critical_exponent=p_star, s=s, p=p)
-
-
 # ---------------------------------------------------------------------------
 # Hardy constant
 # ---------------------------------------------------------------------------
@@ -178,16 +151,9 @@ def _phi_quad(N: int, beta: float, sigma: float) -> tuple[float, float]:
     return SN2 * (v1 + v2), SN2 * (e1 + e2)
 
 
-def hardy_phi_weight(N: int, s: float, p: float, sigma: float) -> float:
-    """Phi_{N,s,p}(sigma); Phi(0) equals the unit sphere area |S^{N-1}|."""
-    if N < 2:
-        raise ParameterError(f"Phi requires N >= 2, got {N}")
-    return _phi_quad(N, (N + p * s) / 2.0, sigma)[0]
-
-
 def _check_hardy_args(s: float, p: float) -> None:
     check_unit_interval("s", s)
-    if p <= 1.0:
+    if not p > 1.0:
         raise ParameterError(f"p must exceed 1, got {p}")
 
 
@@ -200,6 +166,8 @@ def hardy_constant(N: int, s: float, p: float, tol: float = 1e-6) -> HardyResult
     if N < 2:
         raise ParameterError(f"hardy_constant requires N >= 2, got {N}")
     _check_hardy_args(s, p)
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol}")
     from scipy.integrate import quad
 
     beta = (N + p * s) / 2.0

@@ -418,6 +418,7 @@ def test_hardy_refuses_negative_mc_samples(tmp_path, capsys):
         (("2:0.45:2.0", "2:abc:2"), "hardy triple must be N:s:p, got '2:abc:2'"),
         (("3:0.3:2.0", "3:0.3:2.0,4:0.5:2"), "implemented for N in {2,3}, got 4"),
         (("mc_samples = 20000", "mc_samples = 1"), "samples must be an integer >= 2, got 1"),
+        (("3:0.3:2.0", "3:0.3:nan"), "p must exceed 1, got nan"),
     ],
 )
 def test_hardy_checks_every_triple_before_quadrature(tmp_path, capsys, monkeypatch, change, message):
@@ -605,3 +606,86 @@ def test_config_hash_changes_with_values(tmp_path):
         "exponents", _write(tmp_path, "b.ini", EXP_CFG.replace("m_values = 1,2", "m_values = 1,3"))
     )
     assert c1.resolved_hash() != c2.resolved_hash()
+
+
+def _with_key(text, section, key, value):
+    """The config text with [section] key = value, in place of any value the text gives the key."""
+    lines = text.strip().splitlines()
+    if f"[{section}]" not in lines:
+        lines += ["", f"[{section}]"]
+    start = lines.index(f"[{section}]") + 1
+    end = next((i for i in range(start, len(lines)) if lines[i].startswith("[")), len(lines))
+    body = [line for line in lines[start:end] if line.split("=")[0].strip() != key]
+    return "\n".join(lines[:start] + [f"{key} = {value}"] + body + lines[end:]) + "\n"
+
+
+# (subcommand, section, key, must be positive, takes a list) for every float key of
+# cli.SCHEMAS but the lambda and bump_rhos keys, which the tests above cover
+FLOAT_KEYS = [
+    ("solve", "domain", "radius", True, False),
+    ("solve", "domain", "r_inner", False, False),
+    ("solve", "domain", "r_outer", False, False),
+    ("solve", "domain", "lo", False, True),
+    ("solve", "domain", "hi", False, True),
+    ("solve", "domain", "center", False, True),
+    ("solve", "domain", "cutoff_factor", True, False),
+    ("solve", "problem", "s", False, False),
+    ("iterate", "problem", "s", False, False),
+    ("iterate", "problem", "m", False, False),
+    ("iterate", "problem", "t", False, False),
+    ("iterate", "problem", "q", False, False),
+    ("iterate", "problem", "alpha", False, False),
+    ("iterate", "run", "tolerance", True, False),
+    ("iterate", "run", "divergence_norm", True, False),
+    ("sweep", "run", "tolerance", True, False),
+    ("hardy", "run", "tol", True, False),
+    ("certify", "problem", "s", False, False),
+    ("certify", "problem", "mu1", True, False),
+    ("probe", "domain", "radius", True, False),
+    ("probe", "run", "beta", False, False),
+    ("probe", "run", "s", False, False),
+    ("probe", "run", "t", False, False),
+    ("probe", "run", "p", False, False),
+    ("probe", "run", "m", False, False),
+    ("limits", "run", "s_values", False, True),
+    ("limits", "run", "radius", True, False),
+]
+
+
+@pytest.mark.parametrize(
+    "subcommand, section, key, value, message",
+    [
+        pytest.param(
+            sub, sec, key, f"0.5,{bad}" if is_list else bad,
+            f"must be positive and finite, got {float(bad)}" if positive else f"must be finite, got {float(bad)}",
+            id=f"{sub}-{key}-{bad}",
+        )
+        for sub, sec, key, positive, is_list in FLOAT_KEYS
+        for bad in ["nan", "inf"] + (["-1"] if positive else [])
+    ],
+)
+def test_every_float_key_refuses_a_bad_value_at_load(tmp_path, capsys, table_builds, subcommand, section, key, value, message):
+    # NaN passed the x <= 0 library checks: tolerance = nan ran to max_iter, tol = nan
+    # switched off the quadrature refusal, mu1 = nan wrote a NaN certificate, and
+    # cutoff_factor = inf ended in an OverflowError traceback
+    base = {
+        "solve": SOLVE_CFG,
+        "iterate": SWEEP_CFG.replace("lambda_sweep = 0.05,0.1", ""),
+        "sweep": SWEEP_CFG,
+        "hardy": HARDY_CFG,
+        "certify": CERTIFY_CFG,
+        "probe": PROBE_CFG,
+        "limits": "",
+    }[subcommand]
+    text = _with_key(base, section, key, value)
+    assert run(subcommand, _write(tmp_path, "bad.ini", text), tmp_path / "out") == 2
+    assert f"invalid value for [{section}] {key}: {value!r} ({message})" in capsys.readouterr().err
+    assert not (tmp_path / "out" / f"{subcommand}.csv").exists()
+    assert table_builds == []
+
+
+def test_no_schema_key_parses_a_plain_float():
+    # float() accepts nan and inf; every float key goes through a parser that refuses them
+    plain = [(sub, sec, key) for sub, schema in cli.SCHEMAS.items() for sec, keys in schema.items()
+             for key, (parse, _) in keys.items() if parse is float]
+    assert plain == []

@@ -175,12 +175,33 @@ def test_problem_spec_refuses_nonpositive_or_nonfinite_lambda(small, lam):
         ("B_sq_alpha", {"q": 1.5}, "B_sq_alpha requires 1 < alpha <= q, got alpha=None"),
         ("B_sq_alpha", {"q": 1.5, "alpha": 1.0}, "B_sq_alpha requires 1 < alpha <= q, got alpha=1.0"),
         ("B_sq_alpha", {"q": 1.5, "alpha": 1.6}, "B_sq_alpha requires 1 < alpha <= q, got alpha=1.6"),
+        ("riesz_grad_q", {"q": math.nan}, "riesz_grad_q requires q > 1, got nan"),
+        ("B_sq_alpha", {"q": math.nan, "alpha": 1.2}, "B_sq_alpha requires q > 1, got nan"),
+        ("D_s2", {"m": math.nan}, "integrability label m must be >= 1, got nan"),
     ],
 )
 def test_problem_spec_refuses_each_kinds_parameters(small, kind, params, message):
     dom, _ = small
     with pytest.raises(ParameterError, match=f"^{message}$"):
         ProblemSpec(rhs_kind=kind, s=S, lam=0.3, mu=dom.from_interior(np.ones(dom.interior_count)), f=dom.zeros(), **params)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tolerance", math.nan),
+        ("tolerance", math.inf),
+        ("tolerance", 0.0),
+        ("divergence_norm", math.nan),
+        ("divergence_norm", math.inf),
+        ("divergence_norm", -1.0),
+    ],
+)
+def test_iteration_config_refuses_nonpositive_or_nonfinite(key, value):
+    # a NaN tolerance ran every iteration to max_iter, a NaN divergence_norm could
+    # never diverge, and a negative one declared the first iterate diverged
+    with pytest.raises(ParameterError, match=f"^{key} must be positive and finite, got {value}$"):
+        IterationConfig(**{key: value})
 
 
 def test_picard_zero_forcing_converges_at_zero(small, monkeypatch):

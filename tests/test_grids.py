@@ -14,7 +14,6 @@ from fraclab import (
     GridDomain,
     ParameterError,
     build_domain,
-    counterexample_data,
     hardy_ratio,
     integrate,
     lp_norm,
@@ -54,6 +53,15 @@ def test_margin_enforced():
 def test_zero_dimensional_shape_refused(shape):
     with pytest.raises(ConfigurationError, match="shape has no dimensions"):
         build_domain(shape, 10)
+
+
+def test_four_dimensional_grid_refused(monkeypatch):
+    # a 4D domain built, and its table grew past the build estimate, which models N <= 3
+    monkeypatch.setattr(grids, "_grid_bytes", lambda N, n: pytest.fail("estimated a grid"))
+    with pytest.raises(ConfigurationError, match="^dimension must be 1, 2 or 3, got 4$"):
+        build_domain(Ball(center=(0.0,) * 4, radius=1.0), 6)
+    with pytest.raises(ConfigurationError, match="^dimension must be 1, 2 or 3, got 4$"):
+        GridDomain(Box(lo=(-1.0,) * 4, hi=(1.0,) * 4), [-1.5] * 4, [1.5] * 4, 6)
 
 
 @pytest.mark.parametrize("N, n", [(1, 200000), (2, 400), (3, 40)])
@@ -207,10 +215,9 @@ def test_node_radii_refuses_a_node_at_the_origin():
     "caller",
     [
         lambda dom: hardy_ratio(sample(lambda x, y: 1.0 - x**2 - y**2, dom), 0.6, 2.0, 1.2),
-        lambda dom: counterexample_data(2, 0.6, 1.0, 0.5, dom),
         lambda dom: power_law_cell_average(dom, 0.5),
     ],
-    ids=["hardy_ratio", "counterexample_data", "power_law_cell_average"],
+    ids=["hardy_ratio", "power_law_cell_average"],
 )
 def test_origin_node_check_is_shared(caller):
     with pytest.raises(ParameterError, match="^grid has a node at the origin; use origin_offset=True$"):

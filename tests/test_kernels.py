@@ -119,6 +119,9 @@ def test_cutoff_too_small_rejected(dom1d):
         build_domain(dom1d.shape, dom1d.nodes_per_axis, margin_cells=20, cutoff_factor=0.5)
     with pytest.raises(ConfigurationError, match="cutoff radius"):
         build_domain(dom1d.shape, dom1d.nodes_per_axis, margin_cells=20, cutoff_factor=math.nan)
+    # an infinite cutoff passed, and the table build died in an OverflowError
+    with pytest.raises(ConfigurationError, match="^cutoff radius must be finite, got inf$"):
+        build_domain(dom1d.shape, dom1d.nodes_per_axis, margin_cells=20, cutoff_factor=math.inf)
     assert _with_cutoff(dom1d, dom1d.bbox_diameter + dom1d.h).cutoff_radius == dom1d.bbox_diameter + dom1d.h
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,24 @@ def test_lambda_star_star_needs_positive_pairing(setup2d):
         lambda_star_star(phi, f_neg, 1.0, S)
     with pytest.raises(ParameterError):
         lambda_star_star(phi, dom.zeros(), 0.0, S)
+
+
+@pytest.mark.parametrize("mu1", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_mu1_is_named_not_skipped(setup2d, mu1):
+    # a NaN mu1 gave a NaN certificate, and certify skipped every member over a
+    # nonpositive one, then reported that all pairings were nonpositive
+    dom, f, phi = setup2d
+    message = f"^mu1 must be positive and finite, got {mu1}$"
+    with pytest.raises(ParameterError, match=message):
+        lambda_star_star(phi, f, mu1, S)
+    with pytest.raises(ParameterError, match=message):
+        certify(1.0, f, mu1, S, bump_family(dom, [(0.0, 0.0)], [0.5]))
+
+
+def test_certify_names_a_bad_order(setup2d):
+    dom, f, _ = setup2d
+    with pytest.raises(ParameterError, match=r"^s must lie in \(0,1\), got 1.2$"):
+        certify(1.0, f, 1.0, 1.2, bump_family(dom, [(0.0, 0.0)], [0.5]))
 
 
 def test_certify_monotone_in_lambda(setup2d):

@@ -16,7 +16,6 @@ from fraclab import (
     gagliardo_double_sum,
     get_table,
     sample,
-    solution_operator_continuity,
     solve_poisson,
 )
 from conftest import dense_stiffness
@@ -125,31 +124,6 @@ def test_s_harmonic_profile():
     exact = sample(lambda x: C * (1.0 - x**2) ** s, dom)
     rel = np.linalg.norm(v.interior - exact.interior) / np.linalg.norm(exact.interior)
     assert rel < 0.02
-
-
-def test_continuity_constant_sequence(solver1d, dom1d, bump1d):
-    rep = solution_operator_continuity(solver1d, [bump1d, bump1d], bump1d)
-    for gaps in rep.seminorm_gaps:
-        assert all(v == 0.0 for v in gaps.values())
-
-
-def test_continuity_shrinking_perturbation(solver1d, dom1d, bump1d):
-    pert = sample(lambda x: np.cos(2 * x) - math.cos(2.0), dom1d)
-    seq = [bump1d + (1.0 / n) * pert for n in (1, 2, 4, 8)]
-    rep = solution_operator_continuity(solver1d, seq, bump1d)
-    for p in rep.p_values:
-        vals = [g[p] for g in rep.seminorm_gaps]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_continuity_alternating_sign(solver1d, dom1d, bump1d):
-    pert = sample(lambda x: np.sin(3 * x), dom1d)
-    seq = [bump1d + ((-1.0) ** n / 2.0**n) * pert for n in (1, 2, 3, 4)]
-    rep = solution_operator_continuity(solver1d, seq, bump1d)
-    assert rep.data_l1_gaps[-1] < rep.data_l1_gaps[0]
-    for p in rep.p_values:
-        vals = [g[p] for g in rep.seminorm_gaps]
-        assert vals[-1] < vals[0]
 
 
 def _dim_domain(dim, dom1d, dom2d):

@@ -1,16 +1,13 @@
 import math
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from fraclab import (
     Ball,
     HypothesisViolation,
     ParameterError,
-    applicable_ranges,
     build_domain,
-    counterexample_data,
     exponent_range,
     lp_norm,
     p31_case1_threshold,
@@ -113,8 +110,7 @@ def test_overlap_window_both_surfaced():
     # with different bounds for the same membership; both rows are reported
     # and no winner is chosen
     N, s, t, m = 2, F(3, 4), F(1, 2), F(3, 2)
-    rows = {r.proposition: r for r in applicable_ranges(N, s, t, m)}
-    assert "P3.1" in rows and "P-cr2" in rows
+    rows = {prop: exponent_range(prop, N, s, t, m) for prop in ("P3.1", "P-cr2")}
     assert rows["P3.1"].upper == F(24, 5)  # mN/(t(N - m(2s-1)))
     assert rows["P-cr2"].upper == F(6)  # mN/(N - m(2s-t))
     assert rows["P3.1"].upper != rows["P-cr2"].upper
@@ -144,41 +140,3 @@ def test_probe_validation():
         regularity_probe(1.5, 0.6, 0.5, 2.0, (32, 128, 512), N=1)  # beta >= N
     with pytest.raises(ParameterError):
         regularity_probe(0.5, 0.6, 0.5, 2.0, (32,), N=1)  # single level
-
-
-def test_counterexample_data_norm_stability():
-    m, eps, N, s = 1.0, 0.3, 1, 0.6
-    norms = {}
-    for n in (200, 400, 800):
-        dom = build_domain(Ball(center=(0.0,), radius=1.0), n, margin_cells=n // 10)
-        f = counterexample_data(N, s, m, eps, dom)
-        norms[n] = lp_norm(f, m)
-    assert abs(norms[800] - norms[400]) <= 0.05 * norms[400]
-    assert abs(norms[400] - norms[200]) <= 0.05 * norms[200]
-
-
-def test_counterexample_data_supercritical_norm_grows():
-    m, eps, N, s = 1.0, 0.3, 1, 0.6
-    m_prime = 1.5 * m * N / (N - eps)
-    norms = []
-    for n in (200, 400, 800):
-        dom = build_domain(Ball(center=(0.0,), radius=1.0), n, margin_cells=n // 10)
-        f = counterexample_data(N, s, m, eps, dom)
-        norms.append(lp_norm(f, m_prime))
-    assert norms[2] > 1.15 * norms[1] > 1.15**2 * norms[0]
-
-
-def test_counterexample_data_near_integrability_edge():
-    # eps -> 1blunt case: f = |x|^-1 in 2D, integrable
-    dom = build_domain(Ball(center=(0.0, 0.0), radius=1.0), 40, margin_cells=4)
-    f = counterexample_data(2, 0.6, 1.0, 0.999, dom)
-    assert np.all(np.isfinite(f.interior))
-    assert lp_norm(f, 1.0) < math.inf
-
-
-def test_counterexample_data_origin_node_rejected():
-    from fraclab import GridDomain
-
-    dom = GridDomain(Ball(center=(0.0,), radius=1.0), [-1.25], [1.25], 9)
-    with pytest.raises(ParameterError):
-        counterexample_data(1, 0.6, 1.0, 0.3, dom)
