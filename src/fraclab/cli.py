@@ -35,6 +35,7 @@ from .errors import (
     HypothesisViolation,
     ParameterError,
     QuadratureError,
+    check_range,
 )
 from .fixedpoint import IterationConfig, ProblemSpec, picard_iterate
 from .grids import Annulus, Ball, Box, GridDomain, GridFunction, build_domain, centered_ball_domain, check_dimension, node_radii, sample
@@ -65,20 +66,20 @@ def _finite_float(v: str) -> float:
     return x
 
 
-def _floats(v: str) -> list[float]:
-    return [_finite_float(x) for x in v.split(",") if x.strip()]
+def _list_of(parse):
+    """Parser of a comma-separated list: parse applied to each non-blank entry."""
+    return lambda v: [parse(x) for x in v.split(",") if x.strip()]
 
 
-def _ints(v: str) -> list[int]:
-    return [int(x) for x in v.split(",") if x.strip()]
-
-
-def _strs(v: str) -> list[str]:
-    return [x.strip() for x in v.split(",") if x.strip()]
+_floats = _list_of(_finite_float)
+_strs = _list_of(str.strip)
 
 
 def _levels(v: str) -> list[int]:
-    xs = _ints(v)
+    # both readers, solve and probe, compare one level with another
+    xs = _list_of(int)(v)
+    if len(xs) < 2:
+        raise ConfigurationError(f"levels needs at least two entries, got {len(xs)}")
     for a, b in zip(xs, xs[1:]):
         if not a < b:
             raise ConfigurationError(f"levels must be strictly increasing, got {a} then {b}")
@@ -92,12 +93,20 @@ def _positive_float(v: str) -> float:
     return x
 
 
+def _in_range(name: str, lo: float, hi: float = math.inf, *, closed: bool = False):
+    """Parser of a finite float that the library's check_range admits for the argument name."""
+    return lambda v: check_range(name, _finite_float(v), lo, hi, closed=closed)
+
+
+# every subcommand that reads an order s passes it where (0,1) is checked
+_order = _in_range("s", 0.0, 1.0)
+
+
 def _dimension(v: str) -> int:
     return check_dimension(int(v))
 
 
-def _positive_floats(v: str) -> list[float]:
-    return [_positive_float(x) for x in v.split(",") if x.strip()]
+_positive_floats = _list_of(_positive_float)
 
 
 def _precision(v: str) -> int:
@@ -148,7 +157,7 @@ _DOMAIN_SCHEMA = {
 }
 
 _PROBLEM_SCHEMA = {
-    "s": (_finite_float, REQ),
+    "s": (_order, REQ),
     "rhs_kind": (str, "D_s2"),
     "lambda": (_positive_float, 0.1),
     "mu": (_field_str, "const:1.0"),
@@ -164,7 +173,7 @@ _OUTPUT_SCHEMA = {"precision": (_precision, 17)}
 SCHEMAS: dict[str, dict[str, dict]] = {
     "solve": {
         "domain": _DOMAIN_SCHEMA,
-        "problem": {"s": (_finite_float, REQ), "f": (_field_str, "const:1.0")},
+        "problem": {"s": (_order, REQ), "f": (_field_str, "const:1.0")},
         "run": {"levels": (_levels, REQ)},
         "output": _OUTPUT_SCHEMA,
     },
@@ -209,7 +218,7 @@ SCHEMAS: dict[str, dict[str, dict]] = {
     },
     "certify": {
         "domain": _DOMAIN_SCHEMA,
-        "problem": {"s": (_finite_float, REQ), "f": (_field_str, "const:1.0"), "mu1": (_positive_float, 1.0)},
+        "problem": {"s": (_order, REQ), "f": (_field_str, "const:1.0"), "mu1": (_positive_float, 1.0)},
         "run": {
             "lambda_values": (_positive_floats, REQ),
             "bump_centers": (int, 3),
@@ -221,17 +230,17 @@ SCHEMAS: dict[str, dict[str, dict]] = {
         "domain": {"dimension": (_dimension, 1), "radius": (_positive_float, 1.0)},
         "run": {
             "beta": (_finite_float, REQ),
-            "s": (_finite_float, REQ),
-            "t": (_finite_float, REQ),
-            "p": (_finite_float, REQ),
-            "m": (_finite_float, 1.0),
+            "s": (_order, REQ),
+            "t": (_in_range("t", 0.0, 1.0), REQ),
+            "p": (_in_range("p", 1.0, closed=True), REQ),
+            "m": (_in_range("m", 1.0, closed=True), 1.0),
             "levels": (_levels, REQ),
         },
         "output": _OUTPUT_SCHEMA,
     },
     "limits": {
         "run": {
-            "s_values": (_floats, [0.8, 0.9, 0.95]),
+            "s_values": (_list_of(_order), [0.8, 0.9, 0.95]),
             "nodes_per_axis": (int, 3000),
             "radius": (_positive_float, 5.0),
         },
@@ -400,8 +409,6 @@ def _problem_from_config(cfg: ExperimentConfig, domain: GridDomain, lam: float |
 def _run_solve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     dcfg = dict(cfg["domain"])
     levels = cfg["run"]["levels"]
-    if len(levels) < 2:
-        raise ConfigurationError("solve needs at least two levels")
     s = cfg["problem"]["s"]
     # a coarser level keeps only its h, interior nodes and interior values, so
     # its domain and kernel tables are freed before the next level builds

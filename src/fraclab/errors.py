@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit, and the shared (0,1) range check."""
+"""Exception types shared across the toolkit, and the one range check on numeric arguments."""
+
+import math
 
 
 class FraclabError(Exception):
@@ -35,7 +37,22 @@ class QuadratureError(FraclabError, RuntimeError):
     """
 
 
-def check_unit_interval(name: str, value: float) -> None:
-    """Raise ParameterError unless 0 < value < 1 (fractional orders s, t and eps)."""
-    if not 0.0 < value < 1.0:
-        raise ParameterError(f"{name} must lie in (0,1), got {value}")
+def check_range(name: str, value: float | None, lo: float = -math.inf, hi: float = math.inf, *, closed: bool = False) -> float:
+    """Return value if lo < value < hi (lo <= value when closed), else raise ParameterError naming name.
+
+    NaN, +-inf and None fail every range.
+    """
+    if value is not None and ((lo <= value) if closed else (lo < value)) and value < hi:
+        return value
+    if hi < math.inf:
+        rule = f"be below {hi:g}" if lo == -math.inf else f"lie in {'[' if closed else '('}{lo:g},{hi:g})"
+    elif closed:
+        rule = f"be >= {lo:g}"
+    else:
+        rule = "be positive and finite" if lo == 0.0 else f"exceed {lo:g}"
+    raise ParameterError(f"{name} must {rule}, got {value}")
+
+
+def check_unit_interval(name: str, value: float) -> float:
+    """check_range on (0,1): fractional orders s, t and eps."""
+    return check_range(name, value, 0.0, 1.0)

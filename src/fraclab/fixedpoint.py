@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, check_unit_interval
+from .errors import ParameterError, check_range, check_unit_interval
 from .grids import GridFunction, lp_norm
 from .operators import (
     apply_B_sq,
@@ -83,8 +83,7 @@ class ProblemSpec:
         if self.rhs_kind not in RHS_KINDS:
             raise ParameterError(f"rhs_kind must be one of {RHS_KINDS}, got {self.rhs_kind!r}")
         check_unit_interval("s", self.s)
-        if not 0.0 < self.lam < math.inf:
-            raise ParameterError(f"lambda must be positive and finite, got {self.lam}")
+        check_range("lambda", self.lam, 0.0)
         if self.mu.domain is not self.f.domain:
             raise ParameterError("mu and f must live on the same domain")
         for name in ("mu", "f"):
@@ -99,8 +98,8 @@ class ProblemSpec:
                 raise ParameterError(
                     f"B_sq_alpha requires 1 < alpha <= q, got alpha={self.alpha}"
                 )
-        if self.m is not None and not self.m >= 1.0:
-            raise ParameterError(f"integrability label m must be >= 1, got {self.m}")
+        if self.m is not None:
+            check_range("integrability label m", self.m, 1.0, closed=True)
 
     @property
     def domain(self):
@@ -114,13 +113,11 @@ class IterationConfig:
     divergence_norm: float | None = None  # None: 1e6 * ||S(lambda f)||_inf
 
     def __post_init__(self):
-        # written so that NaN fails each check
-        if not 0.0 < self.tolerance < math.inf:
-            raise ParameterError(f"tolerance must be positive and finite, got {self.tolerance}")
+        check_range("tolerance", self.tolerance, 0.0)
         if self.max_iter < 1:
             raise ParameterError("max_iter must be >= 1")
-        if self.divergence_norm is not None and not 0.0 < self.divergence_norm < math.inf:
-            raise ParameterError(f"divergence_norm must be positive and finite, got {self.divergence_norm}")
+        if self.divergence_norm is not None:
+            check_range("divergence_norm", self.divergence_norm, 0.0)
 
 
 @dataclass
@@ -184,10 +181,9 @@ def lemma_g_root(a: float, b: float, p: float) -> tuple[float, float]:
     Returns (c*, t*) with c* = (p-1)/p (1/(p a^p b))^{1/(p-1)} and
     t* = 1/(p b) (1/(p a^p b))^{1/(p-1)}; g(t*) = 0 and t* is the unique root.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise ParameterError(f"a and b must be positive, got a={a}, b={b}")
-    if p <= 1.0:
-        raise ParameterError(f"p must exceed 1, got {p}")
+    check_range("a", a, 0.0)
+    check_range("b", b, 0.0)
+    check_range("p", p, 1.0)
     log_core = -(math.log(p) + p * math.log(a) + math.log(b)) / (p - 1.0)
     if abs(log_core) > 690.0:
         raise ParameterError(
@@ -218,25 +214,21 @@ def threshold_from_constants(constants: ThresholdConstants, scheme: str) -> Thre
         raise ParameterError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     c = constants
     for name in ("reg_constant", "mu_inf", "f_norm"):
-        if getattr(c, name) <= 0.0:
-            raise ParameterError(f"{name} must be positive")
+        check_range(name, getattr(c, name), 0.0)
 
     if scheme in ("P_lambda", "P_tilde"):
-        if c.embed_constant is None or c.embed_constant <= 0.0:
-            raise ParameterError(f"{scheme} requires a positive embed_constant")
+        check_range("embed_constant", c.embed_constant, 0.0)
         a = c.reg_constant
         b = c.embed_constant * c.mu_inf
         p = 2.0 if scheme == "P_lambda" else 3.0
     else:
-        for name in ("omega_measure", "r", "q", "m"):
-            if getattr(c, name) is None or getattr(c, name) <= 0.0:
-                raise ParameterError(f"Q_lambda requires positive {name}")
+        for name in ("omega_measure", "r", "m"):
+            check_range(name, getattr(c, name), 0.0)
+        check_range("q", c.q, 1.0)
         if c.omega_exponent_variant not in OMEGA_EXPONENT_VARIANTS:
             raise ParameterError(
                 f"omega_exponent_variant must be one of {OMEGA_EXPONENT_VARIANTS}"
             )
-        if c.q <= 1.0:
-            raise ParameterError(f"Q_lambda requires q > 1, got {c.q}")
         e = (c.r - c.q * c.m) / c.r
         if c.omega_exponent_variant == "l_equation":
             e = e / c.m

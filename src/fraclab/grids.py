@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, check_range
 
 __all__ = [
     "Ball",
@@ -363,7 +363,6 @@ def lp_norm(u: GridFunction, p: float) -> float:
     if p == math.inf:
         vals = u.interior
         return float(np.abs(vals).max()) if vals.size else 0.0
-    if p < 1:
-        raise ParameterError(f"p must be >= 1 or inf, got {p}")
+    check_range("p", p, 1.0, closed=True)
     d = u.domain
     return float((np.abs(u.interior) ** p).sum() * d.h**d.dimension) ** (1.0 / p)

@@ -69,7 +69,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError, check_unit_interval
+from .errors import ConfigurationError, ParameterError, check_range, check_unit_interval
 from .grids import GridDomain, _check_memory
 
 __all__ = [
@@ -91,8 +91,7 @@ def sphere_area(d: int) -> float:
 
 def normalization_constant(N: int, s: float) -> float:
     """a_{N,s} = -2^{2s} Gamma(N/2+s) / (pi^{N/2} Gamma(-s)); positive on (0,1)."""
-    if N < 1:
-        raise ParameterError(f"N must be >= 1, got {N}")
+    check_range("N", N, 1, closed=True)
     check_unit_interval("s", s)
     return -(2.0 ** (2 * s)) * math.gamma(N / 2.0 + s) / (
         math.pi ** (N / 2.0) * math.gamma(-s)
@@ -126,42 +125,42 @@ def _sphere_slice_closed(r: np.ndarray, N: int) -> np.ndarray:
     return sphere_area(N - 1) * (1.0 - math.gamma(N / 2.0) * (2.0 / r) ** nu * jv(nu, r))
 
 
-def normalization_constant_quadrature(
-    N: int,
-    s: float,
-    r_min: float = 1e-6,
-    r_max: float = 400.0,
-    panel_order: int = 32,
-) -> float:
+NORM_R_MIN = 1e-6
+NORM_R_MAX = 400.0
+NORM_PANEL_ORDER = 32
+
+
+def normalization_constant_quadrature(N: int, s: float) -> float:
     """Evaluate a_{N,s} by quadrature of its defining Fourier integral.
 
     Independent of the Gamma formula: reduces to the radial integral of
     psi_N(r) r^{-1-2s}, handled with a small-r Taylor patch, a log-substituted
-    panel on (r_min, pi), pi-length Gauss panels to r_max and the exact
-    |S^{N-1}| remainder beyond (the oscillatory remainder is dropped; it is
-    O(r_max^{-2s-(N-1)/2})).  The log panel integrates psi_N over the sphere;
-    the pi-length panels use its Bessel closed form, all panels at once.
+    panel on (NORM_R_MIN, pi), pi-length Gauss panels to NORM_R_MAX and the
+    exact |S^{N-1}| remainder beyond (the oscillatory remainder is dropped;
+    it is O(NORM_R_MAX^{-2s-(N-1)/2})).  The log panel integrates psi_N over
+    the sphere; the pi-length panels use its Bessel closed form, all panels
+    at once.
     """
     check_unit_interval("s", s)
     SN = sphere_area(N - 1)
-    total = SN / (2.0 * N) * r_min ** (2.0 - 2 * s) / (2.0 - 2 * s)
+    total = SN / (2.0 * N) * NORM_R_MIN ** (2.0 - 2 * s) / (2.0 - 2 * s)
 
     x, w = np.polynomial.legendre.leggauss(64)
-    u0, u1 = math.log(r_min), math.log(math.pi)
+    u0, u1 = math.log(NORM_R_MIN), math.log(math.pi)
     u = (u0 + u1) / 2.0 + (u1 - u0) / 2.0 * x
     r = np.exp(u)
     total += (u1 - u0) / 2.0 * float(
         (w * _sphere_slice(r, N) * np.exp(-2.0 * s * u)).sum()
     )
 
-    xg, wg = np.polynomial.legendre.leggauss(panel_order)
-    edges = np.arange(math.pi, r_max + math.pi, math.pi)
+    xg, wg = np.polynomial.legendre.leggauss(NORM_PANEL_ORDER)
+    edges = np.arange(math.pi, NORM_R_MAX + math.pi, math.pi)
     mid = (edges[:-1, None] + edges[1:, None]) / 2.0
     half = (edges[1:, None] - edges[:-1, None]) / 2.0
     r = mid + half * xg
     total += float((half * wg * _sphere_slice_closed(r, N) * r ** (-1 - 2 * s)).sum())
 
-    total += SN * r_max ** (-2.0 * s) / (2.0 * s)
+    total += SN * NORM_R_MAX ** (-2.0 * s) / (2.0 * s)
     return 1.0 / total
 
 
@@ -362,8 +361,7 @@ def _cell_crop(domain: GridDomain, exponent: float, M: int, ball: bool) -> tuple
 
 def origin_cell_moment(h: float, N: int, power: float) -> float:
     """Integral of |z|^power over the origin cell [-h/2, h/2]^N (power > -N)."""
-    if power <= -N:
-        raise ParameterError(f"|z|^{power} is not integrable over the origin cell in R^{N}")
+    check_range("power", power, -N)
     g = power + N
     if N == 1:
         return 2.0 * (h / 2.0) ** g / g
@@ -554,9 +552,7 @@ def _riesz_spectrum(table: KernelTable) -> np.ndarray:
 
 
 def _check_order(N: int, sigma: float, allow_high_order: bool) -> None:
-    if not 0.0 < sigma < (N + 2.0 if allow_high_order else 2.0):
-        cap = "N+2" if allow_high_order else "2"
-        raise ParameterError(f"kernel order sigma must lie in (0,{cap}), got {sigma}")
+    check_range("kernel order sigma", sigma, 0.0, N + 2.0 if allow_high_order else 2.0)
 
 
 def build_kernel_table(domain: GridDomain, sigma: float, allow_high_order: bool = False) -> KernelTable:

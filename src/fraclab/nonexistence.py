@@ -15,12 +15,11 @@ weight-exponent excess over 2s.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_unit_interval
+from .errors import ParameterError, check_range, check_unit_interval
 from .grids import GridDomain, GridFunction, centered_ball_domain, integrate, sample
 from .seminorms import gagliardo_double_sum, hardy_ratio
 
@@ -43,9 +42,23 @@ class Certificate:
     denominator: float  # int f phi^2
 
 
-def _check_mu1(mu1: float) -> None:
-    if not 0.0 < mu1 < math.inf:
-        raise ParameterError(f"mu1 must be positive and finite, got {mu1}")
+def _certificate(phi: GridFunction, f: GridFunction, mu1: float, s: float, phi_id: str) -> Certificate | None:
+    """lambda**(phi), or None when the pairing int f phi^2 is not positive."""
+    check_range("mu1", mu1, 0.0)
+    if f.domain is not phi.domain:
+        raise ParameterError("f and phi must live on the same domain")
+    num = gagliardo_double_sum(phi, 2.0, s, "d_omega")
+    phi2 = phi.domain.from_interior(phi.interior**2)
+    den = integrate(GridFunction(f.domain, f.values * phi2.values))
+    if not den > 0.0:
+        return None
+    return Certificate(
+        phi_id=phi_id,
+        value=num / (mu1 * den),
+        mu1=mu1,
+        numerator=num,
+        denominator=den,
+    )
 
 
 def lambda_star_star(
@@ -56,23 +69,12 @@ def lambda_star_star(
     phi_id: str = "phi",
 ) -> Certificate:
     """Certificate threshold for one test function; invariant under phi -> c phi."""
-    _check_mu1(mu1)
-    if f.domain is not phi.domain:
-        raise ParameterError("f and phi must live on the same domain")
-    num = gagliardo_double_sum(phi, 2.0, s, "d_omega")
-    phi2 = phi.domain.from_interior(phi.interior**2)
-    den = integrate(GridFunction(f.domain, f.values * phi2.values))
-    if den <= 0.0:
+    cert = _certificate(phi, f, mu1, s, phi_id)
+    if cert is None:
         raise ParameterError(
             "certificate requires a positive pairing int f phi^2 > 0 (f+ not vanishing on the bump)"
         )
-    return Certificate(
-        phi_id=phi_id,
-        value=num / (mu1 * den),
-        mu1=mu1,
-        numerator=num,
-        denominator=den,
-    )
+    return cert
 
 
 def certify(
@@ -86,20 +88,15 @@ def certify(
 
     family yields (id, GridFunction) pairs; members with nonpositive pairing
     are skipped.  An empty family, or one whose pairings are all nonpositive,
-    is an error.  mu1 and s are checked before the first member, so a bad
-    value is reported as such rather than skipped with every member.
+    is an error.  Any other refusal (a bad mu1 or s, a member on another
+    domain than f) is raised at the first member it concerns.
     """
-    _check_mu1(mu1)
-    check_unit_interval("s", s)
     best: Certificate | None = None
     members = 0
     for phi_id, phi in family:
         members += 1
-        try:
-            cert = lambda_star_star(phi, f, mu1, s, phi_id=phi_id)
-        except ParameterError:
-            continue
-        if best is None or cert.value < best.value:
+        cert = _certificate(phi, f, mu1, s, phi_id)
+        if cert is not None and (best is None or cert.value < best.value):
             best = cert
     if members == 0:
         raise ParameterError("no admissible test function: the family is empty")
@@ -110,8 +107,7 @@ def certify(
 
 def radial_bump(domain: GridDomain, center, rho: float) -> GridFunction:
     """Smooth compact bump (1 - |x-c|^2/rho^2)_+^2 sampled on the grid."""
-    if rho <= 0.0:
-        raise ParameterError(f"rho must be positive, got {rho}")
+    check_range("rho", rho, 0.0)
     c = np.asarray(center, dtype=float)
 
     def expr(*coords):
@@ -146,8 +142,9 @@ def optimality_obstruction(
     Returns [(r, quotient)] in the given radius order.
     """
     check_unit_interval("eps", eps)
+    check_range("m", m, 1.0, closed=True)
     beta = (N - eps) / m
-    if beta <= 2.0 * s:
+    if not beta > 2.0 * s:
         raise ParameterError(
             f"hypothesis (N-eps)/m > 2s fails: {beta:.4g} <= {2.0 * s:.4g} (need m < N/(2s))"
         )

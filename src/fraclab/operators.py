@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, check_unit_interval
+from .errors import check_range, check_unit_interval
 from .grids import GridFunction
 from .kernels import (
     KernelTable,
@@ -171,8 +171,7 @@ def apply_B_sq(u: GridFunction, s: float, q: float) -> GridFunction:
     get_table refuses larger orders.
     """
     check_unit_interval("s", s)
-    if q <= 1.0:
-        raise ParameterError(f"q must exceed 1, got {q}")
+    check_range("q", q, 1.0)
     pairs, exterior, origin = _d_omega_integrand(u, get_table(u.domain, s * q), q)
     norm = normalization_constant(u.domain.dimension, s)
     out = (norm / q * (pairs + exterior + origin)) ** (1.0 / q)
@@ -203,8 +202,7 @@ def riesz_potential(g: GridFunction, lam: float) -> GridFunction:
     table's is (kernels._cell_crop).
     """
     dom = g.domain
-    if not 0.0 < lam < dom.dimension:
-        raise ParameterError(f"lambda must lie in (0,N)=(0,{dom.dimension}), got {lam}")
+    check_range("lambda", lam, 0.0, dom.dimension)
     N, K = dom.dimension, dom.nodes_per_axis - 1
     W, _ = _cell_crop(dom, -lam, K, ball=False)
     W[(K,) * N] = origin_cell_moment(dom.h, N, -lam)

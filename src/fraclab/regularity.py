@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import HypothesisViolation, ParameterError, check_unit_interval
+from .errors import HypothesisViolation, ParameterError, check_range, check_unit_interval
 from .grids import GridDomain, GridFunction, centered_ball_domain, node_radii
 from .operators import apply_frac_power
 from .poisson import assemble, solve_poisson
@@ -218,8 +218,7 @@ def power_law_cell_average(domain: GridDomain, beta: float) -> GridFunction:
     Cell averaging keeps the discrete L^m mass of barely integrable data
     stable across refinement levels, which midpoint sampling does not.
     """
-    if not 0.0 < beta < domain.dimension:
-        raise ParameterError(f"beta must lie in (0,N) for integrable data, got {beta}")
+    check_range("beta", beta, 0.0, domain.dimension)
     coords = domain.interior_coords
     h = domain.h
     if domain.dimension == 1:
@@ -264,11 +263,10 @@ def regularity_probe(
     the last two inter-level factors are all >= 1.2, bounded when all <= 1.05,
     inconclusive otherwise.
     """
-    if beta >= N and beta > 0:
-        raise ParameterError(f"beta must be < N for integrable data, got beta={beta}")
+    check_range("beta", beta, hi=N)
     check_unit_interval("t", t)
-    if p < 1.0:
-        raise ParameterError(f"p must be >= 1, got {p}")
+    check_range("p", p, 1.0, closed=True)
+    check_range("m", m, 1.0, closed=True)
     node_counts = tuple(int(n) for n in node_counts)
     if len(node_counts) < 2:
         raise ParameterError("need at least two refinement levels")

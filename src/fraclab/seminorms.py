@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, QuadratureError, check_unit_interval
+from .errors import ParameterError, QuadratureError, check_range, check_unit_interval
 from .grids import GridFunction, node_radii
 from .kernels import get_table, sphere_area
 from .operators import _d_omega_integrand
@@ -90,8 +90,7 @@ def gagliardo_double_sum(u: GridFunction, p: float, s: float, region: str = "d_o
     invariant-ball check, ball_membership, sums them directly).
     """
     check_unit_interval("s", s)
-    if p < 1.0:
-        raise ParameterError(f"p must be >= 1, got {p}")
+    check_range("p", p, 1.0, closed=True)
     if region not in REGIONS:
         raise ParameterError(f"region must be one of {REGIONS}, got {region!r}")
     return _pair_seminorm(u, p, s * p, region, False)
@@ -109,12 +108,10 @@ def ball_membership(
     Kernel order (s+eps)*r may exceed 2 here (direct pairwise summation with
     cell-averaged weights); get_table refuses orders from N+2 up.
     """
-    if eps <= 0.0 or not 0.0 < s + eps < 1.0:
-        raise ParameterError(f"need 0 < s+eps < 1, got s+eps = {s + eps}")
-    if r < 1.0:
-        raise ParameterError(f"r must be >= 1, got {r}")
-    if radius <= 0.0:
-        raise ParameterError(f"radius must be positive, got {radius}")
+    check_range("eps", eps, 0.0)
+    check_unit_interval("s+eps", s + eps)
+    check_range("r", r, 1.0, closed=True)
+    check_range("radius", radius, 0.0)
     value = _pair_seminorm(u, r, (s + eps) * r, "d_omega", True)
     return value <= radius ** (r / 2.0), value
 
@@ -153,8 +150,7 @@ def _phi_quad(N: int, beta: float, sigma: float) -> tuple[float, float]:
 
 def _check_hardy_args(s: float, p: float) -> None:
     check_unit_interval("s", s)
-    if not p > 1.0:
-        raise ParameterError(f"p must exceed 1, got {p}")
+    check_range("p", p, 1.0)
 
 
 def hardy_constant(N: int, s: float, p: float, tol: float = 1e-6) -> HardyResult:
@@ -163,11 +159,9 @@ def hardy_constant(N: int, s: float, p: float, tol: float = 1e-6) -> HardyResult
     Raises QuadratureError (reporting the achieved estimate) if the combined
     error estimate exceeds tol.
     """
-    if N < 2:
-        raise ParameterError(f"hardy_constant requires N >= 2, got {N}")
+    check_range("N", N, 2, closed=True)
     _check_hardy_args(s, p)
-    if not 0.0 < tol < math.inf:
-        raise ParameterError(f"tol must be positive and finite, got {tol}")
+    check_range("tol", tol, 0.0)
     from scipy.integrate import quad
 
     beta = (N + p * s) / 2.0
@@ -313,6 +307,6 @@ def hardy_ratio(phi: GridFunction, s: float, p: float, weight_exponent: float) -
         (np.abs(phi.interior) ** p * radii ** (-weight_exponent)).sum()
         * dom.h**dom.dimension
     )
-    if den <= 0.0:
+    if not den > 0.0:
         raise ParameterError("weighted denominator vanishes: phi must be nonzero")
     return num / den

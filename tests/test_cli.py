@@ -684,6 +684,48 @@ def test_every_float_key_refuses_a_bad_value_at_load(tmp_path, capsys, table_bui
     assert table_builds == []
 
 
+@pytest.mark.parametrize(
+    "subcommand, section, key, value, message",
+    [
+        ("solve", "problem", "s", "1.2", "s must lie in (0,1), got 1.2"),
+        ("iterate", "problem", "s", "1.2", "s must lie in (0,1), got 1.2"),
+        ("sweep", "problem", "s", "1.2", "s must lie in (0,1), got 1.2"),
+        ("certify", "problem", "s", "1.2", "s must lie in (0,1), got 1.2"),
+        ("probe", "run", "s", "1.2", "s must lie in (0,1), got 1.2"),
+        ("probe", "run", "t", "0", "t must lie in (0,1), got 0.0"),
+        ("probe", "run", "p", "0.5", "p must be >= 1, got 0.5"),
+        ("probe", "run", "m", "0.5", "m must be >= 1, got 0.5"),
+        ("limits", "run", "s_values", "0.5,1.2", "s must lie in (0,1), got 1.2"),
+    ],
+    ids=["solve-s", "iterate-s", "sweep-s", "certify-s", "probe-s", "probe-t", "probe-p", "probe-m", "limits-s_values"],
+)
+def test_out_of_range_order_or_exponent_refused_at_load(tmp_path, capsys, table_builds, subcommand, section, key, value, message):
+    # these were refused by the library after the domain was built, or, for probe's m, not at all
+    base = {
+        "solve": SOLVE_CFG,
+        "iterate": SWEEP_CFG.replace("lambda_sweep = 0.05,0.1", ""),
+        "sweep": SWEEP_CFG,
+        "certify": CERTIFY_CFG,
+        "probe": PROBE_CFG,
+        "limits": "",
+    }[subcommand]
+    text = _with_key(base, section, key, value)
+    assert run(subcommand, _write(tmp_path, "bad.ini", text), tmp_path / "out") == 2
+    assert f"invalid value for [{section}] {key}: {value!r} ({message})" in capsys.readouterr().err
+    assert not (tmp_path / "out" / f"{subcommand}.csv").exists()
+    assert table_builds == []
+
+
+@pytest.mark.parametrize("subcommand", ["solve", "probe"])
+def test_levels_need_two_entries_at_load(tmp_path, capsys, monkeypatch, subcommand):
+    monkeypatch.setattr(cli, "_build_domain", _no_computation)
+    monkeypatch.setattr(cli, "regularity_probe", _no_computation)
+    text = _with_key({"solve": SOLVE_CFG, "probe": PROBE_CFG}[subcommand], "run", "levels", "40")
+    assert run(subcommand, _write(tmp_path, "bad.ini", text), tmp_path / "out") == 2
+    assert "[run] levels: '40' (levels needs at least two entries, got 1)" in capsys.readouterr().err
+    assert not (tmp_path / "out" / f"{subcommand}.csv").exists()
+
+
 def test_no_schema_key_parses_a_plain_float():
     # float() accepts nan and inf; every float key goes through a parser that refuses them
     plain = [(sub, sec, key) for sub, schema in cli.SCHEMAS.items() for sec, keys in schema.items()

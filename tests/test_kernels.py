@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -376,6 +377,10 @@ def test_cell_integrals_match_deduplicated_reference(N):
         assert np.array_equal(got, _ref_cell_kernel_integrals(offsets, exponent, 0.05))
 
 
+# one Gauss-Legendre rule per node count, shared by the reference's panels
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)
+
+
 def _ref_normalization_quadrature(N, s, r_min=1e-6, r_max=400.0, panel_order=32):
     def sphere_slice(r, n_theta):
         if N == 1:
@@ -384,7 +389,7 @@ def _ref_normalization_quadrature(N, s, r_min=1e-6, r_max=400.0, panel_order=32)
             th = (np.arange(n_theta) + 0.5) * (2.0 * math.pi / n_theta)
             vals = 1.0 - np.cos(r[:, None] * np.cos(th)[None, :])
             return (2.0 * math.pi / n_theta) * vals.sum(axis=1)
-        t, wt = np.polynomial.legendre.leggauss(min(n_theta, 4000))
+        t, wt = _leggauss(min(n_theta, 4000))
         wfac = wt * (1.0 - t**2) ** ((N - 3) / 2.0)
         vals = 1.0 - np.cos(r[:, None] * t[None, :])
         return sphere_area(N - 2) * (vals * wfac[None, :]).sum(axis=1)
@@ -397,10 +402,11 @@ def _ref_normalization_quadrature(N, s, r_min=1e-6, r_max=400.0, panel_order=32)
     total += (u1 - u0) / 2.0 * float((w * sphere_slice(np.exp(u), 96) * np.exp(-2.0 * s * u)).sum())
     xg, wg = np.polynomial.legendre.leggauss(panel_order)
     edges = np.arange(math.pi, r_max + math.pi, math.pi)
+    # the angular rule that resolves the last panel serves every panel
+    n_theta = max(96, int(4 * edges[-1]) + 32)
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         r = mid + half * xg
-        n_theta = max(96, int(4 * b) + 32)
         total += half * float((wg * sphere_slice(r, n_theta) * r ** (-1 - 2 * s)).sum())
     total += SN * r_max ** (-2.0 * s) / (2.0 * s)
     return 1.0 / total
@@ -409,8 +415,8 @@ def _ref_normalization_quadrature(N, s, r_min=1e-6, r_max=400.0, panel_order=32)
 @pytest.mark.parametrize("N", [1, 2, 3])
 @pytest.mark.parametrize("s", [0.05, 0.5, 0.914])
 def test_normalization_quadrature_matches_angular_panels(N, s):
-    got = normalization_constant_quadrature(N, s, r_max=40.0)
-    assert got == pytest.approx(_ref_normalization_quadrature(N, s, r_max=40.0), rel=1e-12)
+    got = normalization_constant_quadrature(N, s)
+    assert got == pytest.approx(_ref_normalization_quadrature(N, s), rel=1e-12)
 
 
 

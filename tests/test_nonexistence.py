@@ -85,6 +85,16 @@ def test_certify_names_a_bad_order(setup2d):
         certify(1.0, f, 1.0, 1.2, bump_family(dom, [(0.0, 0.0)], [0.5]))
 
 
+def test_certify_names_a_member_on_another_domain():
+    # the member's domain error was skipped like a nonpositive pairing, and certify
+    # reported that all pairings were nonpositive
+    dom = build_domain(Ball(center=(0.0,), radius=1.0), 40, margin_cells=4)
+    other = build_domain(Ball(center=(0.0,), radius=1.0), 44, margin_cells=4)
+    f = sample(lambda x: np.ones_like(x), dom)
+    with pytest.raises(ParameterError, match="^f and phi must live on the same domain$"):
+        certify(1.0, f, 1.0, 0.6, bump_family(other, [(0.0,)], [0.5]))
+
+
 def test_certify_monotone_in_lambda(setup2d):
     dom, f, _ = setup2d
     family = bump_family(dom, [(0.0, 0.0), (0.2, 0.1)], [0.4, 0.6, 0.8])
