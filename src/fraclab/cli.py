@@ -38,10 +38,10 @@ from .errors import (
     check_range,
 )
 from .fixedpoint import IterationConfig, ProblemSpec, picard_iterate
-from .grids import Annulus, Ball, Box, GridDomain, GridFunction, build_domain, centered_ball_domain, check_dimension, node_radii, sample
+from .grids import DEFAULT_CUTOFF_FACTOR, Annulus, Ball, Box, GridDomain, GridFunction, build_domain, centered_ball_domain, check_dimension, node_radii, sample
 from .nonexistence import bump_family, certify as certify_family, radial_bump
 from .operators import apply_D_s2, apply_frac_laplacian, central_gradient
-from .poisson import assemble, solve_poisson
+from .poisson import solve_poisson
 from .regularity import PROPOSITIONS, PROPOSITIONS_WITH_T, exponent_range, regularity_probe
 from .seminorms import check_hardy_mc_args, hardy_constant, hardy_constant_mc
 
@@ -153,7 +153,7 @@ _DOMAIN_SCHEMA = {
     "lo": (_floats, [-1.0]),
     "hi": (_floats, [1.0]),
     "center": (_floats, None),
-    "cutoff_factor": (_positive_float, 4.0),
+    "cutoff_factor": (_positive_float, DEFAULT_CUTOFF_FACTOR),
 }
 
 _PROBLEM_SCHEMA = {
@@ -416,7 +416,7 @@ def _run_solve(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     for n in levels:
         dcfg["nodes_per_axis"] = n
         dom = _build_domain(dcfg)
-        u = solve_poisson(assemble(dom, s), _field(cfg["problem"]["f"], dom))
+        u = solve_poisson(_field(cfg["problem"]["f"], dom), s)
         if n != levels[-1]:
             coarse.append((n, dom.h, dom.interior_coords, u.interior))
             del dom, u
@@ -438,9 +438,7 @@ def _run_iterate(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
         divergence_norm=cfg["run"]["divergence_norm"],
     )
     dom = _build_domain(cfg["domain"])
-    spec = _problem_from_config(cfg, dom)
-    solver = assemble(dom, spec.s)
-    rep = picard_iterate(spec, it, solver)
+    rep = picard_iterate(_problem_from_config(cfg, dom), it)
     rows = []
     n_hist = len(rep.history["sup_norm"])
     for k in range(n_hist):
@@ -465,12 +463,9 @@ def _run_iterate(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 def _run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     it = IterationConfig(tolerance=cfg["run"]["tolerance"], max_iter=cfg["run"]["max_iter"])
     dom = _build_domain(cfg["domain"])
-    s = cfg["problem"]["s"]
-    solver = assemble(dom, s)
     rows = []
     for lam in cfg["run"]["lambda_sweep"]:
-        spec = _problem_from_config(cfg, dom, lam=lam)
-        rep = picard_iterate(spec, it, solver)
+        rep = picard_iterate(_problem_from_config(cfg, dom, lam=lam), it)
         rows.append([lam, rep.verdict, rep.iterations, rep.final_residual])
     return ["lambda", "verdict", "iterations", "final_residual"], rows
 

@@ -10,11 +10,14 @@ which vanishes at u = 0, so the first iterate is u_1 = S(lambda f):
     riesz_grad_q:      mu * |grad^s u|^q         + lambda f
     B_sq_alpha:        mu * (B_s^q u)^alpha      + lambda f
 
-Convergence is declared on the relative successive difference; divergence on
-non-finite iterates or a sup-norm runaway.  The loop keeps only what the
-verdict needs, the iterates and their successive differences; the history
-norms (sup, energy and the L^r norm of (-Delta)^{s/2} u) are computed from the
-stored iterates the first time a report's history is read.  Every operator
+The solution map S is fixed by the domain and s of the problem, so no solver
+is passed in: picard_iterate assembles the stiffness operator once per call,
+and manufacture_forcing applies the one it assembles.  Convergence is
+declared on the relative successive difference; divergence on non-finite
+iterates or a sup-norm runaway.  The loop keeps only what the verdict needs,
+the iterates and their successive differences; the history norms (sup,
+energy and the L^r norm of (-Delta)^{s/2} u) are computed from the stored
+iterates the first time a report's history is read.  Every operator
 reads its kernel table at the cutoff radius of the shared domain.  The
 closed-form root of
 
@@ -42,7 +45,7 @@ from .operators import (
     apply_frac_power,
     apply_riesz_gradient,
 )
-from .poisson import StiffnessOperator
+from .poisson import StiffnessOperator, assemble
 
 __all__ = [
     "RHS_KINDS",
@@ -280,11 +283,7 @@ def _warn_integrability_window(spec: ProblemSpec) -> None:
         )
 
 
-def picard_iterate(
-    spec: ProblemSpec,
-    config: IterationConfig,
-    solver: StiffnessOperator,
-) -> IterationReport:
+def picard_iterate(spec: ProblemSpec, config: IterationConfig) -> IterationReport:
     """Run u_{k+1} = S(rhs(u_k)) from u_0 = 0 until the verdict is decided.
 
     With mu finite, which ProblemSpec checks, every rhs family equals lambda f
@@ -292,14 +291,9 @@ def picard_iterate(
     norm is the first iterate, and zero forcing converges at u = 0 after 0
     iterations.
     """
-    if solver.domain is not spec.domain:
-        raise ParameterError("solver and problem live on different domains")
-    if abs(solver.s - spec.s) > 1e-14:
-        raise ParameterError(
-            f"solver is assembled for s={solver.s}, problem has s={spec.s}"
-        )
     _warn_integrability_window(spec)
     dom = spec.domain
+    solver = assemble(dom, spec.s)
 
     forcing = spec.lam * spec.f.interior
     v = solver.solve_vector(forcing)
@@ -361,7 +355,7 @@ def picard_iterate(
     )
 
 
-def manufacture_forcing(spec: ProblemSpec, u_star: GridFunction, solver: StiffnessOperator) -> GridFunction:
+def manufacture_forcing(spec: ProblemSpec, u_star: GridFunction) -> GridFunction:
     """Forcing f making u_star an exact discrete fixed point of spec's map.
 
     Solves  lambda f = A u* - (rhs(u*) - lambda f)  for f, i.e. subtracts the
@@ -369,5 +363,5 @@ def manufacture_forcing(spec: ProblemSpec, u_star: GridFunction, solver: Stiffne
     """
     zero_f = replace(spec, f=spec.domain.zeros())
     nonlinear = _rhs_eval(zero_f, u_star)
-    f_vec = (solver.matvec(u_star.interior) - nonlinear) / spec.lam
+    f_vec = (assemble(spec.domain, spec.s).matvec(u_star.interior) - nonlinear) / spec.lam
     return spec.domain.from_interior(f_vec)

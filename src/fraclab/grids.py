@@ -10,10 +10,14 @@ Grids are node-centered so that a symmetric box with an even node count never
 places a node at the origin; `origin_offset=True` shifts the box by half a
 cell for the remaining cases, keeping power-law data |x|^-beta finite at all
 nodes.
+
+A shape's predicate `contains` takes the N coordinate arrays of the points,
+which broadcast together, so a grid evaluates it on its open mesh.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -28,6 +32,7 @@ __all__ = [
     "Annulus",
     "GridDomain",
     "GridFunction",
+    "DEFAULT_CUTOFF_FACTOR",
     "build_domain",
     "centered_ball_domain",
     "check_dimension",
@@ -39,6 +44,15 @@ __all__ = [
 ]
 
 
+# the kernel cutoff radius, in bounding-box diameters, of a domain built without one
+DEFAULT_CUTOFF_FACTOR = 4.0
+
+
+def _distance(coords, center) -> np.ndarray:
+    """|x - center| over the broadcast coordinate arrays, the squares summed in axis order as np.linalg.norm sums them."""
+    return np.sqrt(sum((x - c) ** 2 for x, c in zip(coords, center)))
+
+
 @dataclass(frozen=True)
 class Ball:
     """Open ball {|x - center| < radius}."""
@@ -46,9 +60,8 @@ class Ball:
     center: tuple[float, ...]
     radius: float
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center)
-        return np.linalg.norm(pts - c, axis=-1) < self.radius
+    def contains(self, *coords: np.ndarray) -> np.ndarray:
+        return _distance(coords, self.center) < self.radius
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(self.center, dtype=float)
@@ -62,10 +75,8 @@ class Box:
     lo: tuple[float, ...]
     hi: tuple[float, ...]
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((pts > lo) & (pts < hi), axis=-1)
+    def contains(self, *coords: np.ndarray) -> np.ndarray:
+        return functools.reduce(np.logical_and, [(x > lo) & (x < hi) for x, lo, hi in zip(coords, self.lo, self.hi)])
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
@@ -79,9 +90,8 @@ class Annulus:
     r_outer: float
     center: tuple[float, ...] = ()
 
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center) if self.center else 0.0
-        r = np.linalg.norm(pts - c, axis=-1)
+    def contains(self, *coords: np.ndarray) -> np.ndarray:
+        r = _distance(coords, self.center or (0.0,) * len(coords))
         return (r > self.r_inner) & (r < self.r_outer)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -131,13 +141,14 @@ def check_dimension(N: int) -> int:
 def _grid_bytes(N: int, n: int) -> int:
     """An upper estimate of the peak bytes of GridDomain.__init__ on n^N nodes.
 
-    The peak is in the shape predicate, which holds the N coordinate arrays of
-    the mesh, the point array and up to three temporaries of the same size
-    (the norm of a Ball or Annulus: the centred points, their conjugate and
-    their squares), 5N words per node, beside the radii and the mask.  2^16
-    words more cover the small allocations.
+    The peak comes as interior_coords is gathered: the axis centres, the mask
+    (a byte per node) and 3N words per interior node (interior_index, the
+    gathered columns and their stack).  Counting every node as interior makes
+    it tight for a grid that its shape nearly fills; the shape predicate, two
+    words per node on the open mesh, stays below.  2^12 words more cover the
+    small allocations.
     """
-    return 8 * ((5 * N + 2) * n**N + 2**16)
+    return (24 * N + 1) * n**N + 8 * (N * n + 2**12)
 
 
 class GridDomain:
@@ -177,7 +188,7 @@ class GridDomain:
         self.nodes_per_axis = n
         self.h = float(spacings[0])
         self.shape = shape
-        R = 4.0 * self.bbox_diameter if cutoff_radius is None else float(cutoff_radius)
+        R = DEFAULT_CUTOFF_FACTOR * self.bbox_diameter if cutoff_radius is None else float(cutoff_radius)
         if not math.isfinite(R):
             raise ConfigurationError(f"cutoff radius must be finite, got {R}")
         if not R >= self.bbox_diameter + self.h:
@@ -188,28 +199,21 @@ class GridDomain:
 
         axes = [lo[k] + (np.arange(n) + 0.5) * self.h for k in range(self.dimension)]
         self.axis_centers = axes
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        mask = shape.contains(pts).reshape((n,) * self.dimension)
+        mask = shape.contains(*np.meshgrid(*axes, indexing="ij", sparse=True))
         self.interior_mask = mask
         self.interior_count = int(mask.sum())
         if self.interior_count < 1:
             raise ConfigurationError("shape has empty interior on this grid")
 
         self.interior_index = np.argwhere(mask)
-        self.interior_coords = pts.reshape((n,) * self.dimension + (self.dimension,))[mask]
+        self.interior_coords = np.stack([ax[i] for ax, i in zip(axes, self.interior_index.T)], axis=-1)
 
         # exterior-zero values must be representable: outermost layer stays exterior
-        for k in range(self.dimension):
-            edge = self.interior_index[:, k]
-            if (edge == 0).any() or (edge == n - 1).any():
-                raise ConfigurationError(
-                    "interior touches the bounding box edge; enlarge margin_cells"
-                )
+        if (self.interior_index == 0).any() or (self.interior_index == n - 1).any():
+            raise ConfigurationError("interior touches the bounding box edge; enlarge margin_cells")
 
-        for arr in (self.lo, self.hi, self.interior_index, self.interior_coords):
+        for arr in (self.lo, self.hi, self.interior_mask, self.interior_index, self.interior_coords):
             arr.setflags(write=False)
-        self.interior_mask.setflags(write=False)
 
     @property
     def cutoff_radius(self) -> float:
@@ -288,7 +292,7 @@ def build_domain(
     nodes_per_axis: int,
     margin_cells: int = 1,
     origin_offset: bool = False,
-    cutoff_factor: float = 4.0,
+    cutoff_factor: float = DEFAULT_CUTOFF_FACTOR,
 ) -> GridDomain:
     """Build a cube bounding box around `shape` with an exterior margin.
 

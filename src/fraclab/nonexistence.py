@@ -141,6 +141,7 @@ def optimality_obstruction(
     Hardy-critical 2s and the quotient decays like r^((N-eps)/m - 2s).
     Returns [(r, quotient)] in the given radius order.
     """
+    check_unit_interval("s", s)
     check_unit_interval("eps", eps)
     check_range("m", m, 1.0, closed=True)
     beta = (N - eps) / m

@@ -17,6 +17,10 @@ nonpositive, and its rows are strictly dominant thanks to kappa_i > 0; hence
 it is positive definite and obeys a discrete maximum principle.  assemble
 checks all three on the table and one product A 1 (the row sums), in
 O(I log I); no I x I array is formed anywhere.
+
+The operator is fixed by the domain and the order s, so no caller passes one
+in: solve_poisson assembles on the domain of its right-hand side, whose
+kernel table is memoized.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ class StiffnessOperator:
     """Discrete (-Delta)^s over interior nodes, held as its symbol on the FFT box."""
 
     domain: GridDomain
-    s: float
     symbol: np.ndarray = field(repr=False)
 
     def _box_apply(self, symbol: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -114,17 +117,16 @@ def assemble(domain: GridDomain, s: float) -> StiffnessOperator:
     # the off-diagonal entries are -a w_z, for w_z in the crop, and -a c
     if -table.norm_const * table.weights.min() > 1e-14 * diag:
         raise ConsistencyError("stiffness off-diagonal entries must be nonpositive")
-    op = StiffnessOperator(domain=domain, s=s, symbol=table.symbol)
+    op = StiffnessOperator(domain=domain, symbol=table.symbol)
     # A 1 is the vector of row sums
     if not np.all(op.matvec(np.ones(domain.interior_count)) > 0):
         raise ConsistencyError("stiffness rows must be strictly diagonally dominant")
     return op
 
 
-def solve_poisson(solver: StiffnessOperator, h: GridFunction) -> GridFunction:
-    """Solve (-Delta)^s v = h in Omega, v = 0 outside; verifies the residual."""
-    if h.domain is not solver.domain:
-        raise ParameterError("right-hand side lives on a different domain")
+def solve_poisson(h: GridFunction, s: float) -> GridFunction:
+    """Solve (-Delta)^s v = h in Omega, v = 0 outside, on the domain of h; verifies the residual."""
+    solver = assemble(h.domain, s)
     rhs = h.interior
     v = solver.solve_vector(rhs)
     res = solver.relative_residual(v, rhs)

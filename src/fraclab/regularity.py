@@ -27,7 +27,7 @@ import numpy as np
 from .errors import HypothesisViolation, ParameterError, check_range, check_unit_interval
 from .grids import GridDomain, GridFunction, centered_ball_domain, node_radii
 from .operators import apply_frac_power
-from .poisson import assemble, solve_poisson
+from .poisson import solve_poisson
 from .seminorms import gagliardo_double_sum
 
 __all__ = [
@@ -263,7 +263,8 @@ def regularity_probe(
     the last two inter-level factors are all >= 1.2, bounded when all <= 1.05,
     inconclusive otherwise.
     """
-    check_range("beta", beta, hi=N)
+    check_range("beta", beta, 0.0, N, closed=True)
+    check_unit_interval("s", s)
     check_unit_interval("t", t)
     check_range("p", p, 1.0, closed=True)
     check_range("m", m, 1.0, closed=True)
@@ -282,8 +283,7 @@ def regularity_probe(
             f = dom.from_interior(np.ones(dom.interior_count))
         fm = (np.abs(f.interior) ** m).sum() * dom.h**dom.dimension
         f = f * (1.0 / fm ** (1.0 / m))
-        solver = assemble(dom, s)
-        u = solve_poisson(solver, f)
+        u = solve_poisson(f, s)
         if route == "seminorm":
             values.append(gagliardo_double_sum(u, p, t, "d_omega"))
         else:

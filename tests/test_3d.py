@@ -35,7 +35,7 @@ def test_3d_solve_and_energy_identity(setup3d):
     u = sample(lambda x, y, z: np.maximum(1 - (x * x + y * y + z * z) / 0.64, 0) ** 2, dom)
     assert tab.lattice_radius == int(2.0 * dom.bbox_diameter / dom.h)
     op = assemble(dom, s)
-    v = solve_poisson(op, u)
+    v = solve_poisson(u, s)
     assert v.interior.min() >= 0.0
     lhs = op.energy(u)
     rhs = 0.5 * tab.norm_const * gagliardo_double_sum(u, 2.0, s, "d_omega")

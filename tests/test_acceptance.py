@@ -93,7 +93,7 @@ def test_criterion_3_poisson():
 
         rng = np.random.default_rng(42)
         h = dom.from_interior(rng.random(dom.interior_count))
-        v = fl.solve_poisson(op, h)
+        v = fl.solve_poisson(h, s)
         assert v.interior.min() >= 0.0  # maximum principle, zero tolerance
 
         bump = fl.sample(lambda x: np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 3, dom)
@@ -105,8 +105,7 @@ def test_criterion_3_poisson():
         sols = {}
         for n in (40, 80, 160, 320, 640, 1280):
             dn = fl.build_domain(fl.Ball(center=(0.0,), radius=1.0), n, margin_cells=n // 10)
-            sv = fl.assemble(dn, s)
-            sols[n] = (dn, fl.solve_poisson(sv, fl.sample(lambda x: np.ones_like(x), dn)))
+            sols[n] = (dn, fl.solve_poisson(fl.sample(lambda x: np.ones_like(x), dn), s))
         dom_f, u_f = sols[1280]
         xf = dom_f.interior_coords[:, 0]
         errs = []
@@ -227,7 +226,6 @@ def test_criterion_6_fixed_point():
         t0 = time.time()
         s = 0.6
         dom = fl.build_domain(fl.Ball(center=(0.0,), radius=1.0), 160, margin_cells=16)
-        solver = fl.assemble(dom, s)
         mu = fl.sample(lambda x: np.full_like(x, 0.5), dom)
         u_star = fl.sample(lambda x: 0.05 * np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 2, dom)
         kinds = [
@@ -239,11 +237,9 @@ def test_criterion_6_fixed_point():
         ]
         for kw in kinds:
             spec0 = fl.ProblemSpec(s=s, lam=0.05, mu=mu, f=dom.zeros(), **kw)
-            f = fl.manufacture_forcing(spec0, u_star, solver)
+            f = fl.manufacture_forcing(spec0, u_star)
             spec = fl.ProblemSpec(s=s, lam=0.05, mu=mu, f=f, **kw)
-            rep = fl.picard_iterate(
-                spec, fl.IterationConfig(tolerance=1e-11, max_iter=100), solver
-            )
+            rep = fl.picard_iterate(spec, fl.IterationConfig(tolerance=1e-11, max_iter=100))
             assert rep.verdict == "converged", kw
             assert rep.iterations <= 100
             err = np.abs(rep.u_final.interior - u_star.interior).max() / np.abs(
@@ -259,7 +255,6 @@ def test_criterion_6_fixed_point():
             rep = fl.picard_iterate(
                 fl.ProblemSpec(rhs_kind="D_s2", s=s, lam=lam, mu=mu1, f=f_pos),
                 fl.IterationConfig(tolerance=1e-9, max_iter=150),
-                solver,
             )
             verdicts.append(rep.verdict)
             if rep.verdict == "diverged":
@@ -270,13 +265,10 @@ def test_criterion_6_fixed_point():
         # P_lambda / B_s^2 equivalence to machine precision
         cfg = fl.IterationConfig(tolerance=1e-11, max_iter=80)
         f_small = fl.sample(lambda x: np.maximum(1.0 - (x / 0.7) ** 2, 0.0) ** 2, dom)
-        rd = fl.picard_iterate(
-            fl.ProblemSpec(rhs_kind="D_s2", s=s, lam=0.05, mu=mu, f=f_small), cfg, solver
-        )
+        rd = fl.picard_iterate(fl.ProblemSpec(rhs_kind="D_s2", s=s, lam=0.05, mu=mu, f=f_small), cfg)
         rb = fl.picard_iterate(
             fl.ProblemSpec(rhs_kind="B_sq_alpha", s=s, lam=0.05, mu=mu, f=f_small, q=2.0, alpha=2.0),
             cfg,
-            solver,
         )
         assert rd.verdict == rb.verdict == "converged"
         diff = np.abs(rd.u_final.interior - rb.u_final.interior).max()

@@ -206,11 +206,11 @@ def test_iteration_config_refuses_nonpositive_or_nonfinite(key, value):
 
 def test_picard_zero_forcing_converges_at_zero(small, monkeypatch):
     # zero forcing is read off lambda f: no operator is applied, one solve sets the divergence norm
-    dom, solver = small
+    dom, _ = small
     mu = sample(lambda x: np.ones_like(x), dom)
     spec = ProblemSpec(rhs_kind="D_s2", s=S, lam=0.3, mu=mu, f=dom.zeros())
     rhs_calls, solves = _count_calls(monkeypatch)
-    rep = picard_iterate(spec, IterationConfig(), solver)
+    rep = picard_iterate(spec, IterationConfig())
     assert rep.verdict == "converged"
     assert rep.iterations == 0
     assert rep.final_residual == 0.0
@@ -220,13 +220,13 @@ def test_picard_zero_forcing_converges_at_zero(small, monkeypatch):
 
 
 def test_picard_manufactured_recovery(small):
-    dom, solver = small
+    dom, _ = small
     mu = sample(lambda x: np.full_like(x, 0.5), dom)
     u_star = sample(lambda x: 0.2 * np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 2, dom)
     spec0 = ProblemSpec(rhs_kind="D_s2", s=S, lam=0.05, mu=mu, f=dom.zeros())
-    f = manufacture_forcing(spec0, u_star, solver)
+    f = manufacture_forcing(spec0, u_star)
     spec = ProblemSpec(rhs_kind="D_s2", s=S, lam=0.05, mu=mu, f=f)
-    rep = picard_iterate(spec, IterationConfig(tolerance=1e-12, max_iter=100), solver)
+    rep = picard_iterate(spec, IterationConfig(tolerance=1e-12, max_iter=100))
     assert rep.verdict == "converged"
     err = np.abs(rep.u_final.interior - u_star.interior).max() / np.abs(u_star.interior).max()
     assert err <= 1e-6
@@ -252,15 +252,14 @@ def test_picard_monotone_iterates_for_positive_data(small):
 
 
 def test_picard_B_sq_alpha_matches_D_s2(small):
-    dom, solver = small
+    dom, _ = small
     mu = sample(lambda x: np.full_like(x, 0.8), dom)
     f = sample(lambda x: np.maximum(1.0 - (x / 0.7) ** 2, 0.0) ** 2, dom)
     cfg = IterationConfig(tolerance=1e-11, max_iter=60)
-    rep_d = picard_iterate(ProblemSpec(rhs_kind="D_s2", s=S, lam=0.05, mu=mu, f=f), cfg, solver)
+    rep_d = picard_iterate(ProblemSpec(rhs_kind="D_s2", s=S, lam=0.05, mu=mu, f=f), cfg)
     rep_b = picard_iterate(
         ProblemSpec(rhs_kind="B_sq_alpha", s=S, lam=0.05, mu=mu, f=f, q=2.0, alpha=2.0),
         cfg,
-        solver,
     )
     assert rep_d.verdict == rep_b.verdict == "converged"
     diff = np.abs(rep_d.u_final.interior - rep_b.u_final.interior).max()
@@ -268,14 +267,14 @@ def test_picard_B_sq_alpha_matches_D_s2(small):
 
 
 def test_picard_lambda_doubling_eventually_diverges(small):
-    dom, solver = small
+    dom, _ = small
     mu = sample(lambda x: np.ones_like(x), dom)
     f = sample(lambda x: np.maximum(1.0 - x**2, 0.0), dom)
     lam = 0.25
     verdicts = []
     for _ in range(14):
         spec = ProblemSpec(rhs_kind="D_s2", s=S, lam=lam, mu=mu, f=f)
-        rep = picard_iterate(spec, IterationConfig(tolerance=1e-9, max_iter=120), solver)
+        rep = picard_iterate(spec, IterationConfig(tolerance=1e-9, max_iter=120))
         verdicts.append(rep.verdict)
         if rep.verdict == "diverged":
             break
@@ -284,19 +283,19 @@ def test_picard_lambda_doubling_eventually_diverges(small):
 
 
 def test_picard_deterministic(small):
-    dom, solver = small
+    dom, _ = small
     mu = sample(lambda x: np.ones_like(x), dom)
     f = sample(lambda x: np.maximum(1.0 - x**2, 0.0), dom)
     spec = ProblemSpec(rhs_kind="D_s2", s=S, lam=0.1, mu=mu, f=f)
     cfg = IterationConfig(tolerance=1e-10, max_iter=80)
-    r1 = picard_iterate(spec, cfg, solver)
-    r2 = picard_iterate(spec, cfg, solver)
+    r1 = picard_iterate(spec, cfg)
+    r2 = picard_iterate(spec, cfg)
     assert r1.verdict == r2.verdict and r1.iterations == r2.iterations
     assert np.array_equal(r1.u_final.values, r2.u_final.values)
 
 
 def test_picard_all_rhs_kinds_converge_small_lambda(small):
-    dom, solver = small
+    dom, _ = small
     mu = sample(lambda x: np.full_like(x, 0.5), dom)
     f = sample(lambda x: np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 2, dom)
     kinds = [
@@ -308,7 +307,7 @@ def test_picard_all_rhs_kinds_converge_small_lambda(small):
     ]
     for kw in kinds:
         spec = ProblemSpec(s=S, lam=0.02, mu=mu, f=f, **kw)
-        rep = picard_iterate(spec, IterationConfig(tolerance=1e-10, max_iter=150), solver)
+        rep = picard_iterate(spec, IterationConfig(tolerance=1e-10, max_iter=150))
         assert rep.verdict == "converged", kw
         assert rep.final_residual <= 1e-8
 
@@ -338,7 +337,7 @@ def test_picard_first_iterate_reuses_the_forcing_solve(small, monkeypatch):
         rhs_calls.clear()
         solves.clear()
         spec = ProblemSpec(rhs_kind="riesz_grad_q", s=S, lam=lam, mu=mu, f=f, q=1.5)
-        rep = picard_iterate(spec, IterationConfig(tolerance=1e-10, max_iter=max_iter), solver)
+        rep = picard_iterate(spec, IterationConfig(tolerance=1e-10, max_iter=max_iter))
         k = rep.iterations
         assert rep.verdict == verdict
         assert len(rhs_calls) == (k if verdict == "converged" else k - 1)
@@ -398,19 +397,19 @@ def test_history_on_read_matches_eager_loop(dom1d_small, kw):
     f = sample(lambda x: np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 2, dom1d_small)
     spec = ProblemSpec(s=S, mu=mu, f=f, **kw)
     cfg = IterationConfig(tolerance=1e-10, max_iter=40)
-    rep = picard_iterate(spec, cfg, solver)
+    rep = picard_iterate(spec, cfg)
     assert len(rep.iterates) > 1
     assert rep.history == _eager_history(spec, cfg, solver)
 
 
 def test_integrability_window_warning(small):
-    dom, solver = small
+    dom, _ = small
     mu = sample(lambda x: np.ones_like(x), dom)
     f = dom.zeros()
     # N=1, s=0.6: window is (0.833, 5); m=20 falls outside and warns
     spec = ProblemSpec(rhs_kind="D_s2", s=S, lam=0.1, mu=mu, f=f, m=20.0)
     with pytest.warns(UserWarning):
-        picard_iterate(spec, IterationConfig(max_iter=2), solver)
+        picard_iterate(spec, IterationConfig(max_iter=2))
 
 
 def test_ball_membership_zero_and_monotone(small):
@@ -437,7 +436,7 @@ def test_ball_membership_high_order_path(small):
 def test_converged_iterate_in_derived_ball(small):
     # end-to-end: all-ones constants give l = 1/4; a small-lambda converged
     # iterate stays in the ball of radius l for the (s+eps, r) seminorm
-    dom, solver = small
+    dom, _ = small
     done = threshold_from_constants(
         ThresholdConstants(reg_constant=1.0, mu_inf=1.0, f_norm=1.0, embed_constant=1.0),
         "P_lambda",
@@ -445,7 +444,7 @@ def test_converged_iterate_in_derived_ball(small):
     mu = sample(lambda x: np.ones_like(x), dom)
     f = sample(lambda x: 0.05 * np.maximum(1.0 - x**2, 0.0) ** 2, dom)
     spec = ProblemSpec(rhs_kind="D_s2", s=S, lam=min(0.05, done.lambda_star), mu=mu, f=f)
-    rep = picard_iterate(spec, IterationConfig(tolerance=1e-10, max_iter=100), solver)
+    rep = picard_iterate(spec, IterationConfig(tolerance=1e-10, max_iter=100))
     assert rep.verdict == "converged"
     member, seminorm = ball_membership(rep.u_final, S, 0.05, 2.0, done.l)
     assert member is True

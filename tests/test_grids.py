@@ -71,33 +71,80 @@ def test_four_dimensional_grid_refused(monkeypatch):
     ids=["ball", "box", "annulus"],
 )
 def test_grid_peak_matches_refusal_estimate(N, n, shape):
-    # measured 1.05-1.20 (1D), 1.20-1.24 (2D) and 1.29-1.42 (3D) times the traced peak
+    # the peak holds 3N words per interior node, and the estimate counts every
+    # node as interior: measured 1.00-1.04 (1D), 1.02-1.42 (2D) and 1.37-2.64
+    # (3D) times the traced peak; only the box, which fills 73-100% of these
+    # grids, is held to the tight bound
     need = grids._grid_bytes(N, n)
     tracemalloc.start()
     try:
-        build_domain(shape(N), n, margin_cells=2)
+        dom = build_domain(shape(N), n, margin_cells=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= need <= 1.5 * peak
+    assert peak <= need
+    if isinstance(dom.shape, Box):
+        assert need <= 1.5 * peak
 
 
 def test_grid_refused_before_allocation(monkeypatch):
-    # the estimate is checked before the mesh and the point array are allocated
+    # the estimate is checked before the mesh is allocated
     monkeypatch.setattr(grids, "available_memory", lambda: grids._grid_bytes(2, 400) - 1)
-    with pytest.raises(ConfigurationError, match=r"^the 2D grid at n = 400 needs 15.1 MB, but only 15.1 MB"):
+    with pytest.raises(ConfigurationError, match=r"^the 2D grid at n = 400 needs 7.51 MB, but only 7.51 MB"):
         build_domain(Ball((0.0, 0.0), 1.0), 400)
     assert build_domain(Ball((0.0, 0.0), 1.0), 399).nodes_per_axis == 399
 
 
+def _point_array_grid(dom):
+    """Mask and interior coordinates of dom by the point-array predicate: the full mesh, its stacked points and np.linalg.norm."""
+    mesh = np.meshgrid(*dom.axis_centers, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    shape = dom.shape
+    if isinstance(shape, Box):
+        inside = np.all((pts > np.asarray(shape.lo)) & (pts < np.asarray(shape.hi)), axis=-1)
+    else:
+        r = np.linalg.norm(pts - (np.asarray(shape.center) if shape.center else 0.0), axis=-1)
+        inside = r < shape.radius if isinstance(shape, Ball) else (r > shape.r_inner) & (r < shape.r_outer)
+    return inside.reshape(dom.interior_mask.shape), pts[inside]
+
+
 def test_mask_idempotent(dom2d):
-    pts = dom2d.interior_coords
-    assert dom2d.shape.contains(pts).all()
-    # recompute the full mask from the predicate: must match the stored one
-    mesh = np.meshgrid(*dom2d.axis_centers, indexing="ij")
-    pts_all = np.stack([m.ravel() for m in mesh], axis=-1)
-    mask = dom2d.shape.contains(pts_all).reshape(dom2d.interior_mask.shape)
+    assert dom2d.shape.contains(*dom2d.interior_coords.T).all()
+    # recompute the full mask from the point-array predicate: must match the stored one
+    mask, _ = _point_array_grid(dom2d)
     assert np.array_equal(mask, dom2d.interior_mask)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_distance_rounds_as_norm(N):
+    # the Ball and Annulus predicates give np.linalg.norm's bits, so no node changes sides
+    pts = np.random.default_rng(N).standard_normal((10000, N))
+    c = (0.13, -0.21, 0.07)[:N]
+    assert grids._distance(pts.T, c).tobytes() == np.linalg.norm(pts - np.asarray(c), axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("origin_offset", [False, True])
+@pytest.mark.parametrize("N, n", [(1, 9), (1, 40), (1, 1001), (2, 8), (2, 41), (2, 120), (3, 7), (3, 24)])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda N: Ball((0.0,) * N, 1.0),
+        lambda N: Ball((0.13, -0.21, 0.07)[:N], 0.9),
+        lambda N: Box((-1.0,) * N, (1.0,) * N),
+        lambda N: Box((-1.0, -0.7, -0.5)[:N], (0.8, 1.0, 0.6)[:N]),
+        lambda N: Annulus(0.3, 1.0, (0.0,) * N),
+        lambda N: Annulus(0.25, 0.95, (0.13, -0.21, 0.07)[:N]),
+        lambda N: Annulus(0.3, 1.0) if N == 1 else Annulus(0.3, 1.0, (0.0,) * N),
+    ],
+    ids=["ball", "offset-ball", "box", "offset-box", "annulus", "offset-annulus", "centreless-annulus"],
+)
+def test_open_mesh_matches_point_array(shape, N, n, origin_offset):
+    # the predicate on the open mesh gives the point-array mask and coordinates bit for bit
+    dom = build_domain(shape(N), n, margin_cells=2 + n // 10, origin_offset=origin_offset)
+    mask, coords = _point_array_grid(dom)
+    assert mask.tobytes() == dom.interior_mask.tobytes()
+    assert coords.tobytes() == dom.interior_coords.tobytes()
+    assert dom.interior_coords.shape == (dom.interior_count, N)
 
 
 def test_annulus_excludes_hole():

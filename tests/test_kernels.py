@@ -131,7 +131,7 @@ def test_domain_cutoff_reaches_every_table_reader(table_builds):
     # build is at the cutoff the domain was made with
     dom = build_domain(Ball(center=(0.0,), radius=1.0), 40, margin_cells=4, cutoff_factor=6.0)
     u = sample(lambda x: np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 2, dom)
-    solver = assemble(dom, 0.6)
+    assemble(dom, 0.6)
     apply_frac_laplacian(u, 0.4)
     apply_frac_power(u, 0.5)
     apply_D_s2(u, 0.35)
@@ -140,7 +140,7 @@ def test_domain_cutoff_reaches_every_table_reader(table_builds):
     gagliardo_double_sum(u, 1.8, 0.6)
     ball_membership(u, 0.6, 0.1, 3.0, 1.0)
     spec = ProblemSpec(rhs_kind="riesz_grad_q", s=0.6, lam=0.02, mu=u, f=u, q=1.5)
-    rep = picard_iterate(spec, IterationConfig(max_iter=5), solver)
+    rep = picard_iterate(spec, IterationConfig(max_iter=5))
     rep.history
     ball_membership(rep.u_final, 0.6, 0.2, 2.0, 1.0)
     orders = [1.2, 0.8, 0.5, 0.7, 0.6 * 1.5, 0.45, 0.6 * 1.8, (0.6 + 0.1) * 3.0, 0.6, (0.6 + 0.2) * 2.0]

@@ -173,9 +173,7 @@ def test_frac_power_pointwise_bound(dom1d_small):
     cs = []
     for n in (80, 160):
         dom = build_domain(Ball(center=(0.0,), radius=1.0), n, margin_cells=n // 10)
-        solver = assemble(dom, S)
-        f = sample(lambda x: np.ones_like(x), dom)
-        v = solve_poisson(solver, f)
+        v = solve_poisson(sample(lambda x: np.ones_like(x), dom), S)
         lhs = np.abs(apply_frac_power(v, t).interior)
         gradmag = np.sqrt((central_gradient(v) ** 2).sum(axis=1))
         J = riesz_potential(dom.from_interior(gradmag), dom.dimension + t - 1.0).interior
@@ -188,9 +186,7 @@ def test_frac_power_pointwise_bound(dom1d_small):
 def test_riesz_gradient_potential_bound(dom1d_small):
     # |grad^s v| <= 1/(N-(1-s)) J_{N-(1-s)}(|grad v|) node-wise on a solved instance
     dom = dom1d_small
-    solver = assemble(dom, S)
-    f = sample(lambda x: np.ones_like(x), dom)
-    v = solve_poisson(solver, f)
+    v = solve_poisson(sample(lambda x: np.ones_like(x), dom), S)
     g = np.sqrt((apply_riesz_gradient(v, S) ** 2).sum(axis=1))
     gradmag = np.sqrt((central_gradient(v) ** 2).sum(axis=1))
     lam = dom.dimension - (1.0 - S)

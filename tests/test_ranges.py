@@ -45,7 +45,7 @@ def domain_builds(monkeypatch):
     return builds
 
 
-# each call returned a value, or refused naming another cause than its argument
+# each call returned a value, or refused naming another cause than its argument, or built a domain first
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -61,8 +61,12 @@ def domain_builds(monkeypatch):
         (lambda u: lp_norm(u, nan), "p must be >= 1, got nan"),
         (lambda u: regularity_probe(0.0, 0.6, 0.5, 2.0, (32, 64), m=nan, N=1), "m must be >= 1, got nan"),
         (lambda u: regularity_probe(0.0, 0.6, 0.5, nan, (32, 64, 128), N=1), "p must be >= 1, got nan"),
-        (lambda u: regularity_probe(nan, 0.6, 0.5, 2.0, (32, 64), N=1), "beta must be below 1, got nan"),
+        (lambda u: regularity_probe(nan, 0.6, 0.5, 2.0, (32, 64), N=1), "beta must lie in [0,1), got nan"),
+        (lambda u: regularity_probe(-1.0, 0.6, 0.5, 2.0, (32, 64), N=1), "beta must lie in [0,1), got -1.0"),
+        (lambda u: regularity_probe(0.5, 1.2, 0.5, 2.0, (32, 64), N=1), "s must lie in (0,1), got 1.2"),
         (lambda u: optimality_obstruction(2, 0.55, nan, 0.25, [1.0, 0.5]), "m must be >= 1, got nan"),
+        (lambda u: optimality_obstruction(2, nan, 1.0, 0.25, [1.0, 0.5]), "s must lie in (0,1), got nan"),
+        (lambda u: optimality_obstruction(2, 1.2, 1.0, 0.25, [1.0, 0.5]), "s must lie in (0,1), got 1.2"),
         (lambda u: origin_cell_moment(0.1, 2, nan), "power must exceed -2, got nan"),
         (lambda u: radial_bump(u.domain, (0.0,), nan), "rho must be positive and finite, got nan"),
         (lambda u: apply_B_sq(u, 0.6, nan), "q must exceed 1, got nan"),
@@ -77,7 +81,11 @@ def domain_builds(monkeypatch):
         "regularity_probe-m",
         "regularity_probe-p",
         "regularity_probe-beta",
+        "regularity_probe-negative-beta",
+        "regularity_probe-s",
         "optimality_obstruction-m",
+        "optimality_obstruction-s",
+        "optimality_obstruction-s-above-1",
         "origin_cell_moment-power",
         "radial_bump-rho",
         "apply_B_sq-q",
