@@ -32,7 +32,6 @@ __all__ = [
     "Annulus",
     "GridDomain",
     "GridFunction",
-    "DEFAULT_CUTOFF_FACTOR",
     "build_domain",
     "centered_ball_domain",
     "check_dimension",
@@ -138,17 +137,17 @@ def check_dimension(N: int) -> int:
     return N
 
 
-def _grid_bytes(N: int, n: int) -> int:
-    """An upper estimate of the peak bytes of GridDomain.__init__ on n^N nodes.
+def _grid_bytes(N: int, n: int, interior: int = 0) -> int:
+    """An upper estimate of the peak bytes of GridDomain.__init__ on n^N nodes, `interior` of them inside the shape.
 
-    The peak comes as interior_coords is gathered: the axis centres, the mask
-    (a byte per node) and 3N words per interior node (interior_index, the
-    gathered columns and their stack).  Counting every node as interior makes
-    it tight for a grid that its shape nearly fills; the shape predicate, two
-    words per node on the open mesh, stays below.  2^12 words more cover the
+    Beside the axis centres and the open mesh (2N n words), the predicate of a
+    Ball or Annulus holds two words per node (the summed squares and their
+    sqrt); gathering holds the mask (a byte per node) and 2N + 1 words per
+    interior node (interior_index, interior_coords and one column).
+    interior = 0 estimates the predicate alone.  2^12 words more cover the
     small allocations.
     """
-    return (24 * N + 1) * n**N + 8 * (N * n + 2**12)
+    return n**N + 8 * (2 * N * n + max(2 * n**N, (2 * N + 1) * interior) + 2**12)
 
 
 class GridDomain:
@@ -180,7 +179,8 @@ class GridDomain:
             raise ConfigurationError("bounding box must yield identical spacing on all axes")
         if spacings[0] <= 0:
             raise ConfigurationError("bounding box is degenerate")
-        _check_memory(_grid_bytes(len(lo), n), f"the {len(lo)}D grid at n = {n}", "use fewer nodes")
+        what = f"the {len(lo)}D grid at n = {n}"
+        _check_memory(_grid_bytes(len(lo), n), what, "use fewer nodes")
 
         self.dimension = len(lo)
         self.lo = lo
@@ -204,9 +204,12 @@ class GridDomain:
         self.interior_count = int(mask.sum())
         if self.interior_count < 1:
             raise ConfigurationError("shape has empty interior on this grid")
+        _check_memory(_grid_bytes(self.dimension, n, self.interior_count), what, "use fewer nodes")
 
         self.interior_index = np.argwhere(mask)
-        self.interior_coords = np.stack([ax[i] for ax, i in zip(axes, self.interior_index.T)], axis=-1)
+        self.interior_coords = np.empty((self.interior_count, self.dimension))
+        for k, ax in enumerate(axes):
+            self.interior_coords[:, k] = ax[self.interior_index[:, k]]
 
         # exterior-zero values must be representable: outermost layer stays exterior
         if (self.interior_index == 0).any() or (self.interior_index == n - 1).any():

@@ -98,7 +98,7 @@ def test_oversized_grid_refused_before_allocation_exit2(tmp_path, capsys, monkey
     text = SOLVE_CFG.replace("dimension = 1", "dimension = 2").replace("levels = 40,80,160", "levels = 1000000,2000000")
     assert run("solve", _write(tmp_path, "big.ini", text), tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert "the 2D grid at n = 1000000 needs 4.67e+07 MB, but only 8.19e+03 MB of memory is available" in err
+    assert "the 2D grid at n = 1000000 needs 1.62e+07 MB, but only 8.19e+03 MB of memory is available" in err
     assert not (tmp_path / "out" / "solve.csv").exists()
     assert table_builds == []
 

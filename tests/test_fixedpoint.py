@@ -29,9 +29,7 @@ S = 0.6
 
 @pytest.fixture(scope="module")
 def small():
-    dom = build_domain(Ball(center=(0.0,), radius=1.0), 160, margin_cells=16)
-    solver = assemble(dom, S)
-    return dom, solver
+    return build_domain(Ball(center=(0.0,), radius=1.0), 160, margin_cells=16)
 
 
 def test_lemma_g_root_unit_case():
@@ -143,7 +141,7 @@ def test_threshold_scheme_mismatch():
 @pytest.mark.parametrize("name", ["mu", "f"])
 def test_problem_spec_refuses_nonfinite_fields(small, name, value):
     # rhs(0) = lambda f holds only for finite mu: a non-finite mu makes mu * 0 a NaN
-    dom, _ = small
+    dom = small
     fields = {"mu": dom.from_interior(np.ones(dom.interior_count)), "f": dom.zeros()}
     bad = np.ones(dom.interior_count)
     bad[dom.interior_count // 2] = value
@@ -155,7 +153,7 @@ def test_problem_spec_refuses_nonfinite_fields(small, name, value):
 @pytest.mark.parametrize("lam", [0.0, -0.3, math.nan, math.inf])
 def test_problem_spec_refuses_nonpositive_or_nonfinite_lambda(small, lam):
     # a NaN or infinite lambda used to pass, and failed only in the first solve
-    dom, _ = small
+    dom = small
     with pytest.raises(ParameterError, match="^lambda must be positive and finite"):
         ProblemSpec(rhs_kind="D_s2", s=S, lam=lam, mu=dom.from_interior(np.ones(dom.interior_count)), f=dom.zeros())
 
@@ -181,7 +179,7 @@ def test_problem_spec_refuses_nonpositive_or_nonfinite_lambda(small, lam):
     ],
 )
 def test_problem_spec_refuses_each_kinds_parameters(small, kind, params, message):
-    dom, _ = small
+    dom = small
     with pytest.raises(ParameterError, match=f"^{message}$"):
         ProblemSpec(rhs_kind=kind, s=S, lam=0.3, mu=dom.from_interior(np.ones(dom.interior_count)), f=dom.zeros(), **params)
 
@@ -206,7 +204,7 @@ def test_iteration_config_refuses_nonpositive_or_nonfinite(key, value):
 
 def test_picard_zero_forcing_converges_at_zero(small, monkeypatch):
     # zero forcing is read off lambda f: no operator is applied, one solve sets the divergence norm
-    dom, _ = small
+    dom = small
     mu = sample(lambda x: np.ones_like(x), dom)
     spec = ProblemSpec(rhs_kind="D_s2", s=S, lam=0.3, mu=mu, f=dom.zeros())
     rhs_calls, solves = _count_calls(monkeypatch)
@@ -220,7 +218,7 @@ def test_picard_zero_forcing_converges_at_zero(small, monkeypatch):
 
 
 def test_picard_manufactured_recovery(small):
-    dom, _ = small
+    dom = small
     mu = sample(lambda x: np.full_like(x, 0.5), dom)
     u_star = sample(lambda x: 0.2 * np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 2, dom)
     spec0 = ProblemSpec(rhs_kind="D_s2", s=S, lam=0.05, mu=mu, f=dom.zeros())
@@ -234,7 +232,8 @@ def test_picard_manufactured_recovery(small):
 
 
 def test_picard_monotone_iterates_for_positive_data(small):
-    dom, solver = small
+    dom = small
+    solver = assemble(dom, S)
     mu = sample(lambda x: np.ones_like(x), dom)
     f = sample(lambda x: np.maximum(1.0 - (x / 0.9) ** 2, 0.0), dom)
     spec = ProblemSpec(rhs_kind="D_s2", s=S, lam=0.2, mu=mu, f=f)
@@ -252,7 +251,7 @@ def test_picard_monotone_iterates_for_positive_data(small):
 
 
 def test_picard_B_sq_alpha_matches_D_s2(small):
-    dom, _ = small
+    dom = small
     mu = sample(lambda x: np.full_like(x, 0.8), dom)
     f = sample(lambda x: np.maximum(1.0 - (x / 0.7) ** 2, 0.0) ** 2, dom)
     cfg = IterationConfig(tolerance=1e-11, max_iter=60)
@@ -267,7 +266,7 @@ def test_picard_B_sq_alpha_matches_D_s2(small):
 
 
 def test_picard_lambda_doubling_eventually_diverges(small):
-    dom, _ = small
+    dom = small
     mu = sample(lambda x: np.ones_like(x), dom)
     f = sample(lambda x: np.maximum(1.0 - x**2, 0.0), dom)
     lam = 0.25
@@ -283,7 +282,7 @@ def test_picard_lambda_doubling_eventually_diverges(small):
 
 
 def test_picard_deterministic(small):
-    dom, _ = small
+    dom = small
     mu = sample(lambda x: np.ones_like(x), dom)
     f = sample(lambda x: np.maximum(1.0 - x**2, 0.0), dom)
     spec = ProblemSpec(rhs_kind="D_s2", s=S, lam=0.1, mu=mu, f=f)
@@ -295,7 +294,7 @@ def test_picard_deterministic(small):
 
 
 def test_picard_all_rhs_kinds_converge_small_lambda(small):
-    dom, _ = small
+    dom = small
     mu = sample(lambda x: np.full_like(x, 0.5), dom)
     f = sample(lambda x: np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 2, dom)
     kinds = [
@@ -328,7 +327,8 @@ def test_picard_first_iterate_reuses_the_forcing_solve(small, monkeypatch):
     # every rhs family vanishes at u = 0: the solve of lambda f that sets the
     # divergence norm is the first iterate, so a run solves once per iteration
     # and evaluates the rhs once per later iterate, plus once for the residual
-    dom, solver = small
+    dom = small
+    solver = assemble(dom, S)
     mu = sample(lambda x: np.full_like(x, 0.5), dom)
     f = sample(lambda x: np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 2, dom)
     solve = StiffnessOperator.solve_vector
@@ -403,7 +403,7 @@ def test_history_on_read_matches_eager_loop(dom1d_small, kw):
 
 
 def test_integrability_window_warning(small):
-    dom, _ = small
+    dom = small
     mu = sample(lambda x: np.ones_like(x), dom)
     f = dom.zeros()
     # N=1, s=0.6: window is (0.833, 5); m=20 falls outside and warns
@@ -413,7 +413,7 @@ def test_integrability_window_warning(small):
 
 
 def test_ball_membership_zero_and_monotone(small):
-    dom, _ = small
+    dom = small
     member, value = ball_membership(dom.zeros(), S, 0.1, 2.0, 0.5)
     assert member and value == 0.0
     u = sample(lambda x: 0.1 * np.maximum(1.0 - x**2, 0.0) ** 2, dom)
@@ -424,7 +424,7 @@ def test_ball_membership_zero_and_monotone(small):
 
 
 def test_ball_membership_high_order_path(small):
-    dom, _ = small
+    dom = small
     u = sample(lambda x: 0.1 * np.maximum(1.0 - x**2, 0.0) ** 2, dom)
     # order (s+eps)*r = 0.7*4 = 2.8 < N+2 = 3: direct pairwise summation path
     member, value = ball_membership(u, S, 0.1, 4.0, 1e9)
@@ -436,7 +436,7 @@ def test_ball_membership_high_order_path(small):
 def test_converged_iterate_in_derived_ball(small):
     # end-to-end: all-ones constants give l = 1/4; a small-lambda converged
     # iterate stays in the ball of radius l for the (s+eps, r) seminorm
-    dom, _ = small
+    dom = small
     done = threshold_from_constants(
         ThresholdConstants(reg_constant=1.0, mu_inf=1.0, f_norm=1.0, embed_constant=1.0),
         "P_lambda",

@@ -71,27 +71,29 @@ def test_four_dimensional_grid_refused(monkeypatch):
     ids=["ball", "box", "annulus"],
 )
 def test_grid_peak_matches_refusal_estimate(N, n, shape):
-    # the peak holds 3N words per interior node, and the estimate counts every
-    # node as interior: measured 1.00-1.04 (1D), 1.02-1.42 (2D) and 1.37-2.64
-    # (3D) times the traced peak; only the box, which fills 73-100% of these
-    # grids, is held to the tight bound
-    need = grids._grid_bytes(N, n)
+    # measured 1.06-1.25 (1D), 1.01 (2D) and 1.01-1.02 (3D) times the traced peak
     tracemalloc.start()
     try:
         dom = build_domain(shape(N), n, margin_cells=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= need
-    if isinstance(dom.shape, Box):
-        assert need <= 1.5 * peak
+    need = grids._grid_bytes(N, n, dom.interior_count)
+    assert peak <= need <= 1.5 * peak
 
 
 def test_grid_refused_before_allocation(monkeypatch):
-    # the estimate is checked before the mesh is allocated
+    # the predicate's estimate is checked before the mesh is allocated, the
+    # interior's before interior_index and interior_coords
+    I = build_domain(Ball((0.0, 0.0), 1.0), 400).interior_count
     monkeypatch.setattr(grids, "available_memory", lambda: grids._grid_bytes(2, 400) - 1)
-    with pytest.raises(ConfigurationError, match=r"^the 2D grid at n = 400 needs 7.51 MB, but only 7.51 MB"):
+    with pytest.raises(ConfigurationError, match=r"^the 2D grid at n = 400 needs 2.64 MB, but only 2.64 MB"):
         build_domain(Ball((0.0, 0.0), 1.0), 400)
+    monkeypatch.setattr(grids, "available_memory", lambda: grids._grid_bytes(2, 400, I) - 1)
+    with monkeypatch.context() as m:
+        m.setattr(np, "argwhere", lambda a: pytest.fail("gathered the interior"))
+        with pytest.raises(ConfigurationError, match=r"^the 2D grid at n = 400 needs 4.94 MB, but only 4.94 MB"):
+            build_domain(Ball((0.0, 0.0), 1.0), 400)
     assert build_domain(Ball((0.0, 0.0), 1.0), 399).nodes_per_axis == 399
 
 
