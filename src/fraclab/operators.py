@@ -110,12 +110,15 @@ def _pair_slabs(table: KernelTable):
     crop = table.weights
     lin = np.ravel_multi_index(table.domain.interior_index.T, crop.shape)
     crop, n = crop.ravel(), len(lin)
-    buf = np.empty(min(PAIR_BLOCK_ROWS, n) * n)
+    centred = crop.size // 2 + lin
+    size = min(PAIR_BLOCK_ROWS, n) * n
+    buf, idx = np.empty(size), np.empty(size, dtype=lin.dtype)
     for i0 in range(0, n, PAIR_BLOCK_ROWS):
         i1 = min(i0 + PAIR_BLOCK_ROWS, n)
-        w = buf[: (i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0)
+        shape = (i1 - i0, n - i0)
+        at = np.subtract(centred[i0:i1, None], lin[None, i0:], out=idx[: shape[0] * shape[1]].reshape(shape))
         # every index is in range; mode="clip" lets take fill w without a buffer
-        yield i0, i1, np.take(crop, crop.size // 2 + lin[i0:i1, None] - lin[None, i0:], out=w, mode="clip")
+        yield i0, i1, np.take(crop, at, out=buf[: at.size].reshape(shape), mode="clip")
 
 
 def pair_power_sum(table: KernelTable, ui: np.ndarray, p: float) -> np.ndarray:
@@ -127,8 +130,9 @@ def pair_power_sum(table: KernelTable, ui: np.ndarray, p: float) -> np.ndarray:
     """
     out = np.zeros(len(ui))
     below = np.tri(PAIR_BLOCK_ROWS, k=-1, dtype=bool)
+    buf = np.empty(min(PAIR_BLOCK_ROWS, len(ui)) * len(ui))
     for i0, i1, w in _pair_slabs(table):
-        diff = ui[i0:i1, None] - ui[None, i0:]
+        diff = np.subtract(ui[i0:i1, None], ui[None, i0:], out=buf[: w.size].reshape(w.shape))
         np.abs(diff, out=diff)
         diff **= p
         diff *= w

@@ -32,7 +32,18 @@ cross-check oracle.  It runs in chunks of MC_CHUNK samples on every usable
 core and holds about 16 bytes per sample (the per-sample values and one
 temporary of the closing standard deviation).  Each chunk draws its slice of
 the single seeded stream, so the estimate does not depend on the number of
-workers or the order the chunks finish in.
+workers or the order the chunks finish in.  For N = 2,
+
+    Phi(sigma) = 2 pi u^{-2 beta} 2F1(beta, 1/2; 1; -x),  u = 1-sigma,
+    x = 4 sigma/u^2,  beta = (N+ps)/2,
+
+and each call tabulates the 2F1 factor once, before its threads start: a
+degree-22 Chebyshev interpolant on [0, 1] and on every [2^(e-1), 2^e] up to
+the largest x with u >= _U_SWITCH (1,311 node values in all, within about
+4e-15 of the function), read per sample by Clenshaw's recurrence in blocks
+of _CLENSHAW_BLOCK samples.  At beta = 3/2 the node values come from the
+complete elliptic integral E, where scipy's hyp2f1 overflows.  A mean or
+standard error that is not finite raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, QuadratureError, check_range, check_unit_interval
+from .errors import ConsistencyError, ParameterError, QuadratureError, check_range, check_unit_interval
 from .grids import GridFunction, node_radii
 from .kernels import get_table, sphere_area
 from .operators import _d_omega_integrand
@@ -64,6 +75,10 @@ REGIONS = ("omega_omega", "d_omega")
 
 _U_SWITCH = 1e-8  # 1 - sigma below which the endpoint asymptotics take over
 MC_CHUNK = 1 << 16  # samples per independent chunk of the Monte-Carlo oracle
+_CHEB_DEGREE = 22  # of each dyadic piece of the N = 2 table of Phi
+# the table's pieces reach the binary exponent of the largest x = 4 sigma/(1-sigma)^2 with 1-sigma >= _U_SWITCH
+_PIECES = math.frexp(4.0 / _U_SWITCH**2)[1] + 1
+_CLENSHAW_BLOCK = 8192  # samples per pass of the table's Clenshaw sum
 
 
 @dataclass(frozen=True)
@@ -204,12 +219,61 @@ def hardy_constant(N: int, s: float, p: float, tol: float = 1e-6) -> HardyResult
     return HardyResult(value=lam, error_estimate=err, N=N, s=s, p=p)
 
 
-def _phi_closed(N: int, beta: float, sigma: np.ndarray, hyp2f1) -> np.ndarray:
-    """Closed forms of Phi for N in {2,3}, used only by the MC oracle; N = 2 calls scipy.special.hyp2f1."""
+def _hyp_table(beta: float) -> np.ndarray:
+    """Chebyshev coefficients of F(x) = 2F1(beta, 1/2; 1; -x), shape (_CHEB_DEGREE+1, _PIECES).
+
+    The pieces cover x in [0, 4/_U_SWITCH^2].  Piece 0 covers [0, 1] and piece e >= 1 covers [2^(e-1), 2^e]; each is
+    interpolated at the first-kind Chebyshev points of its degree.  At
+    beta = 3/2 (ps = 1) the node values come from the elliptic form
+    F(x) = (2/pi) E(x/(1+x)) / sqrt(1+x): scipy's hyp2f1 returns inf there
+    from x ~ 9e15 on.
+    """
+    from scipy.special import ellipe, hyp2f1
+
+    n = _CHEB_DEGREE + 1
+    theta = math.pi * (np.arange(n) + 0.5) / n
+    y = np.cos(theta)[:, None]
+    e = np.arange(_PIECES)
+    x = np.where(e > 0, np.ldexp(y + 3.0, e - 2), 0.5 * (y + 1.0))
+    if beta == 1.5:
+        F = (2.0 / math.pi) * ellipe(x / (1.0 + x)) / np.sqrt(1.0 + x)
+    else:
+        F = hyp2f1(beta, 0.5, 1.0, -x)
+    T = (2.0 / n) * np.cos(np.outer(np.arange(n), theta))
+    T[0] *= 0.5
+    return T @ F
+
+
+def _hyp_eval(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """F(x) from its _hyp_table by Clenshaw's recurrence, _CLENSHAW_BLOCK samples at a time."""
+    out = np.empty_like(x)
+    for b0 in range(0, len(x), _CLENSHAW_BLOCK):
+        xb = x[b0 : b0 + _CLENSHAW_BLOCK]
+        m, e = np.frexp(xb)
+        piece = np.maximum(e, 0)
+        y2 = np.where(e > 0, 8.0 * m - 6.0, 4.0 * xb - 2.0)  # twice the coordinate in [-1, 1) on the piece
+        b1 = table[-1].take(piece)
+        b2 = np.zeros_like(xb)
+        c = np.empty_like(xb)
+        for row in table[-2:0:-1]:
+            row.take(piece, out=c)
+            c -= b2
+            np.multiply(y2, b1, out=b2)
+            b2 += c
+            b1, b2 = b2, b1
+        table[0].take(piece, out=c)
+        out[b0 : b0 + len(xb)] = 0.5 * y2 * b1 - b2 + c
+    return out
+
+
+def _phi_closed(N: int, beta: float, sigma: np.ndarray, table: np.ndarray | None) -> np.ndarray:
+    """Closed forms of Phi for N in {2,3} and 1 - sigma >= _U_SWITCH, used only by the MC oracle.
+
+    N = 2 reads its 2F1 factor from table = _hyp_table(beta); N = 3 needs none.
+    """
     u = 1.0 - sigma
     if N == 2:
-        ksq = 4.0 * sigma / np.maximum(u, 1e-150) ** 2
-        return 2.0 * math.pi * u ** (-2.0 * beta) * hyp2f1(beta, 0.5, 1.0, -ksq)
+        return 2.0 * math.pi * u ** (-2.0 * beta) * _hyp_eval(table, 4.0 * sigma / u**2)
     bm1 = beta - 1.0
     sg = np.maximum(sigma, 1e-8)
     return 2.0 * math.pi / (2.0 * sg * bm1) * (u ** (-2.0 * bm1) - (1.0 + sg) ** (-2.0 * bm1))
@@ -255,9 +319,8 @@ def hardy_constant_mc(
     any worker count.
     """
     check_hardy_mc_args(N, s, p, samples)
-    from scipy.special import hyp2f1  # imported here, so no worker thread runs an import
-
     beta = (N + p * s) / 2.0
+    table = _hyp_table(beta) if N == 2 else None
     k = (N - p * s) / p
     ps = p * s
     g = p - ps
@@ -282,17 +345,22 @@ def hardy_constant_mc(
         F[far] = (
             sigma[far] ** (ps - 1.0)
             * np.abs(1.0 - sigma[far] ** k) ** p
-            * _phi_closed(N, beta, sigma[far], hyp2f1)
+            * _phi_closed(N, beta, sigma[far], table)
         )
         F[near] = k**p * cphi * np.maximum(u[near], 1e-300) ** (p - 1.0 - ps)
         vals[c0 : c0 + n] = 2.0 * F / dens
 
     starts = range(0, samples, MC_CHUNK)
-    # hyp2f1 and the numpy ufuncs release the GIL; each chunk fills its
-    # own slice of vals, and the reduction below is over the whole array
+    # the numpy ufuncs and take release the GIL; each chunk fills its own
+    # slice of vals, and the reduction below is over the whole array
     with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
         list(pool.map(chunk, starts))
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+    mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise ConsistencyError(
+            f"Monte-Carlo Hardy estimate {mean} with standard error {stderr} is not finite"
+        )
+    return mean, stderr
 
 
 def hardy_ratio(phi: GridFunction, s: float, p: float, weight_exponent: float) -> float:

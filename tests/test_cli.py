@@ -431,6 +431,16 @@ def test_hardy_checks_every_triple_before_quadrature(tmp_path, capsys, monkeypat
     assert not (tmp_path / "out" / "hardy.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_hardy_refuses_a_non_finite_mc_estimate(tmp_path, capsys, monkeypatch):
+    from fraclab import seminorms
+
+    monkeypatch.setattr(seminorms, "_phi_closed", lambda N, beta, sigma, table: np.full_like(sigma, np.inf))
+    assert run("hardy", _write(tmp_path, "hardy.ini", HARDY_CFG), tmp_path / "out") == 3
+    assert "Monte-Carlo Hardy estimate inf with standard error nan is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "hardy.csv").exists()
+
+
 EXP_CFG = """
 [run]
 propositions = P3.1,L-LPPS

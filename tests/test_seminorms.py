@@ -7,6 +7,7 @@ import pytest
 
 from fraclab import (
     Ball,
+    ConsistencyError,
     ParameterError,
     QuadratureError,
     apply_D_s2,
@@ -144,9 +145,8 @@ def test_hardy_functions_share_argument_check(fn):
 
 def _one_shot_mc(N, s, p, samples, seed):
     # the estimator as a single pass over all samples, both inverse CDFs
-    # evaluated everywhere; the chunked oracle must reproduce its bits
-    from scipy.special import hyp2f1
-
+    # evaluated everywhere, Phi read through the same table; the chunked
+    # oracle must reproduce its bits
     rng = np.random.default_rng(seed)
     beta = (N + p * s) / 2.0
     k = (N - p * s) / p
@@ -166,7 +166,7 @@ def _one_shot_mc(N, s, p, samples, seed):
     F[far] = (
         sigma[far] ** (ps - 1.0)
         * np.abs(1.0 - sigma[far] ** k) ** p
-        * seminorms._phi_closed(N, beta, sigma[far], hyp2f1)
+        * seminorms._phi_closed(N, beta, sigma[far], seminorms._hyp_table(beta) if N == 2 else None)
     )
     F[near] = k**p * cphi * np.maximum(u[near], 1e-300) ** (p - 1.0 - ps)
     vals = 2.0 * F / dens
@@ -207,6 +207,71 @@ def test_hardy_mc_memory_per_sample(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 24 * samples
+
+
+def _table_x():
+    # dense in [0, 1] and log-dense up to the largest x of the far branch
+    rng = np.random.default_rng(3)
+    x_max = 4.0 / seminorms._U_SWITCH**2
+    return np.concatenate(
+        [
+            rng.uniform(0.0, 1.0, 5_000),
+            np.exp(rng.uniform(math.log(1e-12), math.log(x_max), 40_000)),
+            [0.0, 0.5, 1.0, 2.0, 3.0, x_max],
+        ]
+    )
+
+
+def test_hyp_table_matches_hyp2f1():
+    from scipy.special import hyp2f1
+
+    x = _table_x()
+    betas = np.random.default_rng(5).uniform(1.0, 2.0, 20)
+    for beta in [*betas, 1.0 + 1e-9, 1.25, 2.0]:
+        ref = hyp2f1(beta, 0.5, 1.0, -x)
+        got = seminorms._hyp_eval(seminorms._hyp_table(beta), x)
+        assert np.abs(got / ref - 1.0).max() < 1e-13, beta
+
+
+def test_hyp_table_at_ps_one_matches_elliptic_form():
+    # beta = 3/2, where hyp2f1 overflows from x ~ 9e15 on
+    from scipy.special import ellipe
+
+    x = _table_x()
+    ref = (2.0 / math.pi) * ellipe(x / (1.0 + x)) / np.sqrt(1.0 + x)
+    got = seminorms._hyp_eval(seminorms._hyp_table(1.5), x)
+    assert np.all(np.isfinite(got))
+    assert np.abs(got / ref - 1.0).max() < 1e-13
+
+
+@pytest.mark.parametrize("samples", [1000, 300_000])
+def test_hardy_mc_calls_hyp2f1_on_the_table_nodes_only(monkeypatch, samples):
+    import scipy.special
+
+    evaluated = []
+    hyp2f1 = scipy.special.hyp2f1
+
+    def counting(a, b, c, z):
+        evaluated.append(np.size(z))
+        return hyp2f1(a, b, c, z)
+
+    monkeypatch.setattr(scipy.special, "hyp2f1", counting)
+    hardy_constant_mc(2, 0.6, 2.0, samples)
+    assert 0 < sum(evaluated) <= (seminorms._CHEB_DEGREE + 1) * seminorms._PIECES
+
+
+def test_hardy_mc_finite_at_ps_one():
+    # ps = 1 (beta = 3/2) returned (inf, nan) when Phi called hyp2f1 per sample
+    mc, err = hardy_constant_mc(2, 0.75, 4.0 / 3.0)
+    assert math.isfinite(mc) and math.isfinite(err)
+    assert abs(mc - hardy_constant(2, 0.75, 4.0 / 3.0).value) <= 5.0 * err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_hardy_mc_refuses_a_non_finite_estimate(monkeypatch):
+    monkeypatch.setattr(seminorms, "_phi_closed", lambda N, beta, sigma, table: np.full_like(sigma, np.inf))
+    with pytest.raises(ConsistencyError, match="^Monte-Carlo Hardy estimate inf with standard error nan is not finite$"):
+        hardy_constant_mc(2, 0.6, 2.0, 1000)
 
 
 @pytest.mark.parametrize("samples", [0, 1, -5, 2.5, 1e6, True])
