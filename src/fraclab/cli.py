@@ -30,11 +30,9 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    ConsistencyError,
     FraclabError,
     HypothesisViolation,
     ParameterError,
-    QuadratureError,
     check_range,
 )
 from .fixedpoint import IterationConfig, ProblemSpec, picard_iterate
@@ -633,10 +631,10 @@ def run(subcommand: str, config_path, out_dir=".") -> int:
         precision = cfg["output"]["precision"]
         _write_csv(out / f"{subcommand}.csv", header, rows, cfg.resolved_hash(), precision)
         return 0
-    except (ConfigurationError, ParameterError, HypothesisViolation, configparser.Error) as exc:
+    except (ConfigurationError, ParameterError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConsistencyError, QuadratureError, FraclabError) as exc:
+    except FraclabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -1,8 +1,9 @@
 """Picard iteration for the nonlocal fixed-point problems and their constants.
 
 The driver realizes successive substitution  u_{k+1} = S(rhs(u_k)),  u_0 = 0,
-for five right-hand-side families built from the nonlocal operators, each of
-which vanishes at u = 0, so the first iterate is u_1 = S(lambda f):
+for five right-hand-side families, each a nonlinear part built from the
+nonlocal operators plus lambda f.  The nonlinear part vanishes at u = 0, so
+the loop's first pass solves lambda f alone, and zero forcing runs no pass:
 
     D_s2:              mu * D_s^2(u)             + lambda f
     u_times_D_s2:      mu * u * D_s^2(u)         + lambda f
@@ -15,7 +16,8 @@ is passed in: picard_iterate assembles the stiffness operator once per call,
 and manufacture_forcing applies the one it assembles.  Convergence is
 declared on the relative successive difference; divergence on non-finite
 iterates or a sup-norm runaway.  The loop keeps only what the verdict needs,
-the iterates and their successive differences; the history norms (sup,
+the iterates and their successive differences, and the report is built once
+after it, its u_final read off the last iterate; the history norms (sup,
 energy and the L^r norm of (-Delta)^{s/2} u) are computed from the stored
 iterates the first time a report's history is read.  Every operator
 reads its kernel table at the cutoff radius of the shared domain.  The
@@ -92,6 +94,9 @@ class ProblemSpec:
         for name in ("mu", "f"):
             if not np.isfinite(getattr(self, name).values).all():
                 raise ParameterError(f"{name} must be finite at every node")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.lam * self.f.values).all():
+                raise ParameterError("lambda * f must be finite at every node")
         if self.rhs_kind == "abs_frac_power_q" and (self.t is None or not 0.0 < self.t < 1.0):
             raise ParameterError(f"abs_frac_power_q requires t in (0,1), got {self.t}")
         if self.rhs_kind in ("abs_frac_power_q", "riesz_grad_q", "B_sq_alpha") and (self.q is None or not self.q > 1.0):
@@ -134,12 +139,15 @@ class IterationReport:
     verdict: str  # converged | diverged | max_iter
     iterations: int
     final_residual: float | None
-    u_final: GridFunction
-    divergence_norm_used: float
     iterates: list[GridFunction] = field(repr=False)
     successive_diffs: list[float]
     spec: ProblemSpec = field(repr=False)
     solver: StiffnessOperator = field(repr=False)
+
+    @property
+    def u_final(self) -> GridFunction:
+        """The last stored iterate, or u = 0 when there is none."""
+        return self.iterates[-1] if self.iterates else self.spec.domain.zeros()
 
     @cached_property
     def history(self) -> dict[str, list[float]]:
@@ -251,20 +259,20 @@ def threshold_from_constants(constants: ThresholdConstants, scheme: str) -> Thre
     )
 
 
-def _rhs_eval(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
+def _nonlinear(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
+    """The right-hand side less lambda f: mu times the family's operator term, 0 at u = 0."""
     mu = spec.mu.interior
-    base = spec.lam * spec.f.interior
     if spec.rhs_kind == "D_s2":
-        return mu * apply_D_s2(u, spec.s).interior + base
+        return mu * apply_D_s2(u, spec.s).interior
     if spec.rhs_kind == "u_times_D_s2":
-        return mu * u.interior * apply_D_s2(u, spec.s).interior + base
+        return mu * u.interior * apply_D_s2(u, spec.s).interior
     if spec.rhs_kind == "abs_frac_power_q":
-        return mu * np.abs(apply_frac_power(u, spec.t).interior) ** spec.q + base
+        return mu * np.abs(apply_frac_power(u, spec.t).interior) ** spec.q
     if spec.rhs_kind == "riesz_grad_q":
         g = apply_riesz_gradient(u, spec.s)
-        return mu * ((g**2).sum(axis=1)) ** (spec.q / 2.0) + base
+        return mu * ((g**2).sum(axis=1)) ** (spec.q / 2.0)
     b = apply_B_sq(u, spec.s, spec.q).interior
-    return mu * b**spec.alpha + base
+    return mu * b**spec.alpha
 
 
 def _warn_integrability_window(spec: ProblemSpec) -> None:
@@ -286,50 +294,32 @@ def _warn_integrability_window(spec: ProblemSpec) -> None:
 def picard_iterate(spec: ProblemSpec, config: IterationConfig) -> IterationReport:
     """Run u_{k+1} = S(rhs(u_k)) from u_0 = 0 until the verdict is decided.
 
-    With mu finite, which ProblemSpec checks, every rhs family equals lambda f
-    at u = 0, so u_1 = S(lambda f): the solve that sets the default divergence
-    norm is the first iterate, and zero forcing converges at u = 0 after 0
-    iterations.
+    The nonlinear part vanishes at u = 0, so the first pass solves lambda f
+    alone, and its sup norm sets the default divergence norm.  Zero forcing
+    runs no pass: u = 0 is the fixed point, converged after 0 iterations.
     """
     _warn_integrability_window(spec)
     dom = spec.domain
     solver = assemble(dom, spec.s)
-
     forcing = spec.lam * spec.f.interior
-    v = solver.solve_vector(forcing)
-    base_sup = float(np.abs(v).max()) if v.size else 0.0
-    div_norm = (
-        config.divergence_norm
-        if config.divergence_norm is not None
-        else 1e6 * max(base_sup, 1e-300)
-    )
+    passes = config.max_iter if forcing.any() else 0
+    verdict, iterations, final_residual = ("max_iter", passes, None) if passes else ("converged", 0, 0.0)
+    div_norm = config.divergence_norm
 
     iterates: list[GridFunction] = []
     diffs: list[float] = []
-    u = dom.zeros()
-    if not forcing.any():
-        return IterationReport(
-            verdict="converged",
-            iterations=0,
-            final_residual=0.0,
-            u_final=u,
-            divergence_norm_used=div_norm,
-            iterates=iterates,
-            successive_diffs=diffs,
-            spec=spec,
-            solver=solver,
-        )
-
-    verdict, iterations, final_residual = "max_iter", config.max_iter, None
-    for k in range(1, config.max_iter + 1):
+    u, rhs = dom.zeros(), forcing
+    for k in range(1, passes + 1):
         if k > 1:
-            rhs = _rhs_eval(spec, u)
-            # a non-finite rhs fails the finite check below without a solve
-            v = solver.solve_vector(rhs) if np.all(np.isfinite(rhs)) else rhs
+            rhs = _nonlinear(spec, u) + forcing
+        # a non-finite rhs fails the finite check below without a solve
+        v = solver.solve_vector(rhs) if np.all(np.isfinite(rhs)) else rhs
         if not np.all(np.isfinite(v)):
             verdict, iterations = "diverged", k
             break
         sup = float(np.abs(v).max())
+        if div_norm is None:
+            div_norm = 1e6 * max(sup, 1e-300)
         diff = float(np.abs(v - u.interior).max()) / max(sup, 1e-300)
         u = dom.from_interior(v)
         iterates.append(u)
@@ -339,15 +329,13 @@ def picard_iterate(spec: ProblemSpec, config: IterationConfig) -> IterationRepor
             break
         if diff <= config.tolerance:
             verdict, iterations = "converged", k
-            final_residual = solver.relative_residual(u.interior, _rhs_eval(spec, u))
+            final_residual = solver.relative_residual(u.interior, _nonlinear(spec, u) + forcing)
             break
 
     return IterationReport(
         verdict=verdict,
         iterations=iterations,
         final_residual=final_residual,
-        u_final=u,
-        divergence_norm_used=div_norm,
         iterates=iterates,
         successive_diffs=diffs,
         spec=spec,
@@ -358,10 +346,9 @@ def picard_iterate(spec: ProblemSpec, config: IterationConfig) -> IterationRepor
 def manufacture_forcing(spec: ProblemSpec, u_star: GridFunction) -> GridFunction:
     """Forcing f making u_star an exact discrete fixed point of spec's map.
 
-    Solves  lambda f = A u* - (rhs(u*) - lambda f)  for f, i.e. subtracts the
-    nonlinear part of the right-hand side from the stiffness action.
+    Solves  lambda f = A u* - nonlinear(u*)  for f: the stiffness action less
+    the right-hand side's nonlinear part; spec.f is not read.
     """
-    zero_f = replace(spec, f=spec.domain.zeros())
-    nonlinear = _rhs_eval(zero_f, u_star)
+    nonlinear = _nonlinear(spec, u_star)
     f_vec = (assemble(spec.domain, spec.s).matvec(u_star.interior) - nonlinear) / spec.lam
     return spec.domain.from_interior(f_vec)

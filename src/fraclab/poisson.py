@@ -26,13 +26,12 @@ kernel table is memoized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError, check_unit_interval
 from .grids import GridDomain, GridFunction
-from .kernels import _box_product, _diagonal, _read_only, get_table
+from .kernels import _box_product, _diagonal, get_table
 
 __all__ = [
     "StiffnessOperator",
@@ -57,11 +56,6 @@ class StiffnessOperator:
         full = np.zeros((self.domain.nodes_per_axis,) * self.domain.dimension)
         full[self.domain.interior_mask] = v
         return _box_product(full, symbol, self.domain)
-
-    @cached_property
-    def inverse_symbol(self) -> np.ndarray:
-        """1/symbol, the preconditioner's symbol, computed once per operator; read-only."""
-        return _read_only(1.0 / self.symbol)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """A v, as the fractional Laplacian of the exterior-zero extension of v."""
@@ -92,8 +86,9 @@ class StiffnessOperator:
         stop = PCG_RTOL * np.linalg.norm(rhs)
         r = rhs.copy()
         p, rz = np.zeros_like(rhs), 1.0  # with p = 0 the first direction is z
+        inverse_symbol = 1.0 / self.symbol
         for _ in range(PCG_MAX_ITER):
-            z = self._box_apply(self.inverse_symbol, r)
+            z = self._box_apply(inverse_symbol, r)
             rz, rz_prev = r @ z, rz
             p = z + (rz / rz_prev) * p
             Ap = self.matvec(p)

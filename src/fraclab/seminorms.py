@@ -15,8 +15,8 @@ operator energy identity hold to machine precision.  ball_membership sums
 the same pairs at orders up to N+2; it is the invariant-ball check that a
 caller applies to an iterate of the fixed-point driver.
 
-The sharp Hardy constant is evaluated from its one-dimensional double
-integral
+The sharp Hardy constant is evaluated, for ps < N (both oracles refuse any
+other triple), from its one-dimensional double integral
 
     Lambda_{N,s,p} = 2 int_0^1 sigma^{ps-1} |1 - sigma^{(N-ps)/p}|^p
                      Phi_{N,s,p}(sigma) dsigma,
@@ -163,9 +163,11 @@ def _phi_quad(N: int, beta: float, sigma: float) -> tuple[float, float]:
     return SN2 * (v1 + v2), SN2 * (e1 + e2)
 
 
-def _check_hardy_args(s: float, p: float) -> None:
+def _check_hardy_args(N: int, s: float, p: float) -> None:
     check_unit_interval("s", s)
     check_range("p", p, 1.0)
+    # the integral form of Lambda_{N,s,p} holds for ps < N only
+    check_range("p*s", p * s, 0.0, N)
 
 
 def hardy_constant(N: int, s: float, p: float, tol: float = 1e-6) -> HardyResult:
@@ -175,7 +177,7 @@ def hardy_constant(N: int, s: float, p: float, tol: float = 1e-6) -> HardyResult
     error estimate exceeds tol.
     """
     check_range("N", N, 2, closed=True)
-    _check_hardy_args(s, p)
+    _check_hardy_args(N, s, p)
     check_range("tol", tol, 0.0)
     from scipy.integrate import quad
 
@@ -280,10 +282,10 @@ def _phi_closed(N: int, beta: float, sigma: np.ndarray, table: np.ndarray | None
 
 
 def check_hardy_mc_args(N: int, s: float, p: float, samples: int) -> None:
-    """The arguments hardy_constant_mc accepts: N in {2,3}, s in (0,1), p > 1, an integer samples >= 2."""
+    """The arguments hardy_constant_mc accepts: N in {2,3}, s in (0,1), p > 1, ps < N, an integer samples >= 2."""
     if N not in (2, 3):
         raise ParameterError(f"Monte-Carlo Hardy oracle implemented for N in {{2,3}}, got {N}")
-    _check_hardy_args(s, p)
+    _check_hardy_args(N, s, p)
     if not isinstance(samples, (int, np.integer)) or samples < 2:
         raise ParameterError(f"samples must be an integer >= 2, got {samples!r}")
 

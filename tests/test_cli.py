@@ -419,6 +419,10 @@ def test_hardy_refuses_negative_mc_samples(tmp_path, capsys):
         (("3:0.3:2.0", "3:0.3:2.0,4:0.5:2"), "implemented for N in {2,3}, got 4"),
         (("mc_samples = 20000", "mc_samples = 1"), "samples must be an integer >= 2, got 1"),
         (("3:0.3:2.0", "3:0.3:nan"), "p must exceed 1, got nan"),
+        # ps >= N exited 1 with an OverflowError, a TypeError and a ZeroDivisionError
+        (("3:0.3:2.0", "3:0.3:2.0,2:0.9:3.0"), "p*s must lie in (0,2), got 2.7"),
+        (("3:0.3:2.0", "3:0.3:2.0,3:0.9:3.5"), "p*s must lie in (0,3), got 3.15"),
+        (("3:0.3:2.0", "3:0.3:2.0,2:0.5:4.0"), "p*s must lie in (0,2), got 2.0"),
     ],
 )
 def test_hardy_checks_every_triple_before_quadrature(tmp_path, capsys, monkeypatch, change, message):

@@ -158,6 +158,14 @@ def test_problem_spec_refuses_nonpositive_or_nonfinite_lambda(small, lam):
         ProblemSpec(rhs_kind="D_s2", s=S, lam=lam, mu=dom.from_interior(np.ones(dom.interior_count)), f=dom.zeros())
 
 
+def test_problem_spec_refuses_an_overflowing_forcing(small):
+    # the first Picard pass solves lambda f; an infinite one is bad data, not a divergence
+    dom = small
+    with pytest.raises(ParameterError, match=r"^lambda \* f must be finite at every node$"):
+        ProblemSpec(rhs_kind="D_s2", s=S, lam=1e300, mu=dom.from_interior(np.ones(dom.interior_count)),
+                    f=dom.from_interior(np.full(dom.interior_count, 1e10)))
+
+
 @pytest.mark.parametrize(
     "kind, params, message",
     [
@@ -203,7 +211,7 @@ def test_iteration_config_refuses_nonpositive_or_nonfinite(key, value):
 
 
 def test_picard_zero_forcing_converges_at_zero(small, monkeypatch):
-    # zero forcing is read off lambda f: no operator is applied, one solve sets the divergence norm
+    # zero forcing is read off lambda f: the loop runs no pass, so no operator is applied and nothing is solved
     dom = small
     mu = sample(lambda x: np.ones_like(x), dom)
     spec = ProblemSpec(rhs_kind="D_s2", s=S, lam=0.3, mu=mu, f=dom.zeros())
@@ -214,7 +222,7 @@ def test_picard_zero_forcing_converges_at_zero(small, monkeypatch):
     assert rep.final_residual == 0.0
     assert np.all(rep.u_final.values == 0.0)
     assert rhs_calls == []
-    assert len(solves) == 1
+    assert solves == []
 
 
 def test_picard_manufactured_recovery(small):
@@ -241,10 +249,10 @@ def test_picard_monotone_iterates_for_positive_data(small):
     # replicate the iteration to inspect monotonicity node-wise
     u = dom.zeros()
     prev = u.interior
-    from fraclab.fixedpoint import _rhs_eval
+    from fraclab.fixedpoint import _nonlinear
 
     for _ in range(8):
-        u = dom.from_interior(solver.solve_vector(_rhs_eval(spec, u)))
+        u = dom.from_interior(solver.solve_vector(_nonlinear(spec, u) + spec.lam * f.interior))
         assert np.all(u.interior >= prev - 1e-14)
         assert np.all(u.interior >= 0.0)
         prev = u.interior
@@ -312,13 +320,13 @@ def test_picard_all_rhs_kinds_converge_small_lambda(small):
 
 
 def _count_calls(monkeypatch):
-    """Lists that record each _rhs_eval call and each solve's right-hand side."""
+    """Lists that record each _nonlinear call and each solve's right-hand side."""
     from fraclab import fixedpoint
 
     rhs_calls, solves = [], []
-    rhs_eval = fixedpoint._rhs_eval
+    nonlinear = fixedpoint._nonlinear
     solve = StiffnessOperator.solve_vector
-    monkeypatch.setattr(fixedpoint, "_rhs_eval", lambda spec, u: rhs_calls.append(u) or rhs_eval(spec, u))
+    monkeypatch.setattr(fixedpoint, "_nonlinear", lambda spec, u: rhs_calls.append(u) or nonlinear(spec, u))
     monkeypatch.setattr(StiffnessOperator, "solve_vector", lambda self, b: solves.append(b) or solve(self, b))
     return rhs_calls, solves
 
@@ -346,20 +354,52 @@ def test_picard_first_iterate_reuses_the_forcing_solve(small, monkeypatch):
         assert rep.iterates[0].interior.tobytes() == solve(solver, solves[0]).tobytes()
 
 
+def test_picard_u_final_is_the_last_iterate_on_every_exit(small, monkeypatch):
+    from fraclab import fixedpoint
+
+    dom = small
+    mu = sample(lambda x: np.full_like(x, 0.5), dom)
+    f = sample(lambda x: np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 2, dom)
+    for lam, max_iter, verdict in [(0.02, 150, "converged"), (0.02, 3, "max_iter"), (5.0, 150, "diverged")]:
+        spec = ProblemSpec(rhs_kind="riesz_grad_q", s=S, lam=lam, mu=mu, f=f, q=1.5)
+        rep = picard_iterate(spec, IterationConfig(tolerance=1e-10, max_iter=max_iter))
+        assert rep.verdict == verdict
+        assert rep.u_final is rep.iterates[-1]
+
+    # a non-finite rhs on the third pass stops the loop before it stores an iterate
+    nonlinear = fixedpoint._nonlinear
+    calls = []
+
+    def blows_up(spec, u):
+        calls.append(u)
+        return np.full(dom.interior_count, np.inf) if len(calls) == 2 else nonlinear(spec, u)
+
+    monkeypatch.setattr(fixedpoint, "_nonlinear", blows_up)
+    spec = ProblemSpec(rhs_kind="D_s2", s=S, lam=0.02, mu=mu, f=f)
+    rep = picard_iterate(spec, IterationConfig(tolerance=1e-10, max_iter=150))
+    assert (rep.verdict, rep.iterations, len(rep.iterates)) == ("diverged", 3, 2)
+    assert rep.u_final is rep.iterates[-1]
+
+    rep = picard_iterate(ProblemSpec(rhs_kind="D_s2", s=S, lam=0.02, mu=mu, f=dom.zeros()), IterationConfig())
+    assert rep.iterates == []
+    assert rep.u_final.domain is dom and not rep.u_final.values.any()
+
+
 def _eager_history(spec, config, solver):
     """History as the Picard loop first recorded it, every norm on every pass."""
-    from fraclab.fixedpoint import _rhs_eval
+    from fraclab.fixedpoint import _nonlinear
 
     dom = spec.domain
     hN = dom.h**dom.dimension
-    base = solver.solve_vector(spec.lam * spec.f.interior)
+    forcing = spec.lam * spec.f.interior
+    base = solver.solve_vector(forcing)
     div_norm = 1e6 * max(float(np.abs(base).max()), 1e-300)
     history = {"sup_norm": [], "energy_norm": [], "frac_half_norm": [], "successive_diff": []}
     u = dom.zeros()
-    if not np.any(_rhs_eval(spec, u)):
+    if not np.any(_nonlinear(spec, u) + forcing):
         return history
     for _ in range(config.max_iter):
-        rhs = _rhs_eval(spec, u)
+        rhs = _nonlinear(spec, u) + forcing
         if not np.all(np.isfinite(rhs)):
             break
         v = solver.solve_vector(rhs)

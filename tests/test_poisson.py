@@ -233,16 +233,6 @@ def test_pcg_matches_dense_solve(N, n, s, bound):
     assert np.abs(got - ref).max() <= bound * np.abs(ref).max()
 
 
-def test_preconditioner_symbol_computed_once(dom1d):
-    op = assemble(dom1d, S)
-    rhs = np.ones(dom1d.interior_count)
-    first = op.solve_vector(rhs)
-    inverse = op.inverse_symbol
-    assert op.solve_vector(rhs).tobytes() == first.tobytes()
-    assert op.inverse_symbol is inverse and not inverse.flags.writeable
-    assert inverse.tobytes() == (1.0 / op.symbol).tobytes()
-
-
 def test_pcg_past_iteration_cap_is_consistency_error(dom1d, monkeypatch):
     op = assemble(dom1d, S)
     monkeypatch.setattr(poisson, "PCG_MAX_ITER", 2)

@@ -141,6 +141,12 @@ def test_hardy_functions_share_argument_check(fn):
         fn(2, 0.6, 1.0)
     with pytest.raises(ParameterError, match="^p must exceed 1, got nan$"):
         fn(2, 0.6, math.nan)
+    # the integral form needs ps < N; past it the quadrature overflowed or took a
+    # complex power while the Monte-Carlo oracle returned a number, and at ps = N
+    # both returned 0
+    for N, s, p in [(2, 0.9, 3.0), (3, 0.9, 3.5), (2, 0.5, 4.0)]:
+        with pytest.raises(ParameterError, match=rf"^p\*s must lie in \(0,{N}\), got {p * s}$"):
+            fn(N, s, p)
 
 
 def _one_shot_mc(N, s, p, samples, seed):
