@@ -49,12 +49,10 @@ REQ = object()  # sentinel: key is required
 
 
 def _bool(v: str) -> bool:
-    lv = v.strip().lower()
-    if lv in ("true", "yes", "1", "on"):
-        return True
-    if lv in ("false", "no", "0", "off"):
-        return False
-    raise ConfigurationError(f"expected a boolean, got {v!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[v.strip().lower()]
+    except KeyError:
+        raise ConfigurationError(f"expected a boolean, got {v!r}") from None
 
 
 def _finite_float(v: str) -> float:

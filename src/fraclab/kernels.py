@@ -30,12 +30,12 @@ precision by construction, because every module reads the same weights.
 
 The interior pair weights w(z_i - z_j) depend on the node offset only, so no
 I x I array is ever formed: every interior sum that is linear in the data is
-one FFT correlation (_correlate) with the crop, on a periodic box of side
-next_fast_len(2n-1) that keeps wrapped terms off the grid.  kappa is such a
-correlation with the interior indicator, kappa = total + tail - (crop
-correlated with 1_interior).  The transform of the crop
-(KernelTable.spectrum), the symbol of the signed operators on that box
-(KernelTable.symbol) and the transform of the Riesz kernels
+one FFT correlation with the crop (_box_product with the crop's _spectrum),
+on a periodic box of side next_fast_len(2n-1) that keeps wrapped terms off
+the grid.  kappa is such a correlation with the interior indicator,
+kappa = total + tail - (crop correlated with 1_interior).  The transform
+of the crop (KernelTable.spectrum), the symbol of the signed operators on
+that box (KernelTable.symbol) and the transform of the Riesz kernels
 (KernelTable.riesz_spectrum) are computed once per table.  The transforms
 are numpy.fft's, taken in the passes and scaling of scipy.fft's pocketfft,
 so they give its bits (_rfftn, _irfftn).  A build whose
@@ -178,6 +178,8 @@ QUAD_POINTS = 2**16
 def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.ndarray:
     """Integrals of |y|^exponent over cells centered at offsets*h.
 
+    offsets has shape (rows, N), and exponent != -1 (a table passes
+    -(N+sigma) with sigma > 0, riesz_potential -lam with 0 < lam < N).
     Each row of offsets is a sorted absolute offset 0 <= z_1 <= ... <= z_N,
     not the origin (whose cell origin_cell_moment integrates), and is taken
     as given: the integral depends only on that sorted offset, and
@@ -197,16 +199,12 @@ def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.
     contiguous row, are summed by numpy's pairwise sum over that row.
     """
     offsets = np.asarray(offsets, dtype=int)
-    if offsets.ndim == 1:
-        offsets = offsets[:, None]
     ndim = offsets.shape[1]
     if ndim == 1:
         z = offsets[:, 0].astype(float)
         lo = (z - 0.5) * h
         hi = (z + 0.5) * h
         e1 = exponent + 1.0
-        if abs(e1) < 1e-14:
-            return np.log(hi / lo)
         return (hi**e1 - lo**e1) / e1
 
     rinf = offsets[:, -1]
@@ -510,11 +508,6 @@ def _box_product(values: np.ndarray, spectrum: np.ndarray, domain: GridDomain) -
     """
     shape = _box_shape(domain)
     return _irfftn(spectrum * _rfftn(values, shape), shape, domain.nodes_per_axis)[..., domain.interior_mask]
-
-
-def _correlate(values: np.ndarray, kernel: np.ndarray, domain: GridDomain) -> np.ndarray:
-    """sum_j kernel[z_j - z_i] values_j at interior nodes i, for an exterior-zero grid array."""
-    return _box_product(values, _spectrum(kernel, domain), domain)
 
 
 def _stride_coupling(table: KernelTable) -> float:

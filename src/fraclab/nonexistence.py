@@ -48,8 +48,7 @@ def _certificate(phi: GridFunction, f: GridFunction, mu1: float, s: float, phi_i
     if f.domain is not phi.domain:
         raise ParameterError("f and phi must live on the same domain")
     num = gagliardo_double_sum(phi, 2.0, s, "d_omega")
-    phi2 = phi.domain.from_interior(phi.interior**2)
-    den = integrate(GridFunction(f.domain, f.values * phi2.values))
+    den = integrate(f.domain.from_interior(f.interior * phi.interior**2))
     if not den > 0.0:
         return None
     return Certificate(

@@ -45,7 +45,7 @@ from .kernels import (
     KernelTable,
     _box_product,
     _cell_crop,
-    _correlate,
+    _spectrum,
     get_table,
     normalization_constant,
     origin_cell_moment,
@@ -101,34 +101,29 @@ def apply_frac_power(u: GridFunction, t: float) -> GridFunction:
     return _signed_apply(u, get_table(u.domain, t))
 
 
-def _pair_slabs(table: KernelTable):
-    """Yield (i0, i1, w): pair weights of slab (i0:i1, i0:), gathered from the crop into one reused buffer."""
+def pair_power_sum(table: KernelTable, ui: np.ndarray, p: float) -> np.ndarray:
+    """sum_j |u_i - u_j|^p w_ij over interior j.
+
+    The weights are exactly symmetric, so each unordered pair is evaluated
+    once: row slabs (i0:i1, i0:) sweep the upper triangle, gather their
+    weights from the crop and add their row sums to the slab's nodes and
+    their column sums to the partner nodes.
+    """
     crop = table.weights
     lin = np.ravel_multi_index(table.domain.interior_index.T, crop.shape)
     crop, n = crop.ravel(), len(lin)
     centred = crop.size // 2 + lin
+    out = np.zeros(n)
+    below = np.tri(PAIR_BLOCK_ROWS, k=-1, dtype=bool)
     size = min(PAIR_BLOCK_ROWS, n) * n
-    buf, idx = np.empty(size), np.empty(size, dtype=lin.dtype)
+    wbuf, buf, idx = np.empty(size), np.empty(size), np.empty(size, dtype=lin.dtype)
     for i0 in range(0, n, PAIR_BLOCK_ROWS):
         i1 = min(i0 + PAIR_BLOCK_ROWS, n)
         shape = (i1 - i0, n - i0)
         at = np.subtract(centred[i0:i1, None], lin[None, i0:], out=idx[: shape[0] * shape[1]].reshape(shape))
         # every index is in range; mode="clip" lets take fill w without a buffer
-        yield i0, i1, np.take(crop, at, out=buf[: at.size].reshape(shape), mode="clip")
-
-
-def pair_power_sum(table: KernelTable, ui: np.ndarray, p: float) -> np.ndarray:
-    """sum_j |u_i - u_j|^p w_ij over interior j.
-
-    The weights are exactly symmetric, so each unordered pair is evaluated
-    once: row slabs sweep the upper triangle and add their row sums to the
-    slab's nodes and their column sums to the partner nodes.
-    """
-    out = np.zeros(len(ui))
-    below = np.tri(PAIR_BLOCK_ROWS, k=-1, dtype=bool)
-    buf = np.empty(min(PAIR_BLOCK_ROWS, len(ui)) * len(ui))
-    for i0, i1, w in _pair_slabs(table):
-        diff = np.subtract(ui[i0:i1, None], ui[None, i0:], out=buf[: w.size].reshape(w.shape))
+        w = np.take(crop, at, out=wbuf[: at.size].reshape(shape), mode="clip")
+        diff = np.subtract(ui[i0:i1, None], ui[None, i0:], out=buf[: at.size].reshape(shape))
         np.abs(diff, out=diff)
         diff **= p
         diff *= w
@@ -206,4 +201,4 @@ def riesz_potential(g: GridFunction, lam: float) -> GridFunction:
     N, K = dom.dimension, dom.nodes_per_axis - 1
     W, _ = _cell_crop(dom, -lam, K, ball=False)
     W[(K,) * N] = origin_cell_moment(dom.h, N, -lam)
-    return dom.from_interior(_correlate(g.values, W, dom))
+    return dom.from_interior(_box_product(g.values, _spectrum(W, dom), dom))

@@ -25,6 +25,7 @@ kernel table is memoized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,11 @@ PCG_RTOL = 1e-14
 PCG_MAX_ITER = 500
 
 
+def _unit(b: np.ndarray) -> float:
+    """The power of two that brings max|b| into [1/2, 1); 1 for b = 0, at most 2^1023 for a subnormal max|b|."""
+    return math.ldexp(1.0, min(-math.frexp(float(np.abs(b).max(initial=0.0)))[1], 1023))
+
+
 @dataclass
 class StiffnessOperator:
     """Discrete (-Delta)^s over interior nodes, held as its symbol on the FFT box."""
@@ -62,8 +68,9 @@ class StiffnessOperator:
         return self._box_apply(self.symbol, v)
 
     def relative_residual(self, v: np.ndarray, b: np.ndarray) -> float:
-        """|A v - b| / max(|b|, 1e-300)."""
-        return float(np.linalg.norm(self.matvec(v) - b)) / max(float(np.linalg.norm(b)), 1e-300)
+        """|A v - b| / max(|b|, 1e-300), both norms taken of values scaled by _unit(b)."""
+        scale = _unit(b)
+        return float(np.linalg.norm(scale * (self.matvec(v) - b))) / max(float(np.linalg.norm(scale * b)), 1e-300)
 
     def energy(self, u: GridFunction) -> float:
         """<A u, u>_h; equals (a/2) * gagliardo d_omega sum by weight sharing."""
@@ -76,6 +83,9 @@ class StiffnessOperator:
         Iterates from 0 until the updated residual is at most PCG_RTOL of
         |rhs|; a solve still above it after PCG_MAX_ITER iterations is a
         ConsistencyError, and a non-finite right-hand side a ParameterError.
+        It iterates on rhs scaled by _unit(rhs), so no inner product over- or
+        underflows; the scaling is exact, so x keeps the bits of an unscaled
+        solve that stays in range.
         """
         rhs = np.asarray(rhs, dtype=float)
         if not np.all(np.isfinite(rhs)):
@@ -83,8 +93,9 @@ class StiffnessOperator:
         x = np.zeros_like(rhs)
         if not rhs.any():
             return x
-        stop = PCG_RTOL * np.linalg.norm(rhs)
-        r = rhs.copy()
+        scale = _unit(rhs)
+        r = rhs * scale
+        stop = PCG_RTOL * np.linalg.norm(r)
         p, rz = np.zeros_like(rhs), 1.0  # with p = 0 the first direction is z
         inverse_symbol = 1.0 / self.symbol
         for _ in range(PCG_MAX_ITER):
@@ -96,7 +107,7 @@ class StiffnessOperator:
             x += alpha * p
             r -= alpha * Ap
             if np.linalg.norm(r) <= stop:
-                return x
+                return x / scale
         raise ConsistencyError(
             f"conjugate gradients did not reach a relative residual of {PCG_RTOL} in {PCG_MAX_ITER} iterations"
         )

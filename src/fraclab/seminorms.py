@@ -30,9 +30,10 @@ Phi(1-u) ~ c_Phi u^{-1-ps}.  An independent Monte-Carlo estimator of the same
 double integral (importance sampling in sigma, closed-form Phi) serves as the
 cross-check oracle.  It runs in chunks of MC_CHUNK samples on every usable
 core and holds about 16 bytes per sample (the per-sample values and one
-temporary of the closing standard deviation).  Each chunk draws its slice of
-the single seeded stream, so the estimate does not depend on the number of
-workers or the order the chunks finish in.  For N = 2,
+temporary of the closing standard deviation); MC_CHUNK alone bounds the
+temporaries of a chunk, its Clenshaw sums included.  Each chunk draws its
+slice of the single seeded stream, so the estimate does not depend on the
+number of workers or the order the chunks finish in.  For N = 2,
 
     Phi(sigma) = 2 pi u^{-2 beta} 2F1(beta, 1/2; 1; -x),  u = 1-sigma,
     x = 4 sigma/u^2,  beta = (N+ps)/2,
@@ -40,8 +41,8 @@ workers or the order the chunks finish in.  For N = 2,
 and each call tabulates the 2F1 factor once, before its threads start: a
 degree-22 Chebyshev interpolant on [0, 1] and on every [2^(e-1), 2^e] up to
 the largest x with u >= _U_SWITCH (1,311 node values in all, within about
-4e-15 of the function), read per sample by Clenshaw's recurrence in blocks
-of _CLENSHAW_BLOCK samples.  At beta = 3/2 the node values come from the
+4e-15 of the function), read by Clenshaw's recurrence over all the samples
+of a chunk at once.  At beta = 3/2 the node values come from the
 complete elliptic integral E, where scipy's hyp2f1 overflows.  A mean or
 standard error that is not finite raises ConsistencyError.
 """
@@ -74,11 +75,10 @@ __all__ = [
 REGIONS = ("omega_omega", "d_omega")
 
 _U_SWITCH = 1e-8  # 1 - sigma below which the endpoint asymptotics take over
-MC_CHUNK = 1 << 16  # samples per independent chunk of the Monte-Carlo oracle
+MC_CHUNK = 1 << 15  # samples per independent chunk of the Monte-Carlo oracle
 _CHEB_DEGREE = 22  # of each dyadic piece of the N = 2 table of Phi
 # the table's pieces reach the binary exponent of the largest x = 4 sigma/(1-sigma)^2 with 1-sigma >= _U_SWITCH
 _PIECES = math.frexp(4.0 / _U_SWITCH**2)[1] + 1
-_CLENSHAW_BLOCK = 8192  # samples per pass of the table's Clenshaw sum
 
 
 @dataclass(frozen=True)
@@ -247,25 +247,14 @@ def _hyp_table(beta: float) -> np.ndarray:
 
 
 def _hyp_eval(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """F(x) from its _hyp_table by Clenshaw's recurrence, _CLENSHAW_BLOCK samples at a time."""
-    out = np.empty_like(x)
-    for b0 in range(0, len(x), _CLENSHAW_BLOCK):
-        xb = x[b0 : b0 + _CLENSHAW_BLOCK]
-        m, e = np.frexp(xb)
-        piece = np.maximum(e, 0)
-        y2 = np.where(e > 0, 8.0 * m - 6.0, 4.0 * xb - 2.0)  # twice the coordinate in [-1, 1) on the piece
-        b1 = table[-1].take(piece)
-        b2 = np.zeros_like(xb)
-        c = np.empty_like(xb)
-        for row in table[-2:0:-1]:
-            row.take(piece, out=c)
-            c -= b2
-            np.multiply(y2, b1, out=b2)
-            b2 += c
-            b1, b2 = b2, b1
-        table[0].take(piece, out=c)
-        out[b0 : b0 + len(xb)] = 0.5 * y2 * b1 - b2 + c
-    return out
+    """F(x) from its _hyp_table by Clenshaw's recurrence."""
+    m, e = np.frexp(x)
+    piece = np.maximum(e, 0)
+    y2 = np.where(e > 0, 8.0 * m - 6.0, 4.0 * x - 2.0)  # twice the coordinate in [-1, 1) on the piece
+    b1, b2 = table[-1].take(piece), 0.0
+    for row in table[-2:0:-1]:
+        b1, b2 = y2 * b1 + (row.take(piece) - b2), b1
+    return 0.5 * y2 * b1 - b2 + table[0].take(piece)
 
 
 def _phi_closed(N: int, beta: float, sigma: np.ndarray, table: np.ndarray | None) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fraclab
-from fraclab import Ball, Box, StiffnessOperator, build_domain, fixedpoint, sample
+from fraclab import Annulus, Ball, Box, StiffnessOperator, build_domain, fixedpoint, sample
 from fraclab import cli, grids
 from fraclab.cli import ExperimentConfig, run
 
@@ -49,6 +49,39 @@ def test_solve_csv_schema_and_exit0(tmp_path):
     assert lines[0].startswith("# config_sha256=")
     assert lines[1] == "level,h,l2_error_vs_finest,ratio"
     assert len(lines) == 2 + 3
+
+
+@pytest.mark.parametrize(
+    "shape, keys, kind",
+    [("annulus", "r_inner = 0.4\nr_outer = 1.0", Annulus), ("box", "lo = -1.0,-0.5\nhi = 1.0,0.5", Box)],
+)
+def test_solve_on_annulus_and_box(tmp_path, shape, keys, kind):
+    text = (
+        SOLVE_CFG.replace("shape = ball", f"shape = {shape}\n{keys}")
+        .replace("dimension = 1", "dimension = 2")
+        .replace("margin_cells = 4", "margin_cells = 2")
+        .replace("levels = 40,80,160", "levels = 16,24")
+    )
+    cfg = _write(tmp_path, "solve.ini", text)
+    assert isinstance(cli._build_domain(ExperimentConfig.load("solve", cfg)["domain"]).shape, kind)
+    out = tmp_path / "out"
+    assert run("solve", cfg, out) == 0
+    assert len((out / "solve.csv").read_text().splitlines()) == 2 + 2
+
+
+@pytest.mark.parametrize(
+    "word, value",
+    [("TRUE", True), ("Yes", True), ("1", True), ("oN", True), ("fAlSe", False), ("nO", False), ("0", False), ("Off", False)],
+)
+def test_origin_offset_reads_every_boolean_word(tmp_path, word, value):
+    text = SOLVE_CFG.replace("radius = 1.0", f"radius = 1.0\norigin_offset = {word}")
+    assert ExperimentConfig.load("solve", _write(tmp_path, "b.ini", text))["domain"]["origin_offset"] is value
+
+
+def test_origin_offset_refuses_other_words_exit2(tmp_path, capsys):
+    text = SOLVE_CFG.replace("radius = 1.0", "radius = 1.0\norigin_offset = maybe")
+    assert run("solve", _write(tmp_path, "b.ini", text), tmp_path / "out") == 2
+    assert "[domain] origin_offset: 'maybe' (expected a boolean, got 'maybe')" in capsys.readouterr().err
 
 
 def test_rerun_bit_reproducible(tmp_path):
@@ -480,6 +513,22 @@ def test_iterate_zero_forcing(tmp_path):
     assert run("iterate", cfg, out) == 0
     lines = (out / "iterate.csv").read_text().splitlines()
     assert "converged" in lines[-1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dimension", ["1", "2"])
+def test_iterate_at_huge_lambda_diverges(tmp_path, dimension):
+    # the solve overflowed at this scale and ran 500 iterations on NaNs (exit 3)
+    text = (
+        SWEEP_CFG.replace("lambda_sweep = 0.05,0.1", "")
+        .replace("dimension = 1", f"dimension = {dimension}")
+        .replace("nodes_per_axis = 80", "nodes_per_axis = 24")
+        .replace("margin_cells = 8", "margin_cells = 2")
+        .replace("f = bump:0.9", "f = bump:0.7\nlambda = 1e200")
+    )
+    out = tmp_path / "out"
+    assert run("iterate", _write(tmp_path, "it.ini", text), out) == 0
+    assert (out / "iterate.csv").read_text().splitlines()[-1].split(",")[5] == "diverged"
 
 
 PROBE_CFG = """

@@ -289,3 +289,30 @@ def test_nonfinite_rhs_is_parameter_error(solver1d, dom1d, bad):
         solver1d.solve_vector(rhs)
     with pytest.raises(ParameterError):
         solve_poisson(dom1d.from_interior(rhs), S)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fixture", ["dom1d_small", "dom2d"])
+def test_solve_is_scale_free(fixture, request):
+    # r @ z overflowed from |rhs| ~ 1e154 on, and underflowed to 0 below ~ 1e-154
+    dom = request.getfixturevalue(fixture)
+    h = dom.from_interior(np.cos(dom.interior_coords).prod(axis=1))
+    unit = solve_poisson(h, S).interior
+    for c in (2.0**-1000, 1e-200, 1e160, 1e300):
+        v = solve_poisson(dom.from_interior(c * h.interior), S).interior
+        assert np.abs(v / c - unit).max() <= 1e-14 * np.abs(unit).max(), c
+
+
+@pytest.mark.filterwarnings("error")
+def test_relative_residual_is_scale_free(solver1d, dom1d):
+    # |b|^2 overflowed at this scale, and the residual read 0
+    b = np.ones(dom1d.interior_count)
+    v = solver1d.solve_vector(b)
+    c = 2.0**600
+    assert solver1d.relative_residual(c * v, c * b) == solver1d.relative_residual(v, b) > 0.0
+
+
+def test_subnormal_rhs_solves(solver1d, dom1d):
+    # the power of two that would bring 1e-310 into [1/2, 1) exceeds the largest double
+    b = np.full(dom1d.interior_count, 1e-310)
+    assert solver1d.relative_residual(solver1d.solve_vector(b), b) <= poisson.RESIDUAL_TOL

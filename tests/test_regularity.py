@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from fraclab import (
@@ -14,6 +15,7 @@ from fraclab import (
     power_law_cell_average,
     regularity_probe,
 )
+from fraclab.grids import centered_ball_domain, node_radii
 
 
 def test_p31_case1_spec_value():
@@ -127,6 +129,22 @@ def test_power_law_cell_average_mass():
     f = power_law_cell_average(dom, beta)
     exact = 2.0 / (1.0 - beta)  # int_{-1}^{1} |x|^-0.8
     assert lp_norm(f, 1.0) == pytest.approx(exact, rel=1e-2)
+
+
+# measured: 4.4e-3 at beta = 0.8 and 2.4e-2 at beta = 1.2 (2D, n = 32)
+@pytest.mark.parametrize("beta, bound", [(0.8, 6e-3), (1.2, 3e-2)])
+def test_power_law_cell_average_2d(beta, bound):
+    dom = centered_ball_domain(2, 32, 1.0)
+    f = power_law_cell_average(dom, beta).interior
+    r = node_radii(dom)
+    far = r >= 4.0 * dom.h
+    assert np.array_equal(f[far], r[far] ** -beta)
+    # the near-origin cells against a 64-per-axis midpoint average
+    off = ((np.arange(64) + 0.5) / 64 - 0.5) * dom.h
+    pts = np.stack([g.ravel() for g in np.meshgrid(off, off, indexing="ij")], axis=1)
+    y = dom.interior_coords[~far][:, None, :] + pts[None, :, :]
+    ref = (np.linalg.norm(y, axis=-1) ** -beta).mean(axis=1)
+    assert np.abs(f[~far] / ref - 1.0).max() <= bound
 
 
 def test_probe_smooth_data_bounded():
