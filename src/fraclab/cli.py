@@ -344,8 +344,6 @@ def _fmt(x, precision: int) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
         return f"{x:.{precision}g}"
     return str(x)
 
@@ -531,16 +529,9 @@ def _run_certify(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     span = 0.4 * (hi - lo)
     # one centre per axis sits at the origin, not at the corner of the span
     axis = np.linspace(-span / 2, span / 2, n_c) if n_c != 1 else np.zeros(1)
-    centers = [
-        tuple(c)
-        for c in np.stack(
-            np.meshgrid(*([axis] * dom.dimension), indexing="ij"),
-            axis=-1,
-        ).reshape(-1, dom.dimension)
-    ]
     family = []
     dropped = 0
-    for c in centers:
+    for c in itertools.product(axis, repeat=dom.dimension):
         for rho in cfg["run"]["bump_rhos"]:
             if isinstance(dom.shape, Ball):
                 # keep the support inside the ball so bumps are not truncated

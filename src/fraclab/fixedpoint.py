@@ -47,7 +47,7 @@ from .operators import (
     apply_frac_power,
     apply_riesz_gradient,
 )
-from .poisson import StiffnessOperator, assemble
+from .poisson import StiffnessOperator, _unit, assemble
 
 __all__ = [
     "RHS_KINDS",
@@ -153,7 +153,11 @@ class IterationReport:
     def history(self) -> dict[str, list[float]]:
         return {
             "sup_norm": [float(np.abs(u.interior).max()) for u in self.iterates],
-            "energy_norm": [math.sqrt(max(self.solver.energy(u), 0.0)) for u in self.iterates],
+            # u scaled by the power of two c = _unit(u) cannot overflow <A u, u>, and the scaling is exact
+            "energy_norm": [
+                math.sqrt(max(self.solver.energy((c := _unit(u.interior)) * u), 0.0)) / c
+                for u in self.iterates
+            ],
             "frac_half_norm": [
                 lp_norm(apply_frac_power(u, self.spec.s), FRAC_HALF_NORM_R)
                 for u in self.iterates

@@ -413,8 +413,8 @@ class KernelTable:
             raise ParameterError("the domain of this kernel table no longer exists")
         return domain
 
-    def origin_moment(self, p: float) -> float:
-        """Integral of |z|^{p-N-sigma} over the origin cell (requires p > sigma)."""
+    def local_moment(self, p: float) -> float:
+        """The origin-cell coefficient: the integral of |z|^{p-N-sigma} over the origin cell (requires p > sigma)."""
         return origin_cell_moment(self.domain.h, self.domain.dimension, p - self.domain.dimension - self.sigma)
 
     @cached_property
@@ -511,8 +511,14 @@ def _box_product(values: np.ndarray, spectrum: np.ndarray, domain: GridDomain) -
 
 
 def _stride_coupling(table: KernelTable) -> float:
-    """c = I0(2)/(8 h^2): the weight of each stride-2 neighbour in the origin-cell term L0 (see operators)."""
-    return table.origin_moment(2.0) / (8.0 * table.domain.h**2)
+    """c = I0(2)/(8 h^2), I0 = local_moment: the weight of each stride-2 neighbour in the origin-cell term.
+
+    That term, c sum_k (2 u_i - u_{i+2e_k} - u_{i-2e_k}), has the quadratic
+    form (I0(2)/2) sum_i |grad_h u_i|^2 over every node, exterior ones
+    included; operators._local_term at p = 2 is the same sum over the
+    interior nodes.
+    """
+    return table.local_moment(2.0) / (8.0 * table.domain.h**2)
 
 
 def _diagonal(table: KernelTable) -> float:

@@ -2,35 +2,28 @@
 
 All operators act on exterior-zero grid functions and return the same, and
 each takes its table from kernels.get_table by order, at the cutoff radius
-of the domain.  With
-P the interior pair-weight matrix, kappa the exterior mass and T = total+tail
-the full-space weight mass, the signed operators take the form
-
-    (-Delta)^sigma/2-type:   a * [ T u - P u + L0 u ]
-
-where L0 is the origin-cell term: the symmetrized stride-2 second difference
-weighted by half the origin moment  I0(2) = int_{cell0} |z|^{2-N-sigma} dz.
-L0 is exactly the symmetric operator whose quadratic form matches the
-|grad_h u|^2 * I0(2) origin term used by the squared operators and by the
-Gagliardo sums, so the energy identity
+of the domain.  A signed operator is a product with its real symbol on the
+FFT box (KernelTable.symbol, computed once per table), the one path that
+poisson.StiffnessOperator uses too; kernels._symbol writes its rows, whose
+origin cell is the stride-2 coupling of kernels._stride_coupling.  The
+squared gradient  D_s^2(u) = (a/2) int |u(x)-u(y)|^2 |x-y|^-(N+2s) dy, its
+q-th power generalization B_s^q and the Gagliardo sums take their absolutely
+integrable origin cell from _local_term, |grad_h u|^p times
+KernelTable.local_moment(p), the coefficient that the stride-2 coupling reads
+at p = 2.  So the energy identity
 
     <A u, u>_h = (a/2) * gagliardo_double_sum(u, 2, s, D_omega)
 
-holds to machine precision, not just asymptotically.
-
-The squared gradient  D_s^2(u) = (a/2) int |u(x)-u(y)|^2 |x-y|^-(N+2s) dy  and
-its q-th power generalization B_s^q use the same tables; their origin cell is
-absolutely integrable and approximated by |grad_h u|^{2 or q} * I0(2 or q).
-B_s^q and the Gagliardo sums read their per-node terms from one function,
+holds to machine precision for every u whose central differences vanish at
+the exterior nodes (kernels._stride_coupling).  B_s^q and the
+Gagliardo sums read their per-node terms from one function,
 _d_omega_integrand: the pair sums, the kappa block and the origin cell.
 
-P is never formed: its entries depend on the node offset only.  A signed
-operator is a product with its real symbol on the FFT box (KernelTable.symbol,
-computed once per table), the one path that poisson.StiffnessOperator uses
-too; D_s^2, the Riesz gradient and the Riesz potential are FFT correlations
-with weights on the offsets |z_k| <= n-1 (the table's crop, or for the Riesz
-potential a crop built the same way), and the transforms of the crop and of
-the Riesz kernels are kept on the table as well
+The interior pair-weight matrix P is never formed: its entries depend on the
+node offset only.  D_s^2, the Riesz gradient and the Riesz potential are FFT
+correlations with weights on the offsets |z_k| <= n-1 (the table's crop, or
+for the Riesz potential a crop built the same way), and the transforms of
+the crop and of the Riesz kernels are kept on the table as well
 (KernelTable.spectrum, KernelTable.riesz_spectrum).  The p-power pair sums
 (B_s^q, Gagliardo) gather row slabs of P from that crop, pairs once each.
 """
@@ -134,16 +127,19 @@ def pair_power_sum(table: KernelTable, ui: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
+def _local_term(u: GridFunction, table: KernelTable, p: float) -> np.ndarray:
+    """|grad_h u_i|^p * local_moment(p) at every interior node: the origin cell of the p-power pair sum."""
+    return ((central_gradient(u) ** 2).sum(axis=1)) ** (p / 2.0) * table.local_moment(p)
+
+
 def apply_D_s2(u: GridFunction, s: float) -> GridFunction:
     """Nonlocal gradient square D_s^2(u); nonnegative at every node."""
     check_unit_interval("s", s)
     table = get_table(u.domain, 2.0 * s)
     ui = u.interior
     Pu, Pu2 = _box_product(np.stack([u.values, u.values**2]), table.spectrum, u.domain)
-    grad = central_gradient(u)
-    g2 = (grad**2).sum(axis=1)
     pair = ui**2 * (table.total_weight + table.tail) - 2.0 * ui * Pu + Pu2
-    out = 0.5 * table.norm_const * (pair + g2 * table.origin_moment(2.0))
+    out = 0.5 * table.norm_const * (pair + _local_term(u, table, 2.0))
     return u.domain.from_interior(np.maximum(out, 0.0))
 
 
@@ -151,12 +147,11 @@ def _d_omega_integrand(u: GridFunction, table: KernelTable, p: float) -> tuple[n
     """The per-node terms of the p-power pair sum over D_Omega with the table's weights.
 
     Returns sum_j |u_i - u_j|^p w_ij over interior j, the exterior block
-    |u_i|^p kappa_i and the origin cell |grad_h u_i|^p I0(p): the one
+    |u_i|^p kappa_i and the origin cell _local_term: the one
     integrand of B_s^q and of the Gagliardo sums.
     """
     ui = u.interior
-    gp = ((central_gradient(u) ** 2).sum(axis=1)) ** (p / 2.0)
-    return pair_power_sum(table, ui, p), np.abs(ui) ** p * table.kappa, gp * table.origin_moment(p)
+    return pair_power_sum(table, ui, p), np.abs(ui) ** p * table.kappa, _local_term(u, table, p)
 
 
 def apply_B_sq(u: GridFunction, s: float, q: float) -> GridFunction:

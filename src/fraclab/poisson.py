@@ -1,10 +1,9 @@
 """Matrix-free solution of the fractional Poisson problem.
 
-The stiffness operator is the fractional Laplacian on interior nodes: row i
-carries  a * [ (T + 2N c) delta_ij - w_ij - c (stride-2 neighbours of i) ],
-with T = total+tail and c = I0(2)/(8 h^2).  Its entries depend on the node
-offset only (Toeplitz structure), so it is the restriction to the interior of
-a convolution, and StiffnessOperator holds one real array: the symbol of that
+The stiffness operator is the fractional Laplacian on interior nodes, with
+the rows that kernels._symbol writes.  Its entries depend on the node offset
+only (Toeplitz structure), so it is the restriction to the interior of a
+convolution, and StiffnessOperator holds one real array: the symbol of that
 convolution on the periodic FFT box of side L = next_fast_len(2n-1).  A v
 zero-pads v into the box, multiplies its transform by the symbol and restricts
 the result to the interior; apply_frac_laplacian is the same product.  The
@@ -12,11 +11,11 @@ same product with the reciprocal symbol is the circulant preconditioner of the
 conjugate-gradient solve (R. Chan & M. Ng, SIAM Review 38, 1996).
 
 The operator is symmetric by weight symmetry and an M-matrix: its diagonal
-a (T + 2N c) is positive, its off-diagonal entries -a w_z and -a c are
-nonpositive, and its rows are strictly dominant thanks to kappa_i > 0; hence
-it is positive definite and obeys a discrete maximum principle.  assemble
-checks all three on the table and one product A 1 (the row sums), in
-O(I log I); no I x I array is formed anywhere.
+(kernels._diagonal) is positive, its off-diagonal entries -a w_z and -a c
+(kernels._stride_coupling) are nonpositive, and its rows are strictly
+dominant thanks to kappa_i > 0; hence it is positive definite and obeys a
+discrete maximum principle.  assemble checks all three on the table and one
+product A 1 (the row sums), in O(I log I); no I x I array is formed anywhere.
 
 The operator is fixed by the domain and the order s, so no caller passes one
 in: solve_poisson assembles on the domain of its right-hand side, whose

@@ -33,7 +33,8 @@ def dense_stiffness(table):
     """
     dom = table.domain
     n, N = dom.interior_count, dom.dimension
-    c = table.origin_moment(2.0) / (8.0 * dom.h**2)
+    # I0(2) from the cell integral itself, not from the table's local_moment
+    c = kernels.origin_cell_moment(dom.h, N, 2 - N - table.sigma) / (8.0 * dom.h**2)
     A = -dense_pairs(table)
     idx = np.arange(n)
     A[idx, idx] = table.total_weight + table.tail + 2 * N * c

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -240,6 +241,10 @@ def test_precision_out_of_range_exit2(tmp_path, capsys, monkeypatch, digits):
     assert run("solve", cfg, tmp_path / "out") == 2
     assert f"precision must lie in 1..17 significant digits, got {digits}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "solve.csv").exists()
+
+
+def test_fmt_keeps_the_sign_of_infinity():
+    assert (cli._fmt(math.inf, 17), cli._fmt(-math.inf, 17)) == ("inf", "-inf")
 
 
 # the grid subcommands run on numpy alone: the FFTs are numpy.fft's, and scipy
@@ -528,7 +533,10 @@ def test_iterate_at_huge_lambda_diverges(tmp_path, dimension):
     )
     out = tmp_path / "out"
     assert run("iterate", _write(tmp_path, "it.ini", text), out) == 0
-    assert (out / "iterate.csv").read_text().splitlines()[-1].split(",")[5] == "diverged"
+    row = (out / "iterate.csv").read_text().splitlines()[-1].split(",")
+    assert row[5] == "diverged"
+    # energy_norm read inf (1D) or nan (2D) when <A u, u> overflowed
+    assert 0.0 < float(row[2]) < math.inf
 
 
 PROBE_CFG = """

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -440,6 +441,18 @@ def test_history_on_read_matches_eager_loop(dom1d_small, kw):
     rep = picard_iterate(spec, cfg)
     assert len(rep.iterates) > 1
     assert rep.history == _eager_history(spec, cfg, solver)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_energy_norm_scales_exactly_by_powers_of_two(dom1d_small):
+    # at 2^600 <A u, u> overflows and at 2^-600 it underflows; the norm scales exactly all the same
+    mu = sample(lambda x: np.full_like(x, 0.5), dom1d_small)
+    f = sample(lambda x: np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 2, dom1d_small)
+    rep = picard_iterate(ProblemSpec(rhs_kind="D_s2", s=S, lam=0.5, mu=mu, f=f), IterationConfig(max_iter=3))
+    ks = (-600, -1, 0, 1, 600)
+    norms = replace(rep, iterates=[math.ldexp(1.0, k) * rep.u_final for k in ks]).history["energy_norm"]
+    assert 0.0 < norms[2] < math.inf
+    assert norms == [math.ldexp(norms[2], k) for k in ks]
 
 
 def test_integrability_window_warning(small):

@@ -213,7 +213,7 @@ def test_orphaned_table_raises():
     with pytest.raises(ParameterError, match="domain of this kernel table no longer exists"):
         table.domain
     with pytest.raises(ParameterError, match="no longer exists"):
-        table.origin_moment(2.0)
+        table.local_moment(2.0)
 
 
 def test_memoized_high_order_table_needs_allow_high_order():

@@ -244,7 +244,9 @@ def _dense_D_s2(u, table):
     P = dense_pairs(table)
     g2 = (central_gradient(u) ** 2).sum(axis=1)
     pair = ui**2 * (table.total_weight + table.tail) - 2.0 * ui * (P @ ui) + P @ ui**2
-    return np.maximum(0.5 * table.norm_const * (pair + g2 * table.origin_moment(2.0)), 0.0)
+    N = u.domain.dimension
+    I0 = origin_cell_moment(u.domain.h, N, 2 - N - table.sigma)
+    return np.maximum(0.5 * table.norm_const * (pair + g2 * I0), 0.0)
 
 
 # (N, n, margin_cells) and the bounds on max |FFT - dense| / max |dense| for
@@ -439,13 +441,17 @@ def test_riesz_potential_matrix_matches_offset_rows(N, n, lam, origin_offset):
     assert np.abs(got - ref).max() <= 3e-15 * np.abs(ref).max()
 
 
-def _torsion_core(N, n, s):
-    # (-Delta)^s of Getoor's torsion function c (1-|x|^2)_+^s is 1 on the unit ball;
-    # returns the operator's values on the core |x| < 0.5
+def _torsion(N, n, s):
+    # Getoor's torsion function c (1-|x|^2)_+^s, whose (-Delta)^s is 1 on the unit ball; returns c and u
     dom = build_domain(Ball(center=(0.0,) * N, radius=1.0), n, margin_cells=2)
     c = math.gamma(N / 2) / (4.0**s * math.gamma(1.0 + s) * math.gamma(N / 2 + s))
-    u = sample(lambda *xs: c * np.maximum(1.0 - sum(x * x for x in xs), 0.0) ** s, dom)
-    core = (dom.interior_coords**2).sum(axis=1) < 0.25
+    return c, sample(lambda *xs: c * np.maximum(1.0 - sum(x * x for x in xs), 0.0) ** s, dom)
+
+
+def _torsion_core(N, n, s):
+    # the operator's values on the core |x| < 0.5, where they should be 1
+    _, u = _torsion(N, n, s)
+    core = (u.domain.interior_coords**2).sum(axis=1) < 0.25
     return apply_frac_laplacian(u, s).interior[core]
 
 
@@ -466,4 +472,34 @@ def test_torsion_anchor_near_the_local_limit(N, n):
 def test_torsion_anchor_error_falls_with_refinement():
     # measured: 4.0e-3 at n = 400, 2.3e-3 at n = 800
     coarse, fine = (np.abs(_torsion_core(1, n, 0.6) - 1.0).max() for n in (400, 800))
+    assert fine < coarse
+
+
+def _D_s2_anchor_error(N, n, s):
+    # D_s^2(u) = u (-Delta)^s u - (1/2) (-Delta)^s (u^2) for Getoor's torsion function u,
+    # where (-Delta)^s u = 1 and (-Delta)^s (1-|x|^2)_+^{2s} is Dyda's closed form with one 2F1;
+    # returns max |got - exact| / max |exact| on the core 0.3 < |x| < 0.6
+    from scipy.special import hyp2f1
+
+    c, u = _torsion(N, n, s)
+    r2 = (u.domain.interior_coords**2).sum(axis=1)
+    core = (r2 > 0.09) & (r2 < 0.36)
+    k = c * c * 4.0**s * math.gamma(2 * s + 1) * math.gamma(N / 2 + s) / (math.gamma(s + 1) * math.gamma(N / 2))
+    exact = u.interior[core] - 0.5 * k * hyp2f1(N / 2 + s, -s, N / 2, r2[core])
+    got = apply_D_s2(u, s).interior[core]
+    return np.abs(got - exact).max() / np.abs(exact).max()
+
+
+@pytest.mark.parametrize(
+    "N, n",
+    [(1, 1600), pytest.param(2, 128, marks=ORIGIN_CELL_XFAIL), pytest.param(3, 32, marks=ORIGIN_CELL_XFAIL)],
+)
+def test_D_s2_anchor_near_the_local_limit(N, n):
+    # measured at s = 0.9: 3.75e-2 in 1D, 0.413 in 2D, 0.960 in 3D
+    assert _D_s2_anchor_error(N, n, 0.9) <= 0.1
+
+
+def test_D_s2_anchor_error_falls_with_refinement():
+    # measured: 2.22e-3 at n = 800, 1.28e-3 at n = 1600
+    coarse, fine = (_D_s2_anchor_error(1, n, 0.6) for n in (800, 1600))
     assert fine < coarse
