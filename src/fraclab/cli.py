@@ -40,7 +40,7 @@ from .grids import DEFAULT_CUTOFF_FACTOR, Annulus, Ball, Box, GridDomain, GridFu
 from .nonexistence import bump_family, certify as certify_family, radial_bump
 from .operators import apply_D_s2, apply_frac_laplacian, central_gradient
 from .poisson import solve_poisson
-from .regularity import PROPOSITIONS, PROPOSITIONS_WITH_T, exponent_range, regularity_probe
+from .regularity import PROPOSITIONS, PROPOSITIONS_WITH_T, _frac, exponent_range, regularity_probe
 from .seminorms import check_hardy_mc_args, hardy_constant, hardy_constant_mc
 
 __all__ = ["main", "run", "ExperimentConfig"]
@@ -137,6 +137,13 @@ def _field_str(v: str) -> str:
     return v
 
 
+def _rational_str(v: str) -> str:
+    # checked at load, as _field_str is; the config keeps the text, so its hash is unchanged
+    v = v.strip()
+    _frac(v)
+    return v
+
+
 _DOMAIN_SCHEMA = {
     "shape": (str, "ball"),
     "dimension": (_dimension, 1),
@@ -206,9 +213,9 @@ SCHEMAS: dict[str, dict[str, dict]] = {
         "run": {
             "propositions": (_strs, ["all"]),
             "dimension": (int, 2),
-            "s": (str, REQ),  # exact rational, e.g. 3/4
-            "t_values": (_strs, [""]),
-            "m_values": (_strs, REQ),
+            "s": (_rational_str, REQ),  # exact rational, e.g. 3/4
+            "t_values": (_list_of(_rational_str), [""]),
+            "m_values": (_list_of(_rational_str), REQ),
         },
         "output": _OUTPUT_SCHEMA,
     },

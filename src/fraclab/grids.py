@@ -87,15 +87,14 @@ class Annulus:
 
     r_inner: float
     r_outer: float
-    center: tuple[float, ...] = ()
+    center: tuple[float, ...]
 
     def contains(self, *coords: np.ndarray) -> np.ndarray:
-        r = _distance(coords, self.center or (0.0,) * len(coords))
+        r = _distance(coords, self.center)
         return (r > self.r_inner) & (r < self.r_outer)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        n = len(self.center) if self.center else 1
-        c = np.asarray(self.center, dtype=float) if self.center else np.zeros(n)
+        c = np.asarray(self.center, dtype=float)
         return c - self.r_outer, c + self.r_outer
 
 

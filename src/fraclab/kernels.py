@@ -550,18 +550,14 @@ def _riesz_spectrum(table: KernelTable) -> np.ndarray:
     return _spectrum(z / r * W, table.domain)
 
 
-def _check_order(N: int, sigma: float, allow_high_order: bool) -> None:
-    check_range("kernel order sigma", sigma, 0.0, N + 2.0 if allow_high_order else 2.0)
-
-
-def build_kernel_table(domain: GridDomain, sigma: float, allow_high_order: bool = False) -> KernelTable:
+def build_kernel_table(domain: GridDomain, sigma: float) -> KernelTable:
     """Build the weight table of order sigma (kernel exponent N + sigma) at the domain's cutoff.
 
-    sigma must lie in (0,2) for operator use; seminorm machinery may pass
-    allow_high_order=True to reach orders up to N+2 (no normalization then).
+    Every table, whatever reads it, has an order sigma in (0, N+2); one of
+    order 2 or more carries no normalization (norm_const is None).
     """
     N = domain.dimension
-    _check_order(N, sigma, allow_high_order)
+    check_range("kernel order sigma", sigma, 0.0, N + 2.0)
     M = int(math.floor(domain.cutoff_radius / domain.h))
     W, total = _cell_crop(domain, -(N + sigma), M, ball=True)
     table = KernelTable(
@@ -585,18 +581,16 @@ def build_kernel_table(domain: GridDomain, sigma: float, allow_high_order: bool 
 _MEMO: weakref.WeakKeyDictionary[GridDomain, dict] = weakref.WeakKeyDictionary()
 
 
-def get_table(domain: GridDomain, sigma: float, allow_high_order: bool = False) -> KernelTable:
+def get_table(domain: GridDomain, sigma: float) -> KernelTable:
     """The table of order sigma on domain, built on first use and memoized.
 
     Tables are immutable once built, so each order is built once per domain,
-    at the domain's cutoff radius.  The order is checked before the memo is
-    read, so a high-order table never serves a call that did not allow high
-    orders.
+    at the domain's cutoff radius, and serves every caller.  An order outside
+    the range is refused by build_kernel_table, so the memo never holds one.
     """
-    _check_order(domain.dimension, sigma, allow_high_order)
     key = round(float(sigma), 14)
     memo = _MEMO.setdefault(domain, {})
     table = memo.get(key)
     if table is None:
-        table = memo[key] = build_kernel_table(domain, sigma, allow_high_order)
+        table = memo[key] = build_kernel_table(domain, sigma)
     return table

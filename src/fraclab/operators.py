@@ -157,8 +157,8 @@ def _d_omega_integrand(u: GridFunction, table: KernelTable, p: float) -> tuple[n
 def apply_B_sq(u: GridFunction, s: float, q: float) -> GridFunction:
     """q-th root nonlocal gradient B_s^q(u); reduces to sqrt(D_s^2) at q = 2.
 
-    Uses the kernel of order s*q (exponent N + s*q), so s*q < 2 is required;
-    get_table refuses larger orders.
+    Uses the kernel of order s*q (exponent N + s*q), in the range of every
+    table (kernels.build_kernel_table), and the normalization a_{N,s}.
     """
     check_unit_interval("s", s)
     check_range("q", q, 1.0)

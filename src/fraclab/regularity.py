@@ -81,15 +81,10 @@ class ExponentRange:
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    try:
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    raise ParameterError(f"cannot interpret {x!r} as an exact rational")
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ParameterError(f"cannot interpret {x!r} as an exact rational") from None
 
 
 def _common_checks(N: int, s: Fraction, m: Fraction) -> None:
@@ -258,7 +253,9 @@ def regularity_probe(
 
     The measured quantity is the Gagliardo p-power sum of order t when the
     kernel order t*p stays below 2, and the p-power of the L^p norm of
-    (-Delta)^{t/2} u otherwise (recorded in the report).  Data is normalized
+    (-Delta)^{t/2} u otherwise (recorded in the report).  The switch at 2 is
+    the probe's own choice of what to measure, kept so that its reports do
+    not change; gagliardo_double_sum takes larger orders too.  Data is normalized
     to unit discrete L^m norm at every level.  Classification: growing when
     the last two inter-level factors are all >= 1.2, bounded when all <= 1.05,
     inconclusive otherwise.

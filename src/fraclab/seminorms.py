@@ -11,9 +11,11 @@ exterior-zero functions the full-space value coincides with d_omega.  Because
 the weights, kappa and the origin moment are shared with the operator module,
 and the per-node terms come from its one integrand (operators._d_omega_integrand),
 the decomposition identity against the nonlocal gradient square and the
-operator energy identity hold to machine precision.  ball_membership sums
-the same pairs at orders up to N+2; it is the invariant-ball check that a
-caller applies to an iterate of the fixed-point driver.
+operator energy identity hold to machine precision.  The kernel order s*p
+may pass 2, within the range of every table; the origin cell needs p > s*p,
+which s < 1 gives.  ball_membership is the same sum at order s+eps, the
+invariant-ball check that a caller applies to an iterate of the fixed-point
+driver.
 
 The sharp Hardy constant is evaluated, for ps < N (both oracles refuse any
 other triple), from its one-dimensional double integral
@@ -90,25 +92,21 @@ class HardyResult:
     p: float
 
 
-def _pair_seminorm(u: GridFunction, p: float, order: float, region: str, allow_high_order: bool) -> float:
-    dom = u.domain
-    pairs, exterior, origin = _d_omega_integrand(u, get_table(dom, order, allow_high_order), p)
-    # each exterior block holds |u_i|^p kappa_i once
-    kap = 2.0 * float(exterior.sum()) if region == "d_omega" else 0.0
-    return (float(pairs.sum()) + kap + float(origin.sum())) * dom.h**dom.dimension
-
-
 def gagliardo_double_sum(u: GridFunction, p: float, s: float, region: str = "d_omega") -> float:
     """Discrete Gagliardo p-power sum of order s over the given pair region.
 
-    Requires kernel order s*p < 2; get_table rejects higher orders (the
-    invariant-ball check, ball_membership, sums them directly).
+    The kernel order is s*p, in the range of every table
+    (kernels.build_kernel_table); the sum reads no normalization.
     """
     check_unit_interval("s", s)
     check_range("p", p, 1.0, closed=True)
     if region not in REGIONS:
         raise ParameterError(f"region must be one of {REGIONS}, got {region!r}")
-    return _pair_seminorm(u, p, s * p, region, False)
+    dom = u.domain
+    pairs, exterior, origin = _d_omega_integrand(u, get_table(dom, s * p), p)
+    # each exterior block holds |u_i|^p kappa_i once
+    kap = 2.0 * float(exterior.sum()) if region == "d_omega" else 0.0
+    return (float(pairs.sum()) + kap + float(origin.sum())) * dom.h**dom.dimension
 
 
 def ball_membership(
@@ -120,14 +118,13 @@ def ball_membership(
 ) -> tuple[bool, float]:
     """Test the invariant-ball condition [u]^r_{s+eps, r, D_Omega} <= radius^{r/2}.
 
-    Kernel order (s+eps)*r may exceed 2 here (direct pairwise summation with
-    cell-averaged weights); get_table refuses orders from N+2 up.
+    The seminorm is gagliardo_double_sum at order s+eps and power r.
     """
     check_range("eps", eps, 0.0)
     check_unit_interval("s+eps", s + eps)
     check_range("r", r, 1.0, closed=True)
     check_range("radius", radius, 0.0)
-    value = _pair_seminorm(u, r, (s + eps) * r, "d_omega", True)
+    value = gagliardo_double_sum(u, r, s + eps)
     return value <= radius ** (r / 2.0), value
 
 

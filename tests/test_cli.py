@@ -378,6 +378,17 @@ def test_sweep_schema(tmp_path):
     assert "converged" in lines[2]
 
 
+def test_B_sq_alpha_sweep_at_order_above_2(tmp_path):
+    # s*q = 2.25: the sweep exited 2 after its first solve, naming the kernel order and no key
+    text = SWEEP_CFG.replace("s = 0.6", "s = 0.9").replace(
+        "rhs_kind = D_s2", "rhs_kind = B_sq_alpha\nq = 2.5\nalpha = 1.5"
+    )
+    out = tmp_path / "out"
+    assert run("sweep", _write(tmp_path, "sweep.ini", text), out) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[1:3] for row in rows] == [["converged", "8"], ["converged", "9"]]
+
+
 def _sweep_domain_bbox():
     return build_domain(Ball(center=(0.0,), radius=1.0), 80, margin_cells=8).bbox_diameter
 
@@ -501,6 +512,38 @@ def test_exponents_exact_rows(tmp_path):
     assert "P3.1,1,2,3/4,1/2,1,1,2,false,ok" in text
     assert "P3.1,3,2,3/4,1/2,2,1,8,false,ok" in text
     assert "L-LPPS,1,2,3/4,,1,1,4,false,ok" in text
+
+
+def test_exponents_writes_a_rejected_row(tmp_path):
+    # s = 1/2 lies outside the window (1/2, 1) of the statements
+    text = EXP_CFG.replace("s = 3/4", "s = 1/2").replace("P3.1,L-LPPS", "L-LPPS").replace("m_values = 1,2", "m_values = 1")
+    out = tmp_path / "out"
+    assert run("exponents", _write(tmp_path, "exp.ini", text), out) == 0
+    lines = (out / "exponents.csv").read_text().splitlines()
+    assert lines[2:] == ['L-LPPS,,2,1/2,,1,,,,"rejected:s in (1/2, 1)"']
+
+
+@pytest.mark.parametrize(
+    "key, value", [("s", "abc"), ("m_values", "1,x"), ("t_values", "1/0")], ids=["s", "m_values", "t_values"]
+)
+def test_exponents_refuses_a_malformed_rational_at_load(tmp_path, capsys, key, value):
+    # these raised ValueError or ZeroDivisionError out of run
+    text = _with_key(EXP_CFG, "run", key, value)
+    assert run("exponents", _write(tmp_path, "bad.ini", text), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"invalid value for [run] {key}: {value!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "exponents.csv").exists()
+
+
+def test_limits_errors_fall_as_s_grows(tmp_path):
+    cfg = _write(tmp_path, "limits.ini", "[run]\ns_values = 0.9,0.95\nnodes_per_axis = 600\n")
+    out = tmp_path / "out"
+    assert run("limits", cfg, out) == 0
+    lines = (out / "limits.csv").read_text().splitlines()
+    assert lines[1] == "s,frac_laplacian_rel_err,grad_sq_rel_err"
+    (s1, a1, d1), (s2, a2, d2) = [map(float, row.split(",")) for row in lines[2:]]
+    assert (s1, s2) == (0.9, 0.95)
+    assert 0.0 < a2 < a1 and 0.0 < d2 < d1
 
 
 def test_iterate_zero_forcing(tmp_path):

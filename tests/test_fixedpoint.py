@@ -479,7 +479,7 @@ def test_ball_membership_zero_and_monotone(small):
 def test_ball_membership_high_order_path(small):
     dom = small
     u = sample(lambda x: 0.1 * np.maximum(1.0 - x**2, 0.0) ** 2, dom)
-    # order (s+eps)*r = 0.7*4 = 2.8 < N+2 = 3: direct pairwise summation path
+    # order (s+eps)*r = 0.7*4 = 2.8 < N+2 = 3, the bound of every kernel table
     member, value = ball_membership(u, S, 0.1, 4.0, 1e9)
     assert member and math.isfinite(value)
     with pytest.raises(ParameterError):

@@ -49,10 +49,16 @@ def test_margin_enforced():
         GridDomain(Ball(center=(0.0,), radius=2.0), [-1.0], [1.0], 9)
 
 
-@pytest.mark.parametrize("shape", [Ball(center=(), radius=1.0), Box(lo=(), hi=())])
+@pytest.mark.parametrize("shape", [Ball(center=(), radius=1.0), Box(lo=(), hi=()), Annulus(0.3, 1.0, center=())])
 def test_zero_dimensional_shape_refused(shape):
     with pytest.raises(ConfigurationError, match="shape has no dimensions"):
         build_domain(shape, 10)
+
+
+def test_annulus_needs_a_centre():
+    # an annulus without one built a 1D domain, whatever dimension its points had
+    with pytest.raises(TypeError):
+        Annulus(0.3, 1.0)
 
 
 def test_four_dimensional_grid_refused(monkeypatch):
@@ -105,7 +111,7 @@ def _point_array_grid(dom):
     if isinstance(shape, Box):
         inside = np.all((pts > np.asarray(shape.lo)) & (pts < np.asarray(shape.hi)), axis=-1)
     else:
-        r = np.linalg.norm(pts - (np.asarray(shape.center) if shape.center else 0.0), axis=-1)
+        r = np.linalg.norm(pts - np.asarray(shape.center), axis=-1)
         inside = r < shape.radius if isinstance(shape, Ball) else (r > shape.r_inner) & (r < shape.r_outer)
     return inside.reshape(dom.interior_mask.shape), pts[inside]
 
@@ -136,7 +142,7 @@ def test_distance_rounds_as_norm(N):
         lambda N: Box((-1.0, -0.7, -0.5)[:N], (0.8, 1.0, 0.6)[:N]),
         lambda N: Annulus(0.3, 1.0, (0.0,) * N),
         lambda N: Annulus(0.25, 0.95, (0.13, -0.21, 0.07)[:N]),
-        lambda N: Annulus(0.3, 1.0) if N == 1 else Annulus(0.3, 1.0, (0.0,) * N),
+        lambda N: Annulus(0.0, 1.0, (0.0,) * N),  # the ball less its centre
     ],
     ids=["ball", "offset-ball", "box", "offset-box", "annulus", "offset-annulus", "centreless-annulus"],
 )

@@ -148,29 +148,29 @@ def test_domain_cutoff_reaches_every_table_reader(table_builds):
 
 
 def test_order_out_of_range_rejected(dom1d):
-    with pytest.raises(ParameterError):
-        build_kernel_table(dom1d, 2.0)
+    with pytest.raises(ParameterError, match=r"kernel order sigma must lie in \(0,3\)"):
+        build_kernel_table(dom1d, 3.0)
     with pytest.raises(ParameterError):
         build_kernel_table(dom1d, 0.0)
-    # high-order escape hatch for the seminorm machinery
-    tab = build_kernel_table(dom1d, 2.4, allow_high_order=True)
+    # every order below N+2 builds; from 2 up the table carries no normalization
+    tab = build_kernel_table(dom1d, 2.4)
     assert tab.norm_const is None
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda u: apply_B_sq(u, 0.9, 2.5),  # s*q >= 2
-        lambda u: apply_B_sq(u, 0.8, 2.5),  # s*q rounds to 2
-        lambda u: gagliardo_double_sum(u, 2.5, 0.8),  # s*p >= 2
-        lambda u: gagliardo_double_sum(u, 4.0, 0.5, "omega_omega"),  # s*p = 2
+        lambda u: apply_B_sq(u, 0.9, 3.5),  # s*q = 3.15 >= N+2
+        lambda u: apply_B_sq(u, 0.6, 5.0),  # s*q rounds to N+2
+        lambda u: gagliardo_double_sum(u, 4.0, 0.8),  # s*p = 3.2 >= N+2
+        lambda u: gagliardo_double_sum(u, 6.0, 0.5, "omega_omega"),  # s*p = N+2
         lambda u: ball_membership(u, 0.6, 0.1, 5.0, 1.0),  # (s+eps)*r = 3.5 >= N+2
         lambda u: ball_membership(u, 0.5, 0.25, 4.0, 1.0),  # (s+eps)*r = N+2
     ],
-    ids=["B_sq", "B_sq_at_2", "gagliardo", "gagliardo_at_2", "ball", "ball_at_N+2"],
+    ids=["B_sq", "B_sq_at_N+2", "gagliardo", "gagliardo_at_N+2", "ball", "ball_at_N+2"],
 )
 def test_pair_sum_orders_refused_before_any_build(call, table_builds):
-    # the kernel-order check is get_table's alone; it runs before the memo is read
+    # every pair sum reaches its table through get_table, whose build refuses the order
     u = sample(lambda x: 1.0 - x**2, _small_domain())
     with pytest.raises(ParameterError, match="kernel order sigma must lie in"):
         call(u)
@@ -214,13 +214,6 @@ def test_orphaned_table_raises():
         table.domain
     with pytest.raises(ParameterError, match="no longer exists"):
         table.local_moment(2.0)
-
-
-def test_memoized_high_order_table_needs_allow_high_order():
-    dom = _small_domain()
-    get_table(dom, 2.4, allow_high_order=True)
-    with pytest.raises(ParameterError):
-        get_table(dom, 2.4)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +297,8 @@ def test_table_matches_full_lattice_build(N, n, sigma, cutoff_factor, high):
     dom = build_domain(
         Ball(center=(0.0,) * N, radius=1.0), n, margin_cells=2, cutoff_factor=cutoff_factor or 4.0
     )
-    tab = build_kernel_table(dom, sigma, allow_high_order=high)
+    tab = build_kernel_table(dom, sigma)
+    assert (tab.norm_const is None) == high
     W, total, kappa = _ref_table(dom, sigma, dom.cutoff_radius)
     M = tab.lattice_radius
     assert np.array_equal(tab.weights, W[(slice(M - n + 1, M + n),) * N])

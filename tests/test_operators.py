@@ -87,7 +87,13 @@ def test_B_sq_parameter_validation(bump1d):
     with pytest.raises(ParameterError):
         apply_B_sq(bump1d, S, 1.0)
     with pytest.raises(ParameterError):
-        apply_B_sq(bump1d, 0.9, 2.5)  # order s*q >= 2
+        apply_B_sq(bump1d, 0.9, 3.5)  # order s*q >= N+2
+
+
+def test_B_sq_takes_orders_from_2_below_N_plus_2(bump1d):
+    # s*q = 2.25: the table carries no normalization, and B_s^q reads a_{N,s}
+    B = apply_B_sq(bump1d, 0.9, 2.5).interior
+    assert np.all(np.isfinite(B)) and B.min() >= 0.0 and B.max() > 0.0
 
 
 def test_self_adjointness(dom1d, bump1d):
@@ -386,7 +392,8 @@ def _dense_pair_power_sum(table, ui, p):
 def test_pair_power_sum_equals_dense_loop(dom2d, p, order, high):
     assert dom2d.interior_count % PAIR_BLOCK_ROWS != 0
     u = sample(lambda x, y: np.cos(1.3 * x) * (1.0 - x**2 - y**2) + 0.2 * y, dom2d)
-    table = get_table(dom2d, order, allow_high_order=high)
+    table = get_table(dom2d, order)
+    assert (table.norm_const is None) == high
     got = pair_power_sum(table, u.interior, p)
     assert np.array_equal(got, _dense_pair_power_sum(table, u.interior, p))
 

@@ -107,6 +107,17 @@ def test_exact_rational_arithmetic():
     assert r.contains(F(30, 13)) and not r.contains(F(31, 13))
 
 
+@pytest.mark.parametrize("s", ["abc", "1/0", None, math.inf])
+def test_malformed_rational_refused_by_name(s):
+    # "1/0" raised ZeroDivisionError and inf OverflowError
+    with pytest.raises(ParameterError, match=r"^cannot interpret .* as an exact rational$"):
+        exponent_range("P3.1", 2, s, F(1, 2), 1)
+
+
+def test_exact_rational_from_any_number():
+    assert exponent_range("P3.1", 2, "3/4", 0.5, 1) == exponent_range("P3.1", 2, F(3, 4), F(1, 2), 1)
+
+
 def test_overlap_window_both_surfaced():
     # P3.1 case 3 and P-cr2 case 1 both apply for N/2s <= m < N/(2s-t), t < s,
     # with different bounds for the same membership; both rows are reported

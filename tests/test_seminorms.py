@@ -11,6 +11,7 @@ from fraclab import (
     ParameterError,
     QuadratureError,
     apply_D_s2,
+    ball_membership,
     build_domain,
     gagliardo_double_sum,
     get_table,
@@ -53,7 +54,16 @@ def test_gagliardo_p_homogeneity(bump1d):
 
 def test_gagliardo_rejects_high_order(bump1d):
     with pytest.raises(ParameterError):
-        gagliardo_double_sum(bump1d, 4.0, S)  # s*p = 2.4
+        gagliardo_double_sum(bump1d, 5.0, S)  # s*p = 3.0 = N+2
+
+
+def test_ball_membership_is_the_gagliardo_sum_at_order_s_plus_eps(table_builds):
+    # (s+eps)*r = 2.8 lies in [2, N+2): both calls read the one table of that order
+    dom = build_domain(Ball(center=(0.0,), radius=1.0), 60, margin_cells=6)
+    u = sample(lambda x: np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 3, dom)
+    value = gagliardo_double_sum(u, 4.0, S + 0.1)
+    assert ball_membership(u, S, 0.1, 4.0, 1.0)[1] == value
+    assert [sigma for sigma, _ in table_builds] == [(S + 0.1) * 4.0]
 
 
 def test_decomposition_identity_1d(dom1d, bump1d):
