@@ -106,6 +106,11 @@ class ProblemSpec:
                 raise ParameterError(
                     f"B_sq_alpha requires 1 < alpha <= q, got alpha={self.alpha}"
                 )
+            # B_s^q reads the kernel table of order s*q, which exists below N+2
+            if not self.s * self.q < self.domain.dimension + 2:
+                raise ParameterError(
+                    f"B_sq_alpha requires s*q < N+2 = {self.domain.dimension + 2}, got s={self.s}, q={self.q}"
+                )
         if self.m is not None:
             check_range("integrability label m", self.m, 1.0, closed=True)
 
@@ -158,8 +163,9 @@ class IterationReport:
                 math.sqrt(max(self.solver.energy((c := _unit(u.interior)) * u), 0.0)) / c
                 for u in self.iterates
             ],
+            # the same scaling, through the linear (-Delta)^{s/2}, keeps the L^r sum finite
             "frac_half_norm": [
-                lp_norm(apply_frac_power(u, self.spec.s), FRAC_HALF_NORM_R)
+                lp_norm(apply_frac_power((c := _unit(u.interior)) * u, self.spec.s), FRAC_HALF_NORM_R) / c
                 for u in self.iterates
             ],
             "successive_diff": list(self.successive_diffs),

@@ -26,9 +26,17 @@ for the Riesz potential a crop built the same way), and the transforms of
 the crop and of the Riesz kernels are kept on the table as well
 (KernelTable.spectrum, KernelTable.riesz_spectrum).  The p-power pair sums
 (B_s^q, Gagliardo) gather row slabs of P from that crop, pairs once each.
+From PAIR_THREAD_MIN ordered pairs up, the slabs run on as many threads as
+there are usable CPUs; the calling thread adds their sums in slab order, so
+every core count gives the bits of one thread.
 """
 
 from __future__ import annotations
+
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -55,8 +63,12 @@ __all__ = [
     "pair_power_sum",
 ]
 
-# rows per block of every pair-weight loop; a 64 x I float64 block stays in cache
-PAIR_BLOCK_ROWS = 64
+# rows per slab of the pair sums: each thread holds two PAIR_BLOCK_ROWS x I
+# float64 buffers (0.6 MB each at I = 2472, 8.6 MB at I = 33552)
+PAIR_BLOCK_ROWS = 32
+# ordered pairs I^2 below which the slabs run on the calling thread; a pool
+# costs more than it saves there (I of about 1000 on two cores)
+PAIR_THREAD_MIN = 1 << 20
 
 
 def central_gradient(u: GridFunction) -> np.ndarray:
@@ -94,36 +106,65 @@ def apply_frac_power(u: GridFunction, t: float) -> GridFunction:
     return _signed_apply(u, get_table(u.domain, t))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: how many threads a pair sum or the Monte-Carlo oracle computes on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def pair_power_sum(table: KernelTable, ui: np.ndarray, p: float) -> np.ndarray:
     """sum_j |u_i - u_j|^p w_ij over interior j.
 
     The weights are exactly symmetric, so each unordered pair is evaluated
-    once: row slabs (i0:i1, i0:) sweep the upper triangle, gather their
-    weights from the crop and add their row sums to the slab's nodes and
-    their column sums to the partner nodes.
+    once: row slabs (i0:i1, i0:) sweep the upper triangle and gather their
+    weights from the crop.  The slabs run on up to _usable_cpus() threads,
+    the calling thread among them (on it alone below PAIR_THREAD_MIN ordered
+    pairs), and the calling thread adds each slab's row sums to the slab's
+    nodes and its column sums to the partner nodes in slab order, so the
+    bits do not depend on the thread count.
     """
     crop = table.weights
     lin = np.ravel_multi_index(table.domain.interior_index.T, crop.shape)
     crop, n = crop.ravel(), len(lin)
     centred = crop.size // 2 + lin
-    out = np.zeros(n)
     below = np.tri(PAIR_BLOCK_ROWS, k=-1, dtype=bool)
+    starts = range(0, n, PAIR_BLOCK_ROWS)
+    workers = min(_usable_cpus(), len(starts)) if n * n >= PAIR_THREAD_MIN else 1
     size = min(PAIR_BLOCK_ROWS, n) * n
-    wbuf, buf, idx = np.empty(size), np.empty(size), np.empty(size, dtype=lin.dtype)
-    for i0 in range(0, n, PAIR_BLOCK_ROWS):
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put((np.empty(size), np.empty(size)))
+
+    def slab(i0: int) -> tuple[np.ndarray, np.ndarray]:
+        wbuf, buf = buffers.get()
         i1 = min(i0 + PAIR_BLOCK_ROWS, n)
         shape = (i1 - i0, n - i0)
-        at = np.subtract(centred[i0:i1, None], lin[None, i0:], out=idx[: shape[0] * shape[1]].reshape(shape))
+        m = shape[0] * shape[1]
+        # buf holds the offset indices until take has read them, then the differences
+        at = np.subtract(centred[i0:i1, None], lin[None, i0:], out=buf[:m].view(np.intp).reshape(shape))
         # every index is in range; mode="clip" lets take fill w without a buffer
-        w = np.take(crop, at, out=wbuf[: at.size].reshape(shape), mode="clip")
-        diff = np.subtract(ui[i0:i1, None], ui[None, i0:], out=buf[: at.size].reshape(shape))
+        w = np.take(crop, at, out=wbuf[:m].reshape(shape), mode="clip")
+        diff = np.subtract(ui[i0:i1, None], ui[None, i0:], out=buf[:m].reshape(shape))
         np.abs(diff, out=diff)
         diff **= p
         diff *= w
         # the diagonal block holds its pairs twice; keep the upper copy
         diff[:, : i1 - i0][below[: i1 - i0, : i1 - i0]] = 0.0
-        out[i0:i1] += diff.sum(axis=1)
-        out[i0:] += diff.sum(axis=0)
+        sums = diff.sum(axis=1), diff.sum(axis=0)
+        buffers.put((wbuf, buf))
+        return sums
+
+    out = np.zeros(n)
+    # the calling thread computes every workers-th slab and a pool the others,
+    # so no more threads compute than there are usable CPUs
+    with ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else nullcontext() as pool:
+        theirs = {i0: pool.submit(slab, i0) for k, i0 in enumerate(starts) if k % workers}
+        for i0 in starts:
+            rows, cols = theirs.pop(i0).result() if i0 in theirs else slab(i0)
+            out[i0 : i0 + len(rows)] += rows
+            out[i0:] += cols
     return out
 
 

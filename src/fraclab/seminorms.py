@@ -52,7 +52,6 @@ standard error that is not finite raises ConsistencyError.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -61,7 +60,7 @@ import numpy as np
 from .errors import ConsistencyError, ParameterError, QuadratureError, check_range, check_unit_interval
 from .grids import GridFunction, node_radii
 from .kernels import get_table, sphere_area
-from .operators import _d_omega_integrand
+from . import operators
 
 __all__ = [
     "REGIONS",
@@ -103,7 +102,7 @@ def gagliardo_double_sum(u: GridFunction, p: float, s: float, region: str = "d_o
     if region not in REGIONS:
         raise ParameterError(f"region must be one of {REGIONS}, got {region!r}")
     dom = u.domain
-    pairs, exterior, origin = _d_omega_integrand(u, get_table(dom, s * p), p)
+    pairs, exterior, origin = operators._d_omega_integrand(u, get_table(dom, s * p), p)
     # each exterior block holds |u_i|^p kappa_i once
     kap = 2.0 * float(exterior.sum()) if region == "d_omega" else 0.0
     return (float(pairs.sum()) + kap + float(origin.sum())) * dom.h**dom.dimension
@@ -276,13 +275,6 @@ def check_hardy_mc_args(N: int, s: float, p: float, samples: int) -> None:
         raise ParameterError(f"samples must be an integer >= 2, got {samples!r}")
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
 def _uniforms(seed: int, offset: int, n: int) -> np.ndarray:
     """Draws offset .. offset+n-1 of the uniform stream of default_rng(seed)."""
     rng = np.random.default_rng(seed)
@@ -341,7 +333,7 @@ def hardy_constant_mc(
     starts = range(0, samples, MC_CHUNK)
     # the numpy ufuncs and take release the GIL; each chunk fills its own
     # slice of vals, and the reduction below is over the whole array
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(starts))) as pool:
+    with ThreadPoolExecutor(max_workers=min(operators._usable_cpus(), len(starts))) as pool:
         list(pool.map(chunk, starts))
     mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
     if not (math.isfinite(mean) and math.isfinite(stderr)):

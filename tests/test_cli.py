@@ -389,6 +389,20 @@ def test_B_sq_alpha_sweep_at_order_above_2(tmp_path):
     assert [row.split(",")[1:3] for row in rows] == [["converged", "8"], ["converged", "9"]]
 
 
+def test_B_sq_alpha_sweep_refuses_order_past_the_table_range(tmp_path, monkeypatch, capsys):
+    # s*q = 3.15 >= N+2: refused by key before the first solve, not by the table build after it
+    solves = []
+    solve_vector = StiffnessOperator.solve_vector
+    monkeypatch.setattr(StiffnessOperator, "solve_vector", lambda self, b: solves.append(1) or solve_vector(self, b))
+    text = SWEEP_CFG.replace("s = 0.6", "s = 0.9").replace(
+        "rhs_kind = D_s2", "rhs_kind = B_sq_alpha\nq = 3.5\nalpha = 1.5"
+    )
+    assert run("sweep", _write(tmp_path, "sweep.ini", text), tmp_path / "out") == 2
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+    assert solves == []
+    assert capsys.readouterr().err == "error: B_sq_alpha requires s*q < N+2 = 3, got s=0.9, q=3.5\n"
+
+
 def _sweep_domain_bbox():
     return build_domain(Ball(center=(0.0,), radius=1.0), 80, margin_cells=8).bbox_diameter
 
@@ -578,8 +592,10 @@ def test_iterate_at_huge_lambda_diverges(tmp_path, dimension):
     assert run("iterate", _write(tmp_path, "it.ini", text), out) == 0
     row = (out / "iterate.csv").read_text().splitlines()[-1].split(",")
     assert row[5] == "diverged"
-    # energy_norm read inf (1D) or nan (2D) when <A u, u> overflowed
+    # energy_norm read inf (1D) or nan (2D) when <A u, u> overflowed, and
+    # frac_half_norm read inf when its L^2 sum did
     assert 0.0 < float(row[2]) < math.inf
+    assert 0.0 < float(row[3]) < math.inf
 
 
 PROBE_CFG = """

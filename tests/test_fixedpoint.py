@@ -185,6 +185,8 @@ def test_problem_spec_refuses_an_overflowing_forcing(small):
         ("riesz_grad_q", {"q": math.nan}, "riesz_grad_q requires q > 1, got nan"),
         ("B_sq_alpha", {"q": math.nan, "alpha": 1.2}, "B_sq_alpha requires q > 1, got nan"),
         ("D_s2", {"m": math.nan}, "integrability label m must be >= 1, got nan"),
+        # s*q = 3 is the first kernel order past the 1D table range (0, 3)
+        ("B_sq_alpha", {"q": 5.0, "alpha": 1.5}, r"B_sq_alpha requires s\*q < N\+2 = 3, got s=0.6, q=5.0"),
     ],
 )
 def test_problem_spec_refuses_each_kinds_parameters(small, kind, params, message):
@@ -451,6 +453,18 @@ def test_energy_norm_scales_exactly_by_powers_of_two(dom1d_small):
     rep = picard_iterate(ProblemSpec(rhs_kind="D_s2", s=S, lam=0.5, mu=mu, f=f), IterationConfig(max_iter=3))
     ks = (-600, -1, 0, 1, 600)
     norms = replace(rep, iterates=[math.ldexp(1.0, k) * rep.u_final for k in ks]).history["energy_norm"]
+    assert 0.0 < norms[2] < math.inf
+    assert norms == [math.ldexp(norms[2], k) for k in ks]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_frac_half_norm_scales_exactly_by_powers_of_two(dom1d_small):
+    # at 2^600 the L^2 sum of (-Delta)^{s/2} u overflows and at 2^-600 it underflows
+    mu = sample(lambda x: np.full_like(x, 0.5), dom1d_small)
+    f = sample(lambda x: np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 2, dom1d_small)
+    rep = picard_iterate(ProblemSpec(rhs_kind="D_s2", s=S, lam=0.5, mu=mu, f=f), IterationConfig(max_iter=3))
+    ks = (-600, -1, 0, 1, 600)
+    norms = replace(rep, iterates=[math.ldexp(1.0, k) * rep.u_final for k in ks]).history["frac_half_norm"]
     assert 0.0 < norms[2] < math.inf
     assert norms == [math.ldexp(norms[2], k) for k in ks]
 

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,9 +25,9 @@ from fraclab import (
     solve_poisson,
 )
 from conftest import dense_pairs, dense_stiffness, lattice_gather
-from fraclab import kernels
+from fraclab import kernels, operators
 from fraclab.kernels import _cell_crop, origin_cell_moment
-from fraclab.operators import PAIR_BLOCK_ROWS, pair_power_sum
+from fraclab.operators import PAIR_BLOCK_ROWS, PAIR_THREAD_MIN, pair_power_sum
 
 S = 0.6
 
@@ -396,6 +398,62 @@ def test_pair_power_sum_equals_dense_loop(dom2d, p, order, high):
     assert (table.norm_const is None) == high
     got = pair_power_sum(table, u.interior, p)
     assert np.array_equal(got, _dense_pair_power_sum(table, u.interior, p))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """max_workers of every pool pair_power_sum starts during the test: one thread fewer than compute."""
+    started = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(operators, "ThreadPoolExecutor", Counted)
+    return started
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_pair_power_sum_bits_independent_of_worker_count(dom2d, monkeypatch, pools, p):
+    # every call on threads, more workers than cores, switching threads as often as possible
+    monkeypatch.setattr(operators, "PAIR_THREAD_MIN", 0)
+    u = sample(lambda x, y: np.cos(1.3 * x) * (1.0 - x**2 - y**2) + 0.2 * y, dom2d)
+    table = get_table(dom2d, 0.6 * p / 2.0)
+    dense = _dense_pair_power_sum(table, u.interior, p)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(operators, "_usable_cpus", lambda: workers)
+            assert np.array_equal(pair_power_sum(table, u.interior, p), dense)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [1, 2]
+
+
+def test_pair_power_sum_threads_only_above_the_pair_threshold(dom2d, dom2d_64, monkeypatch, pools):
+    monkeypatch.setattr(operators, "_usable_cpus", lambda: 2)
+    assert dom2d.interior_count**2 < PAIR_THREAD_MIN <= dom2d_64.interior_count**2
+    for dom in (dom2d, dom2d_64):
+        pair_power_sum(get_table(dom, 2.0 * S), np.ones(dom.interior_count), 2.0)
+    assert pools == [1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pair_power_sum_memory_per_worker(dom2d_64, monkeypatch, workers):
+    # two PAIR_BLOCK_ROWS x I buffers per worker, plus O(I) vectors and slab sums
+    monkeypatch.setattr(operators, "_usable_cpus", lambda: workers)
+    I = dom2d_64.interior_count
+    table = get_table(dom2d_64, 2.0 * S)
+    ui = np.cos(0.37 * np.arange(I))
+    tracemalloc.start()
+    try:
+        pair_power_sum(table, ui, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (workers * 2 * PAIR_BLOCK_ROWS + 64) * I * 8
 
 
 @pytest.mark.parametrize("N, n", [(1, 60), (2, 24), (3, 9)])

@@ -22,7 +22,7 @@ from fraclab import (
     sample,
     sphere_area,
 )
-from fraclab import seminorms
+from fraclab import operators, seminorms
 from fraclab.nonexistence import radial_bump
 
 S = 0.6
@@ -205,7 +205,7 @@ def test_hardy_mc_independent_of_worker_count(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 8):
-            monkeypatch.setattr(seminorms, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(operators, "_usable_cpus", lambda: workers)
             results.append(hardy_constant_mc(2, 0.6, 2.0, samples, seed=11))
     finally:
         sys.setswitchinterval(interval)
@@ -214,7 +214,7 @@ def test_hardy_mc_independent_of_worker_count(monkeypatch):
 
 def test_hardy_mc_memory_per_sample(monkeypatch):
     # the values array plus one temporary of the closing std: ~16 B per sample
-    monkeypatch.setattr(seminorms, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(operators, "_usable_cpus", lambda: 2)
     samples = 2_000_000
     tracemalloc.start()
     try:
