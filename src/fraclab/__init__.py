@@ -78,7 +78,6 @@ from .regularity import (
 from .nonexistence import (
     Certificate,
     bump_family,
-    certify,
     lambda_star_star,
     optimality_obstruction,
     radial_bump,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .fixedpoint import IterationConfig, ProblemSpec, picard_iterate
 from .grids import DEFAULT_CUTOFF_FACTOR, Annulus, Ball, Box, GridDomain, GridFunction, build_domain, centered_ball_domain, check_dimension, node_radii, sample
-from .nonexistence import bump_family, certify as certify_family, radial_bump
+from .nonexistence import bump_family, lambda_star_star, radial_bump
 from .operators import apply_D_s2, apply_frac_laplacian, central_gradient
 from .poisson import solve_poisson
 from .regularity import PROPOSITIONS, PROPOSITIONS_WITH_T, _frac, exponent_range, regularity_probe
@@ -62,9 +63,16 @@ def _finite_float(v: str) -> float:
     return x
 
 
-def _list_of(parse):
-    """Parser of a comma-separated list: parse applied to each non-blank entry."""
-    return lambda v: [parse(x) for x in v.split(",") if x.strip()]
+def _list_of(parse, allow_empty: bool = False):
+    """Parser of a comma-separated list: parse applied to each non-blank entry; no entry at all is refused."""
+
+    def parse_list(v: str) -> list:
+        xs = [parse(x) for x in v.split(",") if x.strip()]
+        if not xs and not allow_empty:
+            raise ConfigurationError("the list needs at least one entry")
+        return xs
+
+    return parse_list
 
 
 _floats = _list_of(_finite_float)
@@ -73,7 +81,7 @@ _strs = _list_of(str.strip)
 
 def _levels(v: str) -> list[int]:
     # both readers, solve and probe, compare one level with another
-    xs = _list_of(int)(v)
+    xs = _list_of(int, allow_empty=True)(v)
     if len(xs) < 2:
         raise ConfigurationError(f"levels needs at least two entries, got {len(xs)}")
     for a, b in zip(xs, xs[1:]):
@@ -214,7 +222,7 @@ SCHEMAS: dict[str, dict[str, dict]] = {
             "propositions": (_strs, ["all"]),
             "dimension": (int, 2),
             "s": (_rational_str, REQ),  # exact rational, e.g. 3/4
-            "t_values": (_list_of(_rational_str), [""]),
+            "t_values": (_list_of(_rational_str, allow_empty=True), [""]),  # empty: no t
             "m_values": (_list_of(_rational_str), REQ),
         },
         "output": _OUTPUT_SCHEMA,
@@ -387,12 +395,12 @@ def _interp_to(x: np.ndarray, fine_u: GridFunction) -> np.ndarray:
     return value
 
 
-def _problem_from_config(cfg: ExperimentConfig, domain: GridDomain, lam: float | None = None) -> ProblemSpec:
+def _problem_from_config(cfg: ExperimentConfig, domain: GridDomain) -> ProblemSpec:
     p = cfg["problem"]
     return ProblemSpec(
         rhs_kind=p["rhs_kind"],
         s=p["s"],
-        lam=p["lambda"] if lam is None else lam,
+        lam=p["lambda"],
         mu=_field(p["mu"], domain),
         f=_field(p["f"], domain),
         m=p["m"],
@@ -463,10 +471,10 @@ def _run_iterate(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     it = IterationConfig(tolerance=cfg["run"]["tolerance"], max_iter=cfg["run"]["max_iter"])
-    dom = _build_domain(cfg["domain"])
+    spec = _problem_from_config(cfg, _build_domain(cfg["domain"]))
     rows = []
     for lam in cfg["run"]["lambda_sweep"]:
-        rep = picard_iterate(_problem_from_config(cfg, dom, lam=lam), it)
+        rep = picard_iterate(dataclasses.replace(spec, lam=lam), it)
         rows.append([lam, rep.verdict, rep.iterations, rep.final_residual])
     return ["lambda", "verdict", "iterations", "final_residual"], rows
 
@@ -481,7 +489,7 @@ def _run_hardy(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
             N, s, p = int(n_str), float(s_str), float(p_str)
         except ValueError:
             raise ConfigurationError(f"hardy triple must be N:s:p, got {entry!r}") from None
-        check_hardy_mc_args(N, s, p, samples)
+        check_hardy_mc_args(N, s, p, samples, cfg["run"]["seed"])
         triples.append((N, s, p))
     rows = []
     for N, s, p in triples:
@@ -555,10 +563,8 @@ def _run_certify(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
             f"all {dropped} bumps dropped: each radius, clipped to fit inside the ball, "
             f"is at most h = {dom.h:.4g}; raise nodes_per_axis"
         )
-    rows = []
-    for lam in cfg["run"]["lambda_values"]:
-        ok, best = certify_family(lam, f, mu1, s, family)
-        rows.append([lam, ok, best.value, best.phi_id])
+    best = lambda_star_star(f, mu1, s, family)
+    rows = [[lam, lam > best.value, best.value, best.phi_id] for lam in cfg["run"]["lambda_values"]]
     return ["lambda", "certified_nonexistence", "min_lambda_star_star", "witness_id"], rows
 
 

@@ -5,8 +5,10 @@ quotient
 
     lambda**(phi) = (1/mu_1) * [phi]^2_{s,2,D_Omega} / int f phi^2 dx
 
-certifies that no energy-class solution can exist for any lambda above it;
-minimizing over a family of smooth bumps tightens the certificate.  The
+certifies that no energy-class solution can exist for any lambda above it.
+It is fixed by phi, f, mu_1 and s alone, so lambda_star_star evaluates each
+member of a family of smooth bumps once and returns the least quotient, and
+a caller compares every lambda with that one number.  The
 companion obstruction experiment evaluates the same quadratic quotient with
 the weight |x|^-(N-eps)/m against bumps supported in shrinking balls, whose
 strict decay shows that no uniform positive lower bound survives the
@@ -26,7 +28,6 @@ from .seminorms import gagliardo_double_sum, hardy_ratio
 __all__ = [
     "Certificate",
     "lambda_star_star",
-    "certify",
     "radial_bump",
     "bump_family",
     "optimality_obstruction",
@@ -37,9 +38,6 @@ __all__ = [
 class Certificate:
     phi_id: str
     value: float  # lambda**(phi)
-    mu1: float
-    numerator: float  # [phi]^2_{s,2,D_Omega}
-    denominator: float  # int f phi^2
 
 
 def _certificate(phi: GridFunction, f: GridFunction, mu1: float, s: float, phi_id: str) -> Certificate | None:
@@ -51,44 +49,17 @@ def _certificate(phi: GridFunction, f: GridFunction, mu1: float, s: float, phi_i
     den = integrate(f.domain.from_interior(f.interior * phi.interior**2))
     if not den > 0.0:
         return None
-    return Certificate(
-        phi_id=phi_id,
-        value=num / (mu1 * den),
-        mu1=mu1,
-        numerator=num,
-        denominator=den,
-    )
+    return Certificate(phi_id=phi_id, value=num / (mu1 * den))
 
 
-def lambda_star_star(
-    phi: GridFunction,
-    f: GridFunction,
-    mu1: float,
-    s: float,
-    phi_id: str = "phi",
-) -> Certificate:
-    """Certificate threshold for one test function; invariant under phi -> c phi."""
-    cert = _certificate(phi, f, mu1, s, phi_id)
-    if cert is None:
-        raise ParameterError(
-            "certificate requires a positive pairing int f phi^2 > 0 (f+ not vanishing on the bump)"
-        )
-    return cert
+def lambda_star_star(f: GridFunction, mu1: float, s: float, family) -> Certificate:
+    """The least lambda**(phi) over the family: no solution exists for any lambda above its value.
 
-
-def certify(
-    lam: float,
-    f: GridFunction,
-    mu1: float,
-    s: float,
-    family,
-) -> tuple[bool, Certificate]:
-    """True iff lam exceeds the best (smallest) certificate of the family.
-
-    family yields (id, GridFunction) pairs; members with nonpositive pairing
-    are skipped.  An empty family, or one whose pairings are all nonpositive,
-    is an error.  Any other refusal (a bad mu1 or s, a member on another
-    domain than f) is raised at the first member it concerns.
+    family yields (id, GridFunction) pairs, each evaluated once; members with
+    nonpositive pairing are skipped.  An empty family, or one whose pairings
+    are all nonpositive, is an error.  Any other refusal (a bad mu1 or s, a
+    member on another domain than f) is raised at the first member it
+    concerns.
     """
     best: Certificate | None = None
     members = 0
@@ -101,7 +72,7 @@ def certify(
         raise ParameterError("no admissible test function: the family is empty")
     if best is None:
         raise ParameterError("no admissible test function: all pairings were nonpositive")
-    return lam > best.value, best
+    return best
 
 
 def radial_bump(domain: GridDomain, center, rho: float) -> GridFunction:

@@ -13,7 +13,9 @@ refinement ladder and classifies the growth of a target seminorm.  The data
 is represented by exact cell averages and normalized to unit discrete L^m
 norm, so the measured quantity tracks the solution-to-data bound the
 exponent tables speak about rather than the slow completion of a barely
-integrable data norm.
+integrable data norm.  A ProbeReport holds what the probe found (the route,
+the levels, the measured values, their growth factors and the
+classification); the arguments stay with the caller.
 """
 
 from __future__ import annotations
@@ -195,11 +197,6 @@ BOUNDED_FACTOR = 1.05
 
 @dataclass
 class ProbeReport:
-    beta: float
-    s: float
-    t: float
-    p: float
-    m: float
     route: str  # "seminorm" or "frac_power_lp"
     node_counts: tuple[int, ...]
     values: list[float]
@@ -296,11 +293,6 @@ def regularity_probe(
     else:
         classification = "inconclusive"
     return ProbeReport(
-        beta=beta,
-        s=s,
-        t=t,
-        p=p,
-        m=m,
         route=route,
         node_counts=node_counts,
         values=values,

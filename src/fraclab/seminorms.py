@@ -33,9 +33,12 @@ double integral (importance sampling in sigma, closed-form Phi) serves as the
 cross-check oracle.  It runs in chunks of MC_CHUNK samples on every usable
 core and holds about 16 bytes per sample (the per-sample values and one
 temporary of the closing standard deviation); MC_CHUNK alone bounds the
-temporaries of a chunk, its Clenshaw sums included.  Each chunk draws its
-slice of the single seeded stream, so the estimate does not depend on the
-number of workers or the order the chunks finish in.  For N = 2,
+temporaries of a chunk, its Clenshaw sums included.  check_hardy_mc_args
+refuses, before anything is allocated, a sample count whose estimated peak
+(_mc_bytes) exceeds the memory available, and a seed that is not an integer
+>= 0; the CLI calls it on every triple before the first quadrature.  Each
+chunk draws its slice of the single seeded stream, so the estimate does not
+depend on the number of workers or the order the chunks finish in.  For N = 2,
 
     Phi(sigma) = 2 pi u^{-2 beta} 2F1(beta, 1/2; 1; -x),  u = 1-sigma,
     x = 4 sigma/u^2,  beta = (N+ps)/2,
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ParameterError, QuadratureError, check_range, check_unit_interval
-from .grids import GridFunction, node_radii
+from .grids import GridFunction, _check_memory, node_radii
 from .kernels import get_table, sphere_area
 from . import operators
 
@@ -77,6 +80,8 @@ REGIONS = ("omega_omega", "d_omega")
 
 _U_SWITCH = 1e-8  # 1 - sigma below which the endpoint asymptotics take over
 MC_CHUNK = 1 << 15  # samples per independent chunk of the Monte-Carlo oracle
+# float64 temporaries per sample of a chunk in flight, rounded up from the traced 17.6 (N = 2) and 12.5 (N = 3)
+_MC_CHUNK_WORDS = 20
 _CHEB_DEGREE = 22  # of each dyadic piece of the N = 2 table of Phi
 # the table's pieces reach the binary exponent of the largest x = 4 sigma/(1-sigma)^2 with 1-sigma >= _U_SWITCH
 _PIECES = math.frexp(4.0 / _U_SWITCH**2)[1] + 1
@@ -86,9 +91,6 @@ _PIECES = math.frexp(4.0 / _U_SWITCH**2)[1] + 1
 class HardyResult:
     value: float
     error_estimate: float
-    N: int
-    s: float
-    p: float
 
 
 def gagliardo_double_sum(u: GridFunction, p: float, s: float, region: str = "d_omega") -> float:
@@ -214,7 +216,7 @@ def hardy_constant(N: int, s: float, p: float, tol: float = 1e-6) -> HardyResult
         raise QuadratureError(
             f"Hardy constant quadrature reached error estimate {err:.3e} > tol {tol:.3e}"
         )
-    return HardyResult(value=lam, error_estimate=err, N=N, s=s, p=p)
+    return HardyResult(value=lam, error_estimate=err)
 
 
 def _hyp_table(beta: float) -> np.ndarray:
@@ -266,13 +268,32 @@ def _phi_closed(N: int, beta: float, sigma: np.ndarray, table: np.ndarray | None
     return 2.0 * math.pi / (2.0 * sg * bm1) * (u ** (-2.0 * bm1) - (1.0 + sg) ** (-2.0 * bm1))
 
 
-def check_hardy_mc_args(N: int, s: float, p: float, samples: int) -> None:
-    """The arguments hardy_constant_mc accepts: N in {2,3}, s in (0,1), p > 1, ps < N, an integer samples >= 2."""
+def _mc_workers(samples: int) -> int:
+    """The threads of hardy_constant_mc: one per usable CPU, at most one per chunk."""
+    return min(operators._usable_cpus(), -(-samples // MC_CHUNK))
+
+
+def _mc_bytes(samples: int) -> int:
+    """An upper estimate of the peak bytes of hardy_constant_mc.
+
+    The per-sample values and the closing std's temporary hold 16 bytes per
+    sample; each worker's chunk holds _MC_CHUNK_WORDS words per sample in
+    flight; 2^16 bytes more cover the 2F1 table and the small allocations.
+    """
+    return 16 * samples + 8 * _MC_CHUNK_WORDS * _mc_workers(samples) * min(samples, MC_CHUNK) + 2**16
+
+
+def check_hardy_mc_args(N: int, s: float, p: float, samples: int, seed: int) -> None:
+    """The arguments hardy_constant_mc accepts: N in {2,3}, s in (0,1), p > 1, ps < N,
+    an integer samples >= 2 whose estimated peak fits in memory, and an integer seed >= 0."""
     if N not in (2, 3):
         raise ParameterError(f"Monte-Carlo Hardy oracle implemented for N in {{2,3}}, got {N}")
     _check_hardy_args(N, s, p)
     if not isinstance(samples, (int, np.integer)) or samples < 2:
         raise ParameterError(f"samples must be an integer >= 2, got {samples!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+    _check_memory(_mc_bytes(samples), f"the Monte-Carlo Hardy oracle at {samples} samples", "use fewer samples")
 
 
 def _uniforms(seed: int, offset: int, n: int) -> np.ndarray:
@@ -296,9 +317,11 @@ def hardy_constant_mc(
     integrand bounded; returns (estimate, standard error).  Sample i uses
     draws i and samples+i of the default_rng(seed) stream, so chunks of
     MC_CHUNK samples run on parallel threads and the result is the same for
-    any worker count.
+    any worker count.  The arguments are checked by check_hardy_mc_args: a
+    bad one raises ParameterError, a sample count beyond the memory
+    available ConfigurationError.
     """
-    check_hardy_mc_args(N, s, p, samples)
+    check_hardy_mc_args(N, s, p, samples, seed)
     beta = (N + p * s) / 2.0
     table = _hyp_table(beta) if N == 2 else None
     k = (N - p * s) / p
@@ -333,7 +356,7 @@ def hardy_constant_mc(
     starts = range(0, samples, MC_CHUNK)
     # the numpy ufuncs and take release the GIL; each chunk fills its own
     # slice of vals, and the reduction below is over the whole array
-    with ThreadPoolExecutor(max_workers=min(operators._usable_cpus(), len(starts))) as pool:
+    with ThreadPoolExecutor(max_workers=_mc_workers(samples)) as pool:
         list(pool.map(chunk, starts))
     mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
     if not (math.isfinite(mean) and math.isfinite(stderr)):

@@ -288,18 +288,16 @@ def test_criterion_7_nonexistence():
         f = fl.sample(lambda x, y: np.ones_like(x), dom)
         phi = fl.radial_bump(dom, (0.0, 0.0), 0.6)
 
-        c1 = fl.lambda_star_star(phi, f, 1.0, s)
-        c_scaled = fl.lambda_star_star(3.0 * phi, f, 1.0, s)
+        c1 = fl.lambda_star_star(f, 1.0, s, [("phi", phi)])
+        c_scaled = fl.lambda_star_star(f, 1.0, s, [("3phi", 3.0 * phi)])
         assert abs(c_scaled.value - c1.value) <= 1e-10 * c1.value
 
-        c_half = fl.lambda_star_star(phi, f, 2.0, s)
+        c_half = fl.lambda_star_star(f, 2.0, s, [("phi", phi)])
         assert c_half.value == c1.value / 2.0
 
         family = fl.bump_family(dom, [(0.0, 0.0), (0.15, -0.1)], [0.4, 0.6, 0.8])
-        _, best = fl.certify(1.0, f, 1.0, s, family)
-        below, _ = fl.certify(0.5 * best.value, f, 1.0, s, family)
-        above, _ = fl.certify(2.0 * best.value, f, 1.0, s, family)
-        above2, _ = fl.certify(8.0 * best.value, f, 1.0, s, family)
+        best = fl.lambda_star_star(f, 1.0, s, family)
+        below, above, above2 = (lam > best.value for lam in (0.5 * best.value, 2.0 * best.value, 8.0 * best.value))
         assert (not below) and above and above2
 
 

@@ -486,6 +486,8 @@ def test_hardy_refuses_negative_mc_samples(tmp_path, capsys):
         (("3:0.3:2.0", "3:0.3:2.0,2:0.9:3.0"), "p*s must lie in (0,2), got 2.7"),
         (("3:0.3:2.0", "3:0.3:2.0,3:0.9:3.5"), "p*s must lie in (0,3), got 3.15"),
         (("3:0.3:2.0", "3:0.3:2.0,2:0.5:4.0"), "p*s must lie in (0,2), got 2.0"),
+        # default_rng(-1) raised a ValueError from a pool thread after the quadrature: exit 1
+        (("mc_samples = 20000", "mc_samples = 20000\nseed = -1"), "seed must be an integer >= 0, got -1"),
     ],
 )
 def test_hardy_checks_every_triple_before_quadrature(tmp_path, capsys, monkeypatch, change, message):
@@ -861,3 +863,64 @@ def test_no_schema_key_parses_a_plain_float():
     plain = [(sub, sec, key) for sub, schema in cli.SCHEMAS.items() for sec, keys in schema.items()
              for key, (parse, _) in keys.items() if parse is float]
     assert plain == []
+
+
+def test_certify_evaluates_each_member_once(tmp_path, monkeypatch):
+    # lambda** is fixed by the family: every member was evaluated once per lambda value
+    from fraclab import nonexistence
+
+    seen = []
+    certificate = nonexistence._certificate
+
+    def counted(phi, f, mu1, s, phi_id):
+        seen.append(phi_id)
+        return certificate(phi, f, mu1, s, phi_id)
+
+    monkeypatch.setattr(nonexistence, "_certificate", counted)
+    text = CERTIFY_CFG.replace("lambda_values = 1.0", "lambda_values = 1.0,10.0,100.0")
+    assert run("certify", _write(tmp_path, "c.ini", text), tmp_path / "out") == 0
+    rows = (tmp_path / "out" / "certify.csv").read_text().splitlines()[2:]
+    assert len(rows) == 3
+    # 3 centres x 3 radii, none clipped below h (27 calls when each lambda evaluated the family)
+    assert len(seen) == 9
+    assert {row.split(",", 3)[3].strip('"') for row in rows} <= set(seen)
+
+
+@pytest.mark.parametrize(
+    "subcommand, key",
+    [
+        ("sweep", "lambda_sweep"),
+        ("certify", "lambda_values"),
+        ("hardy", "triples"),
+        ("limits", "s_values"),
+        ("exponents", "m_values"),
+        ("exponents", "propositions"),
+    ],
+)
+def test_empty_list_refused_at_load(tmp_path, capsys, monkeypatch, subcommand, key):
+    # each of these exited 0 with a CSV of the hash and header lines only
+    monkeypatch.setitem(cli._DRIVERS, subcommand, _no_computation)
+    base = {"sweep": SWEEP_CFG, "certify": CERTIFY_CFG, "hardy": HARDY_CFG, "limits": "", "exponents": EXP_CFG}
+    text = _with_key(base[subcommand], "run", key, ",")
+    assert run(subcommand, _write(tmp_path, "bad.ini", text), tmp_path / "out") == 2
+    assert f"invalid value for [run] {key}: ',' (the list needs at least one entry)" in capsys.readouterr().err
+    assert not (tmp_path / "out" / f"{subcommand}.csv").exists()
+
+
+def test_empty_t_values_still_means_no_t(tmp_path):
+    cfg = ExperimentConfig.load("exponents", _write(tmp_path, "e.ini", _with_key(EXP_CFG, "run", "t_values", ",")))
+    assert cfg["run"]["t_values"] == []
+
+
+def test_hardy_refuses_mc_samples_beyond_memory_at_load(tmp_path, capsys, monkeypatch):
+    # the oracle allocated its values array with no refusal, after the quadrature had run
+    from fraclab import seminorms
+
+    calls = []
+    monkeypatch.setattr(cli, "hardy_constant", lambda *args, **kwargs: calls.append(args))
+    need = seminorms._mc_bytes(20000)
+    monkeypatch.setattr(grids, "available_memory", lambda: need - 1)
+    assert run("hardy", _write(tmp_path, "hardy.ini", HARDY_CFG), tmp_path / "out") == 2
+    assert f"the Monte-Carlo Hardy oracle at 20000 samples needs {need / 2**20:.3g} MB" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out" / "hardy.csv").exists()

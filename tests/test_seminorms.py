@@ -7,6 +7,7 @@ import pytest
 
 from fraclab import (
     Ball,
+    ConfigurationError,
     ConsistencyError,
     ParameterError,
     QuadratureError,
@@ -22,7 +23,7 @@ from fraclab import (
     sample,
     sphere_area,
 )
-from fraclab import operators, seminorms
+from fraclab import grids, operators, seminorms
 from fraclab.nonexistence import radial_bump
 
 S = 0.6
@@ -213,7 +214,8 @@ def test_hardy_mc_independent_of_worker_count(monkeypatch):
 
 
 def test_hardy_mc_memory_per_sample(monkeypatch):
-    # the values array plus one temporary of the closing std: ~16 B per sample
+    # the values array plus one temporary of the closing std: ~16 B per sample; the
+    # refusal's estimate adds two chunks in flight and bounds the peak from above
     monkeypatch.setattr(operators, "_usable_cpus", lambda: 2)
     samples = 2_000_000
     tracemalloc.start()
@@ -223,6 +225,33 @@ def test_hardy_mc_memory_per_sample(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 24 * samples
+    # measured: peak 32.02 MB, estimate 42.55 MB
+    assert peak <= seminorms._mc_bytes(samples) <= 1.5 * peak
+
+
+@pytest.mark.parametrize("N, s, p", [(2, 0.6, 2.0), (3, 0.3, 2.0)])
+@pytest.mark.parametrize("samples", [2, 1000, seminorms.MC_CHUNK, 3 * seminorms.MC_CHUNK])
+def test_hardy_mc_peak_within_refusal_estimate(monkeypatch, N, s, p, samples):
+    # small counts, where the chunk temporaries outweigh the values array; measured
+    # up to 0.88 times the estimate (one full chunk, N = 2)
+    monkeypatch.setattr(operators, "_usable_cpus", lambda: 2)
+    hardy_constant_mc(N, s, p, 2)  # scipy's first import is not the oracle's memory
+    tracemalloc.start()
+    try:
+        hardy_constant_mc(N, s, p, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= seminorms._mc_bytes(samples)
+
+
+def test_hardy_mc_refused_beyond_available_memory(monkeypatch):
+    need = seminorms._mc_bytes(1000)
+    monkeypatch.setattr(grids, "available_memory", lambda: need - 1)
+    with pytest.raises(ConfigurationError, match=r"^the Monte-Carlo Hardy oracle at 1000 samples needs .* MB, but only"):
+        hardy_constant_mc(2, 0.6, 2.0, 1000)
+    monkeypatch.setattr(grids, "available_memory", lambda: need)
+    assert math.isfinite(hardy_constant_mc(2, 0.6, 2.0, 1000)[0])
 
 
 def _table_x():
@@ -294,6 +323,13 @@ def test_hardy_mc_refuses_a_non_finite_estimate(monkeypatch):
 def test_hardy_mc_refuses_unusable_sample_counts(samples):
     with pytest.raises(ParameterError, match="samples must be an integer >= 2"):
         hardy_constant_mc(2, 0.6, 2.0, samples)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5])
+def test_hardy_mc_refuses_unusable_seeds(seed):
+    # default_rng(-1) raised a ValueError from a pool thread
+    with pytest.raises(ParameterError, match=f"^seed must be an integer >= 0, got {seed}$"):
+        hardy_constant_mc(2, 0.6, 2.0, 1000, seed=seed)
 
 
 def test_hardy_ratio_scale_invariance(dom2d):
