@@ -41,7 +41,6 @@ from .operators import (
     apply_frac_power,
     apply_riesz_gradient,
     central_gradient,
-    riesz_potential,
 )
 from .seminorms import (
     HardyResult,

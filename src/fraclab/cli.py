@@ -545,6 +545,7 @@ def _run_certify(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
     # one centre per axis sits at the origin, not at the corner of the span
     axis = np.linspace(-span / 2, span / 2, n_c) if n_c != 1 else np.zeros(1)
     family = []
+    built = set()
     dropped = 0
     for c in itertools.product(axis, repeat=dom.dimension):
         for rho in cfg["run"]["bump_rhos"]:
@@ -557,6 +558,11 @@ def _run_certify(cfg: ExperimentConfig) -> tuple[list[str], list[list]]:
                 if rho <= dom.h:
                     dropped += 1
                     continue
+            # clipping can map two radii to one bump: build it once, at its first
+            # occurrence, the member lambda_star_star keeps among equal values
+            if (c, rho) in built:
+                continue
+            built.add((c, rho))
             family.extend(bump_family(dom, [c], [rho]))
     if dropped and not family:
         raise ConfigurationError(

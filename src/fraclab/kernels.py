@@ -179,7 +179,8 @@ def cell_kernel_integrals(offsets: np.ndarray, exponent: float, h: float) -> np.
     """Integrals of |y|^exponent over cells centered at offsets*h.
 
     offsets has shape (rows, N), and exponent != -1 (a table passes
-    -(N+sigma) with sigma > 0, riesz_potential -lam with 0 < lam < N).
+    -(N+sigma) with sigma > 0, the operator tests' dense Riesz potential
+    _dense_riesz_potential -lam with 0 < lam < N).
     Each row of offsets is a sorted absolute offset 0 <= z_1 <= ... <= z_N,
     not the origin (whose cell origin_cell_moment integrates), and is taken
     as given: the integral depends only on that sorted offset, and
@@ -270,17 +271,16 @@ def _sorted_offsets(N: int, K: int) -> np.ndarray:
     return z
 
 
-def _offset_chunks(N: int, M: int, ball: bool):
-    """Yield the sorted offsets 0 <= z_1 <= ... <= z_N <= M but the origin, in _sorted_offsets order, by chunks.
+def _offset_chunks(N: int, M: int):
+    """Yield the sorted offsets 0 < |z| <= M, 0 <= z_1 <= ... <= z_N, in _sorted_offsets order, by chunks.
 
     A chunk is a run of whole layers of z_N that spans at most
-    OFFSET_CHUNK_ROWS rows before ball filtering, or one larger layer, so
-    only the (N-1)-row prefixes and one chunk are alive at a time.
-    ball=True keeps only offsets with |z| <= M.
+    OFFSET_CHUNK_ROWS rows before the |z| <= M filter, or one larger layer,
+    so only the (N-1)-row prefixes and one chunk are alive at a time.
     """
     prefixes, ends = _sorted_offsets(N - 1, M), _ends(N, M)
     # |z|^2 <= M^2 leaves each prefix M^2 - |prefix|^2 for the square of its last entry
-    room = M * M - (prefixes * prefixes).sum(axis=1) if ball else None
+    room = M * M - (prefixes * prefixes).sum(axis=1)
     m0 = 1
     while m0 <= M:
         m1 = max(m0 + 1, int(np.searchsorted(ends, ends[m0] + OFFSET_CHUNK_ROWS, side="right")) - 1)
@@ -324,16 +324,15 @@ def _build_bytes(N: int, n: int, M: int) -> int:
     return 8 * (max(walk, fft) + 2**16)
 
 
-def _cell_crop(domain: GridDomain, exponent: float, M: int, ball: bool) -> tuple[np.ndarray, float]:
-    """Cell integrals of |y|^exponent on the offsets |z_k| <= n-1, and their sum over the offsets |z_k| <= M.
+def _cell_crop(domain: GridDomain, exponent: float, M: int) -> tuple[np.ndarray, float]:
+    """Cell integrals of |y|^exponent on the offsets |z| <= M with |z_k| <= n-1, and their sum over every |z| <= M.
 
     The crop has shape (2n-1,)*N with the zero offset at the center, where it
     is 0.  Mirrored cells share one value, so cell_kernel_integrals runs once
-    per sorted offset 0 <= z_1 <= ... <= z_N <= M, chunk by chunk
+    per sorted offset 0 <= z_1 <= ... <= z_N with |z| <= M, chunk by chunk
     (_offset_chunks), and only those with z_N <= n-1 are mirrored into the
     crop.  The sum counts each sorted offset with its multiplicity; it is
     summed layer by layer of z_N, so it does not depend on the chunks.
-    ball=True keeps only offsets with |z| <= M, in the crop as in the sum.
 
     The estimate of the peak (_build_bytes) is made first, and one larger than
     the memory available is a ConfigurationError that names it.
@@ -346,7 +345,7 @@ def _cell_crop(domain: GridDomain, exponent: float, M: int, ball: bool) -> tuple
     )
     orthant = np.zeros((K + 1,) * N)
     layer_sums = np.zeros(M + 1)
-    for z in _offset_chunks(N, M, ball):
+    for z in _offset_chunks(N, M):
         vals = cell_kernel_integrals(z, exponent, domain.h)
         near = np.searchsorted(z[:, -1], K, side="right")
         for perm in itertools.permutations(range(N)):
@@ -559,7 +558,7 @@ def build_kernel_table(domain: GridDomain, sigma: float) -> KernelTable:
     N = domain.dimension
     check_range("kernel order sigma", sigma, 0.0, N + 2.0)
     M = int(math.floor(domain.cutoff_radius / domain.h))
-    W, total = _cell_crop(domain, -(N + sigma), M, ball=True)
+    W, total = _cell_crop(domain, -(N + sigma), M)
     table = KernelTable(
         _domain=weakref.ref(domain),
         sigma=float(sigma),

@@ -20,9 +20,8 @@ Gagliardo sums read their per-node terms from one function,
 _d_omega_integrand: the pair sums, the kappa block and the origin cell.
 
 The interior pair-weight matrix P is never formed: its entries depend on the
-node offset only.  D_s^2, the Riesz gradient and the Riesz potential are FFT
-correlations with weights on the offsets |z_k| <= n-1 (the table's crop, or
-for the Riesz potential a crop built the same way), and the transforms of
+node offset only.  D_s^2 and the Riesz gradient are FFT correlations with
+weights on the offsets |z_k| <= n-1 (the table's crop), and the transforms of
 the crop and of the Riesz kernels are kept on the table as well
 (KernelTable.spectrum, KernelTable.riesz_spectrum).  The p-power pair sums
 (B_s^q, Gagliardo) gather row slabs of P from that crop, pairs once each.
@@ -42,15 +41,7 @@ import numpy as np
 
 from .errors import check_range, check_unit_interval
 from .grids import GridFunction
-from .kernels import (
-    KernelTable,
-    _box_product,
-    _cell_crop,
-    _spectrum,
-    get_table,
-    normalization_constant,
-    origin_cell_moment,
-)
+from .kernels import KernelTable, _box_product, get_table, normalization_constant
 
 __all__ = [
     "central_gradient",
@@ -59,7 +50,6 @@ __all__ = [
     "apply_D_s2",
     "apply_B_sq",
     "apply_riesz_gradient",
-    "riesz_potential",
     "pair_power_sum",
 ]
 
@@ -222,19 +212,3 @@ def apply_riesz_gradient(u: GridFunction, s: float) -> np.ndarray:
     """
     check_unit_interval("s", s)
     return _box_product(u.values, get_table(u.domain, s).riesz_spectrum, u.domain).T
-
-
-def riesz_potential(g: GridFunction, lam: float) -> GridFunction:
-    """Riesz potential J_lam(g)(x_i) = sum_j g_j * int_{cell j} |x_i - y|^-lam dy.
-
-    The coincident cell is included; it is integrable since lam < N.  The
-    cell integrals depend only on the node offset, so the sum is a correlation
-    with the cell integrals on offsets |z_k| <= n-1, a crop built as a
-    table's is (kernels._cell_crop).
-    """
-    dom = g.domain
-    check_range("lambda", lam, 0.0, dom.dimension)
-    N, K = dom.dimension, dom.nodes_per_axis - 1
-    W, _ = _cell_crop(dom, -lam, K, ball=False)
-    W[(K,) * N] = origin_cell_moment(dom.h, N, -lam)
-    return dom.from_interior(_box_product(g.values, _spectrum(W, dom), dom))

@@ -9,18 +9,14 @@ from fraclab import Ball, ConsistencyError, build_domain, kernels, sample
 # The dense oracles: the I x I arrays that the package never forms.
 
 
-def lattice_gather(weights, index):
-    """Dense matrix with entries weights[center + index_i - index_j], for an offset array of odd side.
-
-    A table's weights, the crop of side 2n-1, hold every offset index_i - index_j of an n-node grid.
-    """
-    lin = np.ravel_multi_index(index.T, weights.shape)
-    return weights.ravel()[weights.size // 2 + lin[:, None] - lin[None, :]]
-
-
 def dense_pairs(table):
-    """The dense interior pair-weight matrix w(z_i - z_j) gathered from the crop, zero diagonal: the oracle of the FFT operators."""
-    P = lattice_gather(table.weights, table.domain.interior_index)
+    """The dense interior pair-weight matrix w(z_i - z_j) gathered from the crop, zero diagonal: the oracle of the FFT operators.
+
+    The crop, of side 2n-1, holds every offset z_i - z_j of an n-node grid.
+    """
+    W = table.weights
+    lin = np.ravel_multi_index(table.domain.interior_index.T, W.shape)
+    P = W.ravel()[W.size // 2 + lin[:, None] - lin[None, :]]
     np.fill_diagonal(P, 0.0)
     return P
 

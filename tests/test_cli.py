@@ -881,8 +881,10 @@ def test_certify_evaluates_each_member_once(tmp_path, monkeypatch):
     assert run("certify", _write(tmp_path, "c.ini", text), tmp_path / "out") == 0
     rows = (tmp_path / "out" / "certify.csv").read_text().splitlines()[2:]
     assert len(rows) == 3
-    # 3 centres x 3 radii, none clipped below h (27 calls when each lambda evaluated the family)
-    assert len(seen) == 9
+    # 3 centres x 3 radii, none clipped below h, but at c = -0.5 and c = 0.5 the radii 0.5
+    # and 0.7 both clip to 0.475, one bump each: 7 distinct bumps (27 calls when each lambda
+    # evaluated the family, 9 when the clipped duplicates were evaluated again)
+    assert len(seen) == 7
     assert {row.split(",", 3)[3].strip('"') for row in rows} <= set(seen)
 
 

@@ -28,7 +28,6 @@ from fraclab import (
     normalization_constant,
     normalization_constant_quadrature,
     picard_iterate,
-    riesz_potential,
     sample,
     sphere_area,
 )
@@ -202,7 +201,6 @@ def test_dropped_domain_frees_its_tables(no_gc):
     assemble(dom, 0.6)
     apply_D_s2(u, 0.6)
     apply_riesz_gradient(u, 0.6)
-    riesz_potential(u, 1.3)
     refs = [weakref.ref(dom), weakref.ref(get_table(dom, 1.2)), weakref.ref(get_table(dom, 0.6))]
     del dom, u
     assert all(ref() is None for ref in refs)
@@ -309,13 +307,11 @@ def test_table_matches_full_lattice_build(N, n, sigma, cutoff_factor, high):
     assert np.abs(tab.kappa - kappa).max() <= 2.5e-15 * T
 
 
-@pytest.mark.parametrize("ball", [True, False])
 @pytest.mark.parametrize("N, M", [(1, 40), (2, 30), (3, 12)])
-def test_multiplicity_sum_equals_mirrored_lattice_sum(N, M, ball):
+def test_multiplicity_sum_equals_mirrored_lattice_sum(N, M):
     dom = build_domain(Ball(center=(0.0,) * N, radius=1.0), 6, margin_cells=2)
     z = kernels._sorted_offsets(N, M)[1:]
-    if ball:
-        z = z[(z * z).sum(axis=1) <= M * M]
+    z = z[(z * z).sum(axis=1) <= M * M]
     # the lattice |z_k| <= M holding the row of the sorted offset each entry mirrors, -1 where none
     rows = np.full((M + 1,) * N, -1)
     for perm in itertools.permutations(range(N)):
@@ -324,7 +320,7 @@ def test_multiplicity_sum_equals_mirrored_lattice_sum(N, M, ball):
     assert np.array_equal(np.bincount(rows[rows >= 0], minlength=len(z)), kernels._multiplicity(z))
     vals = cell_kernel_integrals(z, -(N + 1.3), dom.h)
     W = np.where(rows >= 0, vals[rows], 0.0)
-    crop, total = kernels._cell_crop(dom, -(N + 1.3), M, ball)
+    crop, total = kernels._cell_crop(dom, -(N + 1.3), M)
     assert abs(total - W.sum()) <= TOTAL_ROUNDING * W.sum()
     assert np.array_equal(crop, W[(slice(M - 5, M + 6),) * N])
 
@@ -335,9 +331,9 @@ def test_chunked_build_equals_unchunked(N, n, monkeypatch):
     monkeypatch.setattr(kernels, "OFFSET_CHUNK_ROWS", 10**9)
     whole = build_kernel_table(dom, 1.2)
     M = whole.lattice_radius
-    (rows,) = kernels._offset_chunks(N, M, True)
+    (rows,) = kernels._offset_chunks(N, M)
     monkeypatch.setattr(kernels, "OFFSET_CHUNK_ROWS", 50)
-    chunks = list(kernels._offset_chunks(N, M, True))
+    chunks = list(kernels._offset_chunks(N, M))
     assert len(chunks) > 3 and np.array_equal(np.concatenate(chunks), rows)
     # cell_kernel_integrals takes the rows as given: sorted, nonnegative, never the origin
     assert rows.min() >= 0 and np.all(np.diff(rows, axis=1) >= 0) and np.all(rows[:, -1] > 0)
@@ -365,7 +361,8 @@ def test_cell_integrals_match_deduplicated_reference(N):
     far = rng.integers(-400, 401, size=(kernels.QUAD_POINTS // 2**N + 500, N))
     far[:, 0] = rng.integers(25, 401, size=len(far)) * rng.choice([-1, 1], size=len(far))
     offsets = np.concatenate([offsets, edges, far])
-    # table orders 0.3, 1.2 and 1.9, ball_membership's high order N + 1.5, riesz_potential's 0.5 and N - 0.2
+    # table orders 0.3, 1.2 and 1.9, ball_membership's high order N + 1.5, and the Riesz potential
+    # orders 0.5 and N - 0.2 of test_operators._dense_riesz_potential
     for exponent in (-(N + 0.3), -(N + 1.2), -(N + 1.9), -(2 * N + 1.5), -0.5, -(N - 0.2)):
         got = cell_kernel_integrals(np.sort(np.abs(offsets), axis=1), exponent, 0.05)
         assert np.array_equal(got, _ref_cell_kernel_integrals(offsets, exponent, 0.05))
@@ -444,11 +441,6 @@ def test_dense_array_refused_beyond_available_memory(monkeypatch):
         build_kernel_table(dom, 1.2)
     with pytest.raises(ConfigurationError, match="needs"):
         assemble(dom, 0.6)
-    # riesz_potential builds its crop the same way, out to radius n-1
-    g = dom.from_interior(np.ones(dom.interior_count))
-    monkeypatch.setattr(grids, "available_memory", lambda: kernels._build_bytes(2, 40, 39) - 1)
-    with pytest.raises(ConfigurationError, match="lattice radius 39"):
-        riesz_potential(g, 0.5)
     monkeypatch.setattr(grids, "available_memory", lambda: need)
     assert build_kernel_table(dom, 1.2).weights.shape == (79, 79)
 

@@ -20,13 +20,12 @@ from fraclab import (
     build_domain,
     central_gradient,
     get_table,
-    riesz_potential,
     sample,
     solve_poisson,
 )
-from conftest import dense_pairs, dense_stiffness, lattice_gather
+from conftest import dense_pairs, dense_stiffness
 from fraclab import kernels, operators
-from fraclab.kernels import _cell_crop, origin_cell_moment
+from fraclab.kernels import cell_kernel_integrals, origin_cell_moment
 from fraclab.operators import PAIR_BLOCK_ROWS, PAIR_THREAD_MIN, pair_power_sum
 
 S = 0.6
@@ -39,7 +38,6 @@ def test_zero_maps_to_zero(dom1d):
     assert np.all(apply_B_sq(z, S, 2.0).values == 0.0)
     assert np.all(apply_frac_power(z, 0.5).values == 0.0)
     assert np.all(apply_riesz_gradient(z, S) == 0.0)
-    assert np.all(riesz_potential(z, 0.5).values == 0.0)
 
 
 def test_frac_laplacian_linearity(dom1d, bump1d):
@@ -141,15 +139,18 @@ def test_riesz_gradient_sign_on_slope(dom1d):
     assert np.all(g[inner] * (-2.0 * x[inner]) >= -1e-10)  # matches sign of u'
 
 
-def test_riesz_potential_positivity_monotone(dom1d, bump1d):
-    lam = 0.5
-    p1 = riesz_potential(bump1d, lam).interior
-    assert p1.min() >= 0.0
-    bigger = sample(
-        lambda x: np.maximum(1.0 - (x / 0.8) ** 2, 0.0) ** 3 + 0.1, bump1d.domain
-    )
-    p2 = riesz_potential(bigger, lam).interior
-    assert np.all(p2 >= p1 - 1e-14)
+def _dense_riesz_potential(dom, g, lam):
+    # the Riesz potential J_lam(g)(x_i) = sum_j g_j int_{cell j} |x_i - y|^-lam dy of interior
+    # values g, 0 < lam < N: one cell integral per interior pair offset, and the coincident
+    # cell, integrable since lam < N, on the diagonal
+    ij = dom.interior_index
+    flat = (ij[:, None, :] - ij[None, :, :]).reshape(-1, dom.dimension)
+    nonzero = np.any(flat != 0, axis=1)
+    vals = np.empty(len(flat))
+    vals[nonzero] = cell_kernel_integrals(np.sort(np.abs(flat[nonzero]), axis=1), -lam, dom.h)
+    vals[~nonzero] = origin_cell_moment(dom.h, dom.dimension, -lam)
+    V = vals.reshape(len(ij), len(ij))
+    return V @ g
 
 
 def test_riesz_potential_far_field(dom1d):
@@ -157,19 +158,12 @@ def test_riesz_potential_far_field(dom1d):
     radius = 0.04
     g = sample(lambda x: (np.abs(x + 0.8) < radius).astype(float), dom1d)
     mass = float(g.interior.sum()) * dom1d.h
-    pot = riesz_potential(g, lam).interior
+    pot = _dense_riesz_potential(dom1d, g.interior, lam)
     x = dom1d.interior_coords[:, 0]
     far = x > -0.8 + 10.0 * radius
     expected = mass * np.abs(x[far] + 0.8) ** (-lam)
     rel = np.abs(pot[far] - expected) / expected
     assert rel.max() < 0.01
-
-
-def test_riesz_potential_lambda_range(dom1d, bump1d):
-    with pytest.raises(ParameterError):
-        riesz_potential(bump1d, 1.0)
-    with pytest.raises(ParameterError):
-        riesz_potential(bump1d, 0.0)
 
 
 def test_frac_power_pointwise_bound(dom1d_small):
@@ -184,7 +178,7 @@ def test_frac_power_pointwise_bound(dom1d_small):
         v = solve_poisson(sample(lambda x: np.ones_like(x), dom), S)
         lhs = np.abs(apply_frac_power(v, t).interior)
         gradmag = np.sqrt((central_gradient(v) ** 2).sum(axis=1))
-        J = riesz_potential(dom.from_interior(gradmag), dom.dimension + t - 1.0).interior
+        J = _dense_riesz_potential(dom, gradmag, dom.dimension + t - 1.0)
         rhs = np.abs(v.interior) + J + lp_norm(v, 1.0)
         cs.append(float((lhs / rhs).max()))
     assert all(np.isfinite(c) for c in cs)
@@ -198,7 +192,7 @@ def test_riesz_gradient_potential_bound(dom1d_small):
     g = np.sqrt((apply_riesz_gradient(v, S) ** 2).sum(axis=1))
     gradmag = np.sqrt((central_gradient(v) ** 2).sum(axis=1))
     lam = dom.dimension - (1.0 - S)
-    J = riesz_potential(dom.from_interior(gradmag), lam).interior
+    J = _dense_riesz_potential(dom, gradmag, lam)
     bound = J / (dom.dimension - (1.0 - S))
     # the continuum inequality allows a modest discretization slack
     assert np.all(g <= bound * 1.05 + 1e-12)
@@ -343,9 +337,8 @@ def dom2d_64():
         lambda u: apply_D_s2(u, S),
         lambda u: apply_frac_laplacian(u, S),
         lambda u: apply_B_sq(u, S, 1.8),
-        lambda u: riesz_potential(u, 1.3),
     ],
-    ids=["D_s2", "frac_laplacian", "B_sq", "riesz_potential"],
+    ids=["D_s2", "frac_laplacian", "B_sq"],
 )
 def test_operators_allocate_no_dense_array(dom2d_64, apply):
     u = sample(lambda x, y: np.maximum(1.0 - x**2 - y**2, 0.0) ** 2, dom2d_64)
@@ -478,34 +471,6 @@ def test_pair_matrix_equals_offset_indexing(N, n):
         assert np.array_equal(pair_power_sum(table, e, 1.5)[others], expected[others, k])
 
 
-@pytest.mark.parametrize(
-    "N,n,lam,origin_offset",
-    [(2, 20, 1.3, False), (2, 17, 0.4, True), (3, 8, 2.2, False), (3, 7, 0.9, True)],
-)
-def test_riesz_potential_matrix_matches_offset_rows(N, n, lam, origin_offset):
-    # reference: one cell integral per interior pair offset, as an I^2 x N array
-    from fraclab.kernels import cell_kernel_integrals
-
-    dom = build_domain(Ball(center=(0.0,) * N, radius=1.0), n, margin_cells=2, origin_offset=origin_offset)
-    ij = dom.interior_index
-    flat = (ij[:, None, :] - ij[None, :, :]).reshape(-1, N)
-    nonzero = np.any(flat != 0, axis=1)
-    vals = np.zeros(len(flat))
-    vals[nonzero] = cell_kernel_integrals(np.sort(np.abs(flat[nonzero]), axis=1), -lam, dom.h)
-    vals[~nonzero] = origin_cell_moment(dom.h, N, -lam)
-    V = vals.reshape(len(ij), len(ij))
-    # the cell-integral crop riesz_potential correlates with, gathered
-    W, _ = _cell_crop(dom, -lam, n - 1, ball=False)
-    W[(n - 1,) * N] = origin_cell_moment(dom.h, N, -lam)
-    assert np.array_equal(lattice_gather(W, ij), V)
-    g = dom.from_interior(np.cos(3.0 * dom.interior_coords).prod(axis=1))
-    got = riesz_potential(g, lam).interior
-    ref = V @ g.interior
-    # FFT against the dense product: measured at most 8.8e-16 over these cases;
-    # the bound is three times that, rounded up
-    assert np.abs(got - ref).max() <= 3e-15 * np.abs(ref).max()
-
-
 def _torsion(N, n, s):
     # Getoor's torsion function c (1-|x|^2)_+^s, whose (-Delta)^s is 1 on the unit ball; returns c and u
     dom = build_domain(Ball(center=(0.0,) * N, radius=1.0), n, margin_cells=2)
@@ -534,10 +499,12 @@ def test_torsion_anchor_near_the_local_limit(N, n):
     assert np.abs(_torsion_core(N, n, 0.99) - 1.0).max() <= 0.02
 
 
-def test_torsion_anchor_error_falls_with_refinement():
-    # measured: 4.0e-3 at n = 400, 2.3e-3 at n = 800
-    coarse, fine = (np.abs(_torsion_core(1, n, 0.6) - 1.0).max() for n in (400, 800))
+@pytest.mark.parametrize("s, coarse_bound, fine_bound", [(0.3, 2e-5, 6e-6), (0.6, 5e-3, 3e-3)])
+def test_torsion_anchor_error_falls_with_refinement(s, coarse_bound, fine_bound):
+    # measured at n = 400 and 800: 1.46e-5 and 3.85e-6 (s = 0.3), 3.98e-3 and 2.29e-3 (s = 0.6)
+    coarse, fine = (np.abs(_torsion_core(1, n, s) - 1.0).max() for n in (400, 800))
     assert fine < coarse
+    assert coarse <= coarse_bound and fine <= fine_bound
 
 
 def _D_s2_anchor_error(N, n, s):
@@ -596,7 +563,9 @@ def test_polynomial_anchor_near_the_local_limit(N, n):
     assert _polynomial_anchor_error(N, n, 0.9) <= 0.1
 
 
-def test_D_s2_anchor_error_falls_with_refinement():
-    # measured: 2.22e-3 at n = 800, 1.28e-3 at n = 1600
-    coarse, fine = (_D_s2_anchor_error(1, n, 0.6) for n in (800, 1600))
+@pytest.mark.parametrize("s, coarse_bound, fine_bound", [(0.3, 6e-5, 3e-5), (0.6, 3e-3, 2e-3)])
+def test_D_s2_anchor_error_falls_with_refinement(s, coarse_bound, fine_bound):
+    # measured at n = 800 and 1600: 4.47e-5 and 1.93e-5 (s = 0.3), 2.22e-3 and 1.28e-3 (s = 0.6)
+    coarse, fine = (_D_s2_anchor_error(1, n, s) for n in (800, 1600))
     assert fine < coarse
+    assert coarse <= coarse_bound and fine <= fine_bound
