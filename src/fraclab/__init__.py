@@ -28,7 +28,6 @@ from .grids import (
 )
 from .kernels import (
     KernelTable,
-    build_kernel_table,
     get_table,
     normalization_constant,
     normalization_constant_quadrature,
@@ -38,7 +37,6 @@ from .operators import (
     apply_B_sq,
     apply_D_s2,
     apply_frac_laplacian,
-    apply_frac_power,
     apply_riesz_gradient,
     central_gradient,
 )

@@ -7,7 +7,7 @@ the loop's first pass solves lambda f alone, and zero forcing runs no pass:
 
     D_s2:              mu * D_s^2(u)             + lambda f
     u_times_D_s2:      mu * u * D_s^2(u)         + lambda f
-    abs_frac_power_q:  mu * |(-Delta)^{t/2} u|^q + lambda f
+    abs_frac_power_q:  mu * |(-Delta)^{t/2} u|^q + lambda f  (apply_frac_laplacian at s = t/2)
     riesz_grad_q:      mu * |grad^s u|^q         + lambda f
     B_sq_alpha:        mu * (B_s^q u)^alpha      + lambda f
 
@@ -18,10 +18,10 @@ declared on the relative successive difference; divergence on non-finite
 iterates or a sup-norm runaway.  The loop keeps only what the verdict needs,
 the iterates and their successive differences, and the report is built once
 after it, its u_final read off the last iterate; the history norms (sup,
-energy and the L^r norm of (-Delta)^{s/2} u) are computed from the stored
-iterates the first time a report's history is read.  Every operator
-reads its kernel table at the cutoff radius of the shared domain.  The
-closed-form root of
+energy and the L^r norm of (-Delta)^{s/2} u, apply_frac_laplacian at order
+s/2) are computed from the stored iterates the first time a report's
+history is read.  Every operator reads its kernel table at the cutoff
+radius of the shared domain.  The closed-form root of
 
     g(t) = a^p (b t + c*)^p - t,   c* = (p-1)/p * (1/(p a^p b))^{1/(p-1)}
 
@@ -44,7 +44,7 @@ from .grids import GridFunction, lp_norm
 from .operators import (
     apply_B_sq,
     apply_D_s2,
-    apply_frac_power,
+    apply_frac_laplacian,
     apply_riesz_gradient,
 )
 from .poisson import StiffnessOperator, _unit, assemble
@@ -165,7 +165,7 @@ class IterationReport:
             ],
             # the same scaling, through the linear (-Delta)^{s/2}, keeps the L^r sum finite
             "frac_half_norm": [
-                lp_norm(apply_frac_power((c := _unit(u.interior)) * u, self.spec.s), FRAC_HALF_NORM_R) / c
+                lp_norm(apply_frac_laplacian((c := _unit(u.interior)) * u, self.spec.s / 2.0), FRAC_HALF_NORM_R) / c
                 for u in self.iterates
             ],
             "successive_diff": list(self.successive_diffs),
@@ -277,7 +277,7 @@ def _nonlinear(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
     if spec.rhs_kind == "u_times_D_s2":
         return mu * u.interior * apply_D_s2(u, spec.s).interior
     if spec.rhs_kind == "abs_frac_power_q":
-        return mu * np.abs(apply_frac_power(u, spec.t).interior) ** spec.q
+        return mu * np.abs(apply_frac_laplacian(u, spec.t / 2.0).interior) ** spec.q
     if spec.rhs_kind == "riesz_grad_q":
         g = apply_riesz_gradient(u, spec.s)
         return mu * ((g**2).sum(axis=1)) ** (spec.q / 2.0)

@@ -2,10 +2,11 @@
 
 All operators act on exterior-zero grid functions and return the same, and
 each takes its table from kernels.get_table by order, at the cutoff radius
-of the domain.  A signed operator is a product with its real symbol on the
-FFT box (KernelTable.symbol, computed once per table), the one path that
-poisson.StiffnessOperator uses too; kernels._symbol writes its rows, whose
-origin cell is the stride-2 coupling of kernels._stride_coupling.  The
+of the domain.  The one signed operator, apply_frac_laplacian, is a product
+with its real symbol on the FFT box (KernelTable.symbol, computed once per
+table), the one path that poisson.StiffnessOperator uses too; (-Delta)^{t/2}
+is apply_frac_laplacian at s = t/2.  kernels._symbol writes the symbol's
+rows, whose origin cell is the stride-2 coupling of kernels._stride_coupling.  The
 squared gradient  D_s^2(u) = (a/2) int |u(x)-u(y)|^2 |x-y|^-(N+2s) dy, its
 q-th power generalization B_s^q and the Gagliardo sums take their absolutely
 integrable origin cell from _local_term, |grad_h u|^p times
@@ -46,7 +47,6 @@ from .kernels import KernelTable, _box_product, get_table, normalization_constan
 __all__ = [
     "central_gradient",
     "apply_frac_laplacian",
-    "apply_frac_power",
     "apply_D_s2",
     "apply_B_sq",
     "apply_riesz_gradient",
@@ -80,20 +80,10 @@ def central_gradient(u: GridFunction) -> np.ndarray:
     )
 
 
-def _signed_apply(u: GridFunction, table: KernelTable) -> GridFunction:
-    return u.domain.from_interior(_box_product(u.values, table.symbol, u.domain))
-
-
 def apply_frac_laplacian(u: GridFunction, s: float) -> GridFunction:
-    """(-Delta)^s u in symmetrized second-difference form (kernel order 2s)."""
+    """(-Delta)^s u in symmetrized second-difference form (kernel order 2s); (-Delta)^{t/2} is s = t/2."""
     check_unit_interval("s", s)
-    return _signed_apply(u, get_table(u.domain, 2.0 * s))
-
-
-def apply_frac_power(u: GridFunction, t: float) -> GridFunction:
-    """(-Delta)^{t/2} u: same structure with kernel order t and constant a_{N,t/2}."""
-    check_unit_interval("t", t)
-    return _signed_apply(u, get_table(u.domain, t))
+    return u.domain.from_interior(_box_product(u.values, get_table(u.domain, 2.0 * s).symbol, u.domain))
 
 
 def _usable_cpus() -> int:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import HypothesisViolation, ParameterError, check_range, check_unit_interval
 from .grids import GridDomain, GridFunction, centered_ball_domain, node_radii
-from .operators import apply_frac_power
+from .operators import apply_frac_laplacian
 from .poisson import solve_poisson
 from .seminorms import gagliardo_double_sum
 
@@ -250,10 +250,11 @@ def regularity_probe(
 
     The measured quantity is the Gagliardo p-power sum of order t when the
     kernel order t*p stays below 2, and the p-power of the L^p norm of
-    (-Delta)^{t/2} u otherwise (recorded in the report).  The switch at 2 is
-    the probe's own choice of what to measure, kept so that its reports do
-    not change; gagliardo_double_sum takes larger orders too.  Data is normalized
-    to unit discrete L^m norm at every level.  Classification: growing when
+    (-Delta)^{t/2} u, apply_frac_laplacian at s = t/2, otherwise (recorded
+    in the report).  The switch at 2 is the probe's own choice of what to
+    measure, kept so that its reports do not change; gagliardo_double_sum
+    takes larger orders too.  Data is normalized to unit discrete L^m norm
+    at every level.  Classification: growing when
     the last two inter-level factors are all >= 1.2, bounded when all <= 1.05,
     inconclusive otherwise.
     """
@@ -281,7 +282,7 @@ def regularity_probe(
         if route == "seminorm":
             values.append(gagliardo_double_sum(u, p, t, "d_omega"))
         else:
-            g = apply_frac_power(u, t)
+            g = apply_frac_laplacian(u, t / 2.0)
             values.append(float((np.abs(g.interior) ** p).sum() * dom.h**dom.dimension))
 
     factors = [values[i + 1] / values[i] for i in range(len(values) - 1)]

@@ -46,10 +46,12 @@ depend on the number of workers or the order the chunks finish in.  For N = 2,
 and each call tabulates the 2F1 factor once, before its threads start: a
 degree-22 Chebyshev interpolant on [0, 1] and on every [2^(e-1), 2^e] up to
 the largest x with u >= _U_SWITCH (1,311 node values in all, within about
-4e-15 of the function), read by Clenshaw's recurrence over all the samples
-of a chunk at once.  At beta = 3/2 the node values come from the
-complete elliptic integral E, where scipy's hyp2f1 overflows.  A mean or
-standard error that is not finite raises ConsistencyError.
+4e-15 of the function away from beta = 3/2), read by Clenshaw's recurrence
+over all the samples of a chunk at once.  Within 1e-8 of beta = 3/2, where
+scipy's hyp2f1 overflows or loses digits, the node values come from the
+complete elliptic integral E, and the table is within about 6.3e-9 of the
+function, far below the oracle's standard error.  A mean or standard error
+that is not finite raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -223,10 +225,13 @@ def _hyp_table(beta: float) -> np.ndarray:
     """Chebyshev coefficients of F(x) = 2F1(beta, 1/2; 1; -x), shape (_CHEB_DEGREE+1, _PIECES).
 
     The pieces cover x in [0, 4/_U_SWITCH^2].  Piece 0 covers [0, 1] and piece e >= 1 covers [2^(e-1), 2^e]; each is
-    interpolated at the first-kind Chebyshev points of its degree.  At
-    beta = 3/2 (ps = 1) the node values come from the elliptic form
-    F(x) = (2/pi) E(x/(1+x)) / sqrt(1+x): scipy's hyp2f1 returns inf there
-    from x ~ 9e15 on.
+    interpolated at the first-kind Chebyshev points of its degree.  Within
+    1e-8 of beta = 3/2 (ps = 1) the node values come from the elliptic form
+    F(x) = (2/pi) E(x/(1+x)) / sqrt(1+x), which is F at beta = 3/2 and is
+    off by at most 0.63 |beta - 3/2| (6.3e-9) elsewhere in the band: there
+    scipy's hyp2f1 returns inf from x ~ 9e15 on for |beta - 3/2| up to
+    1e-13, and is off by 2.8e-5 at beta = 3/2 - 1e-12.  Just outside the
+    band hyp2f1 is off by at most 4.9e-9.
     """
     from scipy.special import ellipe, hyp2f1
 
@@ -235,7 +240,7 @@ def _hyp_table(beta: float) -> np.ndarray:
     y = np.cos(theta)[:, None]
     e = np.arange(_PIECES)
     x = np.where(e > 0, np.ldexp(y + 3.0, e - 2), 0.5 * (y + 1.0))
-    if beta == 1.5:
+    if abs(beta - 1.5) <= 1e-8:
         F = (2.0 / math.pi) * ellipe(x / (1.0 + x)) / np.sqrt(1.0 + x)
     else:
         F = hyp2f1(beta, 0.5, 1.0, -x)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import fraclab
 from fraclab import Annulus, Ball, Box, StiffnessOperator, build_domain, fixedpoint, sample
 from fraclab import cli, grids
 from fraclab.cli import ExperimentConfig, run
+from fraclab.regularity import PROPOSITIONS
 
 
 def _child_env():
@@ -234,6 +236,20 @@ def test_nonfinite_field_number_exit2(tmp_path, capsys, monkeypatch, key, spec):
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
+def test_precision_sets_significant_digits_and_the_config_hash(tmp_path):
+    assert run("solve", _write(tmp_path, "full.ini", SOLVE_CFG), tmp_path / "full") == 0
+    cfg = _write(tmp_path, "six.ini", SOLVE_CFG + "\n[output]\nprecision = 6\n")
+    assert run("solve", cfg, tmp_path / "six") == 0
+    full = (tmp_path / "full" / "solve.csv").read_text().splitlines()
+    six = (tmp_path / "six" / "solve.csv").read_text().splitlines()
+    assert six[0].startswith("# config_sha256=") and six[0] != full[0]
+    assert six[1] == full[1]
+    # the same values, each cell written with 6 significant digits
+    for row6, row17 in zip(six[2:], full[2:], strict=True):
+        assert row6.split(",") == [c and f"{float(c):.6g}" for c in row17.split(",")]
+    assert six[2:] != full[2:]
+
+
 @pytest.mark.parametrize("digits", ["-3", "0", "18"])
 def test_precision_out_of_range_exit2(tmp_path, capsys, monkeypatch, digits):
     monkeypatch.setattr(cli, "_build_domain", _no_computation)
@@ -410,7 +426,7 @@ def _sweep_domain_bbox():
 def test_sweep_reads_no_history(tmp_path, monkeypatch, table_builds):
     # sweep writes no history column, so it computes none and needs only the solver's table
     calls = {"frac_power": 0, "energy": 0}
-    frac_power, energy = fixedpoint.apply_frac_power, StiffnessOperator.energy
+    frac_power, energy = fixedpoint.apply_frac_laplacian, StiffnessOperator.energy
 
     def counted_frac_power(*args, **kwargs):
         calls["frac_power"] += 1
@@ -420,7 +436,7 @@ def test_sweep_reads_no_history(tmp_path, monkeypatch, table_builds):
         calls["energy"] += 1
         return energy(*args, **kwargs)
 
-    monkeypatch.setattr(fixedpoint, "apply_frac_power", counted_frac_power)
+    monkeypatch.setattr(fixedpoint, "apply_frac_laplacian", counted_frac_power)
     monkeypatch.setattr(StiffnessOperator, "energy", counted_energy)
     assert run("sweep", _write(tmp_path, "sweep.ini", SWEEP_CFG), tmp_path / "out") == 0
     assert calls == {"frac_power": 0, "energy": 0}
@@ -528,6 +544,15 @@ def test_exponents_exact_rows(tmp_path):
     assert "P3.1,1,2,3/4,1/2,1,1,2,false,ok" in text
     assert "P3.1,3,2,3/4,1/2,2,1,8,false,ok" in text
     assert "L-LPPS,1,2,3/4,,1,1,4,false,ok" in text
+
+
+def test_exponents_default_runs_every_proposition(tmp_path):
+    # propositions omitted is "all": one row group per statement, in PROPOSITIONS order
+    text = EXP_CFG.replace("propositions = P3.1,L-LPPS\n", "")
+    out = tmp_path / "out"
+    assert run("exponents", _write(tmp_path, "exp.ini", text), out) == 0
+    names = [line.split(",", 1)[0] for line in (out / "exponents.csv").read_text().splitlines()[2:]]
+    assert [name for name, _ in itertools.groupby(names)] == list(PROPOSITIONS)
 
 
 def test_exponents_writes_a_rejected_row(tmp_path):

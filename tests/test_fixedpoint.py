@@ -12,7 +12,7 @@ from fraclab import (
     ParameterError,
     ProblemSpec,
     StiffnessOperator,
-    apply_frac_power,
+    apply_frac_laplacian,
     assemble,
     ball_membership,
     build_domain,
@@ -413,7 +413,7 @@ def _eager_history(spec, config, solver):
         diff = float(np.abs(v - u.interior).max()) / max(sup, 1e-300)
         history["sup_norm"].append(sup)
         history["energy_norm"].append(math.sqrt(max(solver.energy(u_new), 0.0)))
-        w = np.abs(apply_frac_power(u_new, spec.s).interior)
+        w = np.abs(apply_frac_laplacian(u_new, spec.s / 2).interior)
         history["frac_half_norm"].append(float((w**2.0).sum() * hN) ** (1.0 / 2.0))
         history["successive_diff"].append(diff)
         u = u_new

@@ -14,7 +14,6 @@ from fraclab import (
     apply_B_sq,
     apply_D_s2,
     apply_frac_laplacian,
-    apply_frac_power,
     apply_riesz_gradient,
     assemble,
     build_domain,
@@ -36,7 +35,7 @@ def test_zero_maps_to_zero(dom1d):
     assert np.all(apply_frac_laplacian(z, S).values == 0.0)
     assert np.all(apply_D_s2(z, S).values == 0.0)
     assert np.all(apply_B_sq(z, S, 2.0).values == 0.0)
-    assert np.all(apply_frac_power(z, 0.5).values == 0.0)
+    assert np.all(apply_frac_laplacian(z, 0.25).values == 0.0)
     assert np.all(apply_riesz_gradient(z, S) == 0.0)
 
 
@@ -50,8 +49,8 @@ def test_frac_laplacian_linearity(dom1d, bump1d):
 
 def test_frac_power_linearity(dom1d, bump1d):
     v = sample(lambda x: x**2 - 1.0, dom1d)
-    left = apply_frac_power(2.0 * bump1d + 0.3 * v, 0.5).interior
-    right = 2.0 * apply_frac_power(bump1d, 0.5).interior + 0.3 * apply_frac_power(v, 0.5).interior
+    left = apply_frac_laplacian(2.0 * bump1d + 0.3 * v, 0.25).interior
+    right = 2.0 * apply_frac_laplacian(bump1d, 0.25).interior + 0.3 * apply_frac_laplacian(v, 0.25).interior
     assert np.max(np.abs(left - right)) <= 1e-12 * np.max(np.abs(right))
 
 
@@ -176,7 +175,7 @@ def test_frac_power_pointwise_bound(dom1d_small):
     for n in (80, 160):
         dom = build_domain(Ball(center=(0.0,), radius=1.0), n, margin_cells=n // 10)
         v = solve_poisson(sample(lambda x: np.ones_like(x), dom), S)
-        lhs = np.abs(apply_frac_power(v, t).interior)
+        lhs = np.abs(apply_frac_laplacian(v, t / 2).interior)
         gradmag = np.sqrt((central_gradient(v) ** 2).sum(axis=1))
         J = _dense_riesz_potential(dom, gradmag, dom.dimension + t - 1.0)
         rhs = np.abs(v.interior) + J + lp_norm(v, 1.0)
@@ -271,7 +270,7 @@ def test_fft_operators_match_dense_forms(N, n, margin, bounds):
     )
     pairs = [
         (apply_frac_laplacian(u, S), _dense_signed(u, get_table(dom, 2.0 * S))),
-        (apply_frac_power(u, 0.5), _dense_signed(u, get_table(dom, 0.5))),
+        (apply_frac_laplacian(u, 0.25), _dense_signed(u, get_table(dom, 0.5))),
         (apply_D_s2(u, S), _dense_D_s2(u, get_table(dom, 2.0 * S))),
     ]
     for (got, ref), bound in zip(pairs, bounds):
@@ -294,8 +293,8 @@ def test_signed_operators_share_one_symbol_per_table(monkeypatch):
     op = assemble(dom, S)
     assert apply_frac_laplacian(u, S).values.tobytes() == first.values.tobytes()
     assert op.symbol is get_table(dom, 2.0 * S).symbol
-    apply_frac_power(u, 0.5)
-    apply_frac_power(u, 0.5)
+    apply_frac_laplacian(u, 0.25)
+    apply_frac_laplacian(u, 0.25)
     assert calls == [2.0 * S, 0.5]
 
 

@@ -19,6 +19,7 @@ from fraclab import (
     solve_poisson,
 )
 from conftest import dense_stiffness
+from fraclab.nonexistence import radial_bump
 from fraclab import poisson
 
 S = 0.6
@@ -111,6 +112,16 @@ def test_residual_bound(dom1d):
     v = solve_poisson(h, S)
     res = apply_frac_laplacian(v, S).interior - h.interior
     assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(h.interior)
+
+
+def test_residual_past_the_tolerance_is_consistency_error():
+    # s = 0.99 on a fine 1D ball: measured residuals 5.37e-11 at n = 2000 and 2.238e-10 at n = 4000
+    def bump(n):
+        return radial_bump(build_domain(Ball(center=(0.0,), radius=1.0), n, margin_cells=4), (0.0,), 0.9)
+
+    solve_poisson(bump(2000), 0.99)
+    with pytest.raises(ConsistencyError, match=r"^solver residual \S+ exceeds 1e-10$"):
+        solve_poisson(bump(4000), 0.99)
 
 
 def test_s_harmonic_profile():

@@ -142,6 +142,14 @@ def test_power_law_cell_average_mass():
     assert lp_norm(f, 1.0) == pytest.approx(exact, rel=1e-2)
 
 
+def test_power_law_cell_average_refuses_a_node_at_the_origin():
+    # an odd node count puts a node, and so the middle of its cell, at x = 0
+    dom = build_domain(Ball(center=(0.0,), radius=1.0), 41, margin_cells=4)
+    assert np.abs(dom.interior_coords).min() == 0.0
+    with pytest.raises(ParameterError, match="^a cell straddles the origin; shift the grid$"):
+        power_law_cell_average(dom, 0.5)
+
+
 # measured: 4.4e-3 at beta = 0.8 and 2.4e-2 at beta = 1.2 (2D, n = 32)
 @pytest.mark.parametrize("beta, bound", [(0.8, 6e-3), (1.2, 3e-2)])
 def test_power_law_cell_average_2d(beta, bound):
@@ -162,6 +170,14 @@ def test_probe_smooth_data_bounded():
     rep = regularity_probe(0.0, 0.6, 0.5, 2.6, (32, 128, 512), m=1.0, N=1)
     assert rep.classification == "bounded"
     assert rep.route == "seminorm"
+
+
+def test_probe_inconclusive_between_the_thresholds():
+    # measured growth factors 1.218 and 1.104: the last is neither >= 1.2 nor <= 1.05
+    p = p31_case1_threshold(1, 0.6, 0.5)
+    rep = regularity_probe(0.9, 0.6, 0.5, p, (32, 128, 512), N=1)
+    assert rep.classification == "inconclusive"
+    assert rep.growth_factors[0] >= 1.2 and 1.05 < rep.growth_factors[1] < 1.2
 
 
 def test_probe_validation():

@@ -289,6 +289,25 @@ def test_hyp_table_at_ps_one_matches_elliptic_form():
     assert np.abs(got / ref - 1.0).max() < 1e-13
 
 
+@pytest.mark.parametrize("beta", [1.5 + d for d in (1e-15, 1e-13, 1e-12)] + [1.5 - d for d in (1e-15, 1e-13, 1e-12)])
+def test_hyp_table_near_ps_one_matches_elliptic_form(beta):
+    # hyp2f1 returns inf near beta = 3/2 (|beta - 3/2| up to 1e-13) and is off by 2.8e-5 at 3/2 - 1e-12
+    from scipy.special import ellipe
+
+    x = _table_x()
+    ref = (2.0 / math.pi) * ellipe(x / (1.0 + x)) / np.sqrt(1.0 + x)
+    got = seminorms._hyp_eval(seminorms._hyp_table(beta), x)
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - ref).max() <= 1e-8
+
+
+@pytest.mark.parametrize("s", [0.5 - 5e-14, 0.5 + 5e-14])
+def test_hardy_mc_matches_quadrature_near_ps_one(s):
+    # beta = 3/2 +- 5e-14, where a table from hyp2f1 alone gives a NaN mean
+    mc, err = hardy_constant_mc(2, s, 2.0, samples=200_000)
+    assert abs(mc - hardy_constant(2, s, 2.0).value) <= 5.0 * err
+
+
 @pytest.mark.parametrize("samples", [1000, 300_000])
 def test_hardy_mc_calls_hyp2f1_on_the_table_nodes_only(monkeypatch, samples):
     import scipy.special
